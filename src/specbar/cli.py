@@ -206,7 +206,9 @@ def _auto_eigen_target(model, gamma, rect, ode_step, standoff):
         raise SpecbarError(
             "no limit-operator eigenvalue found automatically; pass --target"
         )
-    return min(roots.locations, key=lambda z: z.real)
+    # The eigenvalue nearest the shifted line Im z = Re gamma decays slowest
+    # as R grows, so its sweep errors stay above the floating-point floor.
+    return min(roots.locations, key=lambda z: (abs(z.imag - shift.imag), z.real))
 
 
 def _cmd_converge(args) -> int:

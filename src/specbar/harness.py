@@ -116,18 +116,23 @@ def fit_rate(records: Sequence[ConvergenceRecord], kind: str,
     """Least-squares decay fit on the finite-error records.
 
     ``exponential`` regresses log error on R (rate = decay exponent);
-    ``power`` regresses log error on log R (rate = power).  The smallest
-    skip_initial widths are dropped as transient unless told otherwise.
-    At least four finite records must remain.
+    ``power`` regresses log error on log R (rate = power).  Records with
+    error inf (no match) or exactly 0.0 (no log) are left out; of the rest,
+    the smallest skip_initial widths are dropped as transient unless told
+    otherwise.  At least four finite records must remain, or
+    InsufficientDataError says how many were left out for each reason.
     """
     if kind not in ("exponential", "power"):
         raise ValueError("kind must be 'exponential' or 'power'")
     usable = [r for r in records if math.isfinite(r.error) and r.error > 0.0]
     usable = sorted(usable, key=lambda r: r.R)[skip_initial:]
     if len(usable) < 4:
+        n_zero = sum(r.error == 0.0 for r in records)
+        n_inf = sum(math.isinf(r.error) for r in records)
         raise InsufficientDataError(
             f"need at least 4 finite-error records after dropping "
-            f"{skip_initial}; have {len(usable)}"
+            f"{skip_initial}; have {len(usable)} ({n_zero} dropped for "
+            f"error 0.0, {n_inf} for error inf)"
         )
     R = np.array([r.R for r in usable])
     y = np.log([r.error for r in usable])

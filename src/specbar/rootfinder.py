@@ -2,11 +2,18 @@
 
 The zero count inside a rectangle is obtained from the argument principle:
 (1/2*pi*i) times the contour integral of f'/f equals the number of zeros
-counted with multiplicity.  Rectangles are subdivided recursively until each
-holds at most one zero, which is then polished by damped Newton iteration.
-Clusters that cannot be separated are reported either as a single multiple
-zero (when a winding check on a small surrounding box confirms the
-multiplicity) or as an error.
+counted with multiplicity.  The same contour also gives the first two
+moments of the zeros (the integrals of z f'/f and (z - c)^2 f'/f, c the
+rectangle's centre), hence the spread of the zeros about their mean.
+Rectangles are subdivided recursively until each holds at most one zero,
+which is then polished by damped Newton iteration.  A rectangle counting two
+or more zeros is probed for a single multiple zero (Newton with the
+multiplicity-m step, confirmed by a winding check on a small surrounding box)
+only when the spread is tiny against the rectangle, i.e. the zeros (nearly)
+coincide; otherwise it is bisected without a probe.  At the maximum depth
+the probe always runs, and a cluster it cannot confirm is reported as an
+error.  This moment gate follows Delves & Lyness (Math. Comp. 21, 1967) and
+Kravanja, Sakurai & Van Barel (BIT 39, 1999).
 
 Function handles must evaluate vectorized over ndarrays of complex points;
 the contour quadrature exploits this heavily.
@@ -14,6 +21,7 @@ the contour quadrature exploits this heavily.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import dataclass
@@ -38,8 +46,11 @@ __all__ = [
 ]
 
 _BOUNDARY_REL = 1e-12        # |f| below this fraction of the edge max flags a boundary zero
+_CLUSTER_REL = 1e-2          # multiplicity probe only if the zero spread <= this * longer side
 _MAX_EDGE_POINTS = 1 << 16   # cap on trapezoid refinement per edge
 _INFLATE_ATTEMPTS = 5
+
+_log = logging.getLogger("specbar.rootfinder")
 
 
 class BoundaryZeroError(SpecbarError):
@@ -192,11 +203,12 @@ def _logderiv(f: AnalyticFunctionHandle, z: np.ndarray, fz: np.ndarray, scale: f
 
 
 def _edge_integrals(f: AnalyticFunctionHandle, za: complex, zb: complex,
-                    quad_tol: float, rect: Rectangle):
-    """Integrals of f'/f and z f'/f along the segment za -> zb.
+                    quad_tol: float, rect: Rectangle, centre: complex):
+    """Integrals of f'/f, z f'/f and (z - centre)^2 f'/f along za -> zb.
 
     Trapezoid sums with interval doubling and one Richardson extrapolation
-    step; converged when two successive extrapolants agree to quad_tol.
+    step; converged when two successive extrapolants of the first two
+    integrals agree to quad_tol.  The third rides on the same samples.
     Raises BoundaryZeroError when |f| dips below the boundary-zero threshold
     relative to the edge maximum.
     """
@@ -214,23 +226,25 @@ def _edge_integrals(f: AnalyticFunctionHandle, za: complex, zb: complex,
         if fabs.size and fabs.min() <= _BOUNDARY_REL * max(fabs.max(), 1e-300):
             raise BoundaryZeroError(rect)
         g = _logderiv(f, z, fz, scale)
-        return g, z * g
+        return g, z * g, (z - centre) ** 2 * g
 
     m = 32
     ts = np.linspace(0.0, 1.0, m + 1)
-    g, zg = sample(ts)
+    g, zg, z2g = sample(ts)
     w = np.ones(m + 1)
     w[0] = w[-1] = 0.5
     t0 = (w @ g) / m
     t1 = (w @ zg) / m
+    t2 = (w @ z2g) / m
     r0_prev = r1_prev = None
     while m < _MAX_EDGE_POINTS:
-        t0_prev, t1_prev = t0, t1
+        t0_prev, t1_prev, t2_prev = t0, t1, t2
         m *= 2
         ts_new = (np.arange(m // 2) * 2 + 1) / m
-        g_new, zg_new = sample(ts_new)
+        g_new, zg_new, z2g_new = sample(ts_new)
         t0 = 0.5 * t0 + g_new.sum() / m
         t1 = 0.5 * t1 + zg_new.sum() / m
+        t2 = 0.5 * t2 + z2g_new.sum() / m
         # Richardson extrapolation of the doubled trapezoid sums
         r0 = t0 + (t0 - t0_prev) / 3.0
         r1 = t1 + (t1 - t1_prev) / 3.0
@@ -240,7 +254,8 @@ def _edge_integrals(f: AnalyticFunctionHandle, za: complex, zb: complex,
             tol0 = quad_tol * max(1.0, abs(r0) * scale)
             tol1 = quad_tol * max(1.0, abs(r1) * scale, abs(za), abs(zb))
             if abs(r0 - r0_prev) * scale < tol0 and abs(r1 - r1_prev) * scale < tol1:
-                return r0 * dz, r1 * dz
+                r2 = t2 + (t2 - t2_prev) / 3.0
+                return r0 * dz, r1 * dz, r2 * dz
         r0_prev, r1_prev = r0, r1
     raise QuadratureError(
         f"contour quadrature did not stabilize on edge {za} -> {zb}"
@@ -248,25 +263,34 @@ def _edge_integrals(f: AnalyticFunctionHandle, za: complex, zb: complex,
 
 
 def _contour_counts(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol: float):
-    """Zero count and first moment from the boundary contour of rect.
+    """Zero count, first moment and spread from the boundary contour of rect.
 
-    Returns (count, moment_sum) where moment_sum is the sum of zero
-    locations weighted by multiplicity.
+    Returns (count, moment_sum, spread) where moment_sum is the sum of zero
+    locations weighted by multiplicity and spread is |s2/n - (s1/n - c)^2|,
+    the modulus of the variance of the zero locations (c the centre of rect,
+    s1 and s2 the first and centred second moment sums).  The spread is
+    0.0 when the count is 0.
     """
     corners = rect.corners
+    centre = complex(rect.x_lo + 0.5 * rect.width, rect.y_lo + 0.5 * rect.height)
     i0 = 0.0 + 0.0j
     i1 = 0.0 + 0.0j
+    i2 = 0.0 + 0.0j
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        e0, e1 = _edge_integrals(f, a, b, quad_tol, rect)
+        e0, e1, e2 = _edge_integrals(f, a, b, quad_tol, rect, centre)
         i0 += e0
         i1 += e1
+        i2 += e2
     val = i0 / (2.0j * math.pi)
     n = round(val.real)
     if abs(val - n) > 0.25:
         raise QuadratureError(
             f"contour value {val} is not within 0.25 of an integer on {rect}"
         )
-    return int(n), i1 / (2.0j * math.pi)
+    s1 = i1 / (2.0j * math.pi)
+    s2 = i2 / (2.0j * math.pi)
+    spread = abs(s2 / n - (s1 / n - centre) ** 2) if n > 0 else 0.0
+    return int(n), s1, spread
 
 
 def _inflate_rng(rect: Rectangle, attempt: int) -> float:
@@ -286,11 +310,14 @@ def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol:
     current = rect
     for attempt in range(_INFLATE_ATTEMPTS + 1):
         try:
-            n, m1 = _contour_counts(f, current, quad_tol)
-            return n, m1, current
-        except (BoundaryZeroError, QuadratureError):
+            n, m1, spread = _contour_counts(f, current, quad_tol)
+            return n, m1, spread, current
+        except (BoundaryZeroError, QuadratureError) as exc:
             if attempt == _INFLATE_ATTEMPTS:
                 raise
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("inflating %s after attempt %d: %s: %s", current,
+                           attempt, type(exc).__name__, exc)
             current = current.scaled(_inflate_rng(current, attempt))
             f.check_clearance(current)
     raise AssertionError("unreachable")
@@ -305,7 +332,7 @@ def winding_number(f: AnalyticFunctionHandle, rect: Rectangle,
     from an integer raises QuadratureError.
     """
     f.check_clearance(rect)
-    n, _, _ = _counts_with_inflation(f, rect, quad_tol)
+    n, _, _, _ = _counts_with_inflation(f, rect, quad_tol)
     return n
 
 
@@ -412,7 +439,7 @@ def _try_multiple_root(f: AnalyticFunctionHandle, rect: Rectangle, count: int,
     for _ in range(3):
         box = Rectangle(z.real - side, z.real + side, z.imag - side, z.imag + side)
         try:
-            n_box, _, _ = _counts_with_inflation(f, box, quad_tol)
+            n_box, _, _, _ = _counts_with_inflation(f, box, quad_tol)
         except (BoundaryZeroError, QuadratureError):
             side *= 1.37
             continue
@@ -428,9 +455,13 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
     """All zeros of f in rect with multiplicities, via recursive bisection.
 
     Each sub-rectangle is bisected until its winding count is at most one;
-    isolated zeros are polished by damped Newton to |f| < refine_tol.
-    Rectangles whose count exceeds one at max_depth raise
-    ClusterUnresolvedError unless they contain a verified multiple zero.
+    isolated zeros are polished by damped Newton to |f| < refine_tol.  A
+    rectangle with count >= 2 is probed for one multiple zero only when the
+    contour moments show a cluster: the spread of its zeros about their
+    mean is at most 1e-2 times the longer side.  Otherwise it is bisected
+    without a probe.  At max_depth the probe always runs, and a rectangle
+    whose count still exceeds one raises ClusterUnresolvedError unless the
+    probe verifies a multiple zero.
     """
     f.check_clearance(rect)
     roots: list[Root] = []
@@ -439,7 +470,7 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
         # Inflation on boundary-zero suspicion can make sibling rectangles
         # overlap slightly; the duplicate-merge pass below undoes the
         # resulting double counts.
-        count, moment, r = _counts_with_inflation(f, r, quad_tol)
+        count, moment, spread, r = _counts_with_inflation(f, r, quad_tol)
         if count == 0:
             return
         scale = max(r.width, r.height)
@@ -449,10 +480,15 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
                 roots.append(Root(z, 1, res))
                 return
         else:
-            found = _try_multiple_root(f, r, count, moment, quad_tol, refine_tol)
-            if found is not None:
-                roots.append(found)
-                return
+            probe = depth >= max_depth or math.sqrt(spread) <= _CLUSTER_REL * scale
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("count %d in %s: sigma %.3e, probe %s", count, r,
+                           math.sqrt(spread), "run" if probe else "skipped")
+            if probe:
+                found = _try_multiple_root(f, r, count, moment, quad_tol, refine_tol)
+                if found is not None:
+                    roots.append(found)
+                    return
         if depth >= max_depth:
             raise ClusterUnresolvedError(r, count)
         child_a, child_b = _clean_split(f, r)

@@ -1,6 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from specbar import rootfinder
 from specbar.core import DomainError, Rectangle
 from specbar.rootfinder import (
     AnalyticFunctionHandle,
@@ -15,9 +19,41 @@ from conftest import grid_newton_roots, oracle_f_free
 
 UNIT = Rectangle(-1.0, 1.0, -1.0, 1.0)
 
+# Regression guard on the work of the free R=10 search of
+# test_closed_form_roots_in_strip, not a tolerance to loosen: with the
+# moment-gated multiplicity probe it evaluates 462,546 points (7,540,921
+# when every count >= 2 was probed); the bound leaves about 20% headroom.
+FREE_R10_POINT_BOUND = 550_000
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50,
+                             database=None)
+
 
 def _poly_handle(coeffs):
     return AnalyticFunctionHandle(eval=lambda z, c=coeffs: np.polyval(c, z))
+
+
+def _count_probes(monkeypatch):
+    """Record the rectangle of every multiplicity probe find_zeros makes."""
+    probed = []
+    real = rootfinder._try_multiple_root
+
+    def counting(f, rect, *args, **kwargs):
+        probed.append(rect)
+        return real(f, rect, *args, **kwargs)
+
+    monkeypatch.setattr(rootfinder, "_try_multiple_root", counting)
+    return probed
+
+
+def _lattice_point(cell, jitter):
+    """A point within 0.025 of a node of the 0.1 lattice, so points drawn
+    from distinct nodes are at least 0.05 apart, criterion 5's spacing."""
+    (i, j), (dx, dy) = cell, jitter
+    return complex(0.1 * i + dx, 0.1 * j + dy)
+
+
+_JITTER = st.tuples(st.floats(-0.025, 0.025), st.floats(-0.025, 0.025))
 
 
 def test_winding_monomial():
@@ -83,6 +119,104 @@ def test_closed_form_roots_in_strip():
     assert all(0.0 <= z.imag <= 1.0 for z in got)
 
 
+def test_closed_form_search_makes_no_probe(monkeypatch):
+    probed = _count_probes(monkeypatch)
+    points = 0
+
+    def f_free(z):
+        nonlocal points
+        points += z.size
+        return oracle_f_free(z, 10.0)
+
+    out = find_zeros(AnalyticFunctionHandle(eval=f_free),
+                     Rectangle(0.1, 5.0, 0.05, 0.95))
+    assert out.total_count == 5
+    assert probed == []
+    assert points <= FREE_R10_POINT_BOUND
+
+
+def test_close_pair_is_bisected_without_probe(monkeypatch, caplog):
+    # 0.05 is the closest spacing criterion 5 draws; the spread of such a
+    # pair is far above the cluster gate on every rectangle holding both
+    probed = _count_probes(monkeypatch)
+    f = AnalyticFunctionHandle(eval=lambda z: (z - 0.1 - 0.2j) * (z - 0.15 - 0.2j))
+    with caplog.at_level(logging.DEBUG, logger="specbar.rootfinder"):
+        out = find_zeros(f, UNIT)
+    assert probed == []
+    assert any("probe skipped" in m for m in caplog.messages)
+    locs = sorted(out.locations, key=lambda z: z.real)
+    assert [r.multiplicity for r in out.roots] == [1, 1]
+    assert abs(locs[0] - (0.1 + 0.2j)) < 1e-10
+    assert abs(locs[1] - (0.15 + 0.2j)) < 1e-10
+
+
+def test_very_close_pair_resolves_to_simple_roots():
+    # at 1e-3 the gate cannot tell the pair from a double zero, so probes
+    # run and fail until bisection separates the two
+    f = AnalyticFunctionHandle(eval=lambda z: (z - 0.3) * (z - 0.301))
+    out = find_zeros(f, UNIT)
+    locs = sorted(out.locations, key=lambda z: z.real)
+    assert [r.multiplicity for r in out.roots] == [1, 1]
+    assert abs(locs[0] - 0.3) < 1e-10
+    assert abs(locs[1] - 0.301) < 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(
+    real_roots=st.lists(st.tuples(st.integers(-7, 7), st.floats(-0.025, 0.025)),
+                        min_size=1, max_size=3, unique_by=lambda t: t[0]),
+    pairs=st.lists(st.tuples(st.tuples(st.integers(-7, 7), st.integers(1, 7)),
+                             _JITTER),
+                   max_size=2, unique_by=lambda t: t[0]),
+)
+def test_real_polynomial_roots_are_conjugate_symmetric(real_roots, pairs):
+    roots = [0.1 * i + dx for i, dx in real_roots]
+    for cell, jitter in pairs:
+        z = _lattice_point(cell, jitter)
+        roots += [z, z.conjugate()]
+    coeffs = np.poly(roots)
+    assert np.isrealobj(coeffs)
+    # The exact derivative: near clustered zeros polyval cancels so many
+    # digits that the central-difference f'/f is too noisy for the edge
+    # quadrature to stabilize (QuadratureError on 0.1*3, 0.4, 0.5, 0.1*3 +- 0.1i).
+    f = AnalyticFunctionHandle(eval=lambda z: np.polyval(coeffs, z),
+                               eval_deriv=lambda z: np.polyval(np.polyder(coeffs), z))
+    out = find_zeros(f, UNIT)
+    assert out.total_count == len(roots)
+    for r in out.roots:
+        mirror = out.nearest(r.location.conjugate())
+        assert abs(mirror.location - r.location.conjugate()) < 1e-9
+        assert mirror.multiplicity == r.multiplicity
+
+
+@PROPERTY_SETTINGS
+@given(
+    multiplicity=st.sampled_from([2, 3]),
+    cells=st.lists(st.tuples(st.integers(-7, 7), st.integers(-7, 7)),
+                   min_size=1, max_size=4, unique=True),
+    jitters=st.lists(_JITTER, min_size=4, max_size=4),
+)
+def test_planted_multiple_zero_keeps_its_multiplicity(multiplicity, cells, jitters):
+    # the first lattice point carries the multiple zero, the rest are
+    # simple zeros at least 0.05 away from it and from each other
+    points = [_lattice_point(c, j) for c, j in zip(cells, jitters)]
+    planted, simple = points[0], points[1:]
+
+    def f(z):
+        out = (z - planted) ** multiplicity
+        for b in simple:
+            out = out * (z - b)
+        return out
+
+    out = find_zeros(AnalyticFunctionHandle(eval=f), UNIT)
+    assert sorted(r.multiplicity for r in out.roots) == [1] * len(simple) + [multiplicity]
+    root = out.nearest(planted)
+    assert root.multiplicity == multiplicity
+    assert abs(root.location - planted) < 1e-6
+    for b in simple:
+        assert abs(out.nearest(b).location - b) < 1e-10
+
+
 def test_winding_additivity_over_bisection():
     rng = np.random.default_rng(11)
     rect = Rectangle(-1.3, 1.1, -1.2, 1.15)
@@ -123,12 +257,15 @@ def test_no_invented_roots():
         assert all(r.residual < 1e-12 for r in out.roots)
 
 
-def test_boundary_zero_inflates_and_recovers():
+def test_boundary_zero_inflates_and_recovers(caplog):
     # zero exactly on the requested boundary: the search inflates the
-    # rectangle by a factor in [1.01, 1.05] and proceeds
+    # rectangle by a factor in [1.01, 1.05] and proceeds, logging the
+    # swallowed error at DEBUG
     f = AnalyticFunctionHandle(eval=lambda z: z - 1.0)
-    n = winding_number(f, Rectangle(0.0, 1.0, -0.5, 0.5))
+    with caplog.at_level(logging.DEBUG, logger="specbar.rootfinder"):
+        n = winding_number(f, Rectangle(0.0, 1.0, -0.5, 0.5))
     assert n == 1
+    assert any("BoundaryZeroError" in m for m in caplog.messages)
     out = find_zeros(f, Rectangle(0.0, 1.0, -0.5, 0.5))
     assert out.total_count == 1
     assert abs(out.roots[0].location - 1.0) < 1e-10
@@ -151,6 +288,18 @@ def test_cluster_unresolved_at_max_depth():
         find_zeros(f, UNIT, max_depth=3)
     assert exc.value.count == 2
     assert isinstance(exc.value.rect, Rectangle)
+
+
+def test_max_depth_probe_runs_when_gate_stays_shut(monkeypatch):
+    # with the cluster gate shut everywhere, a double zero is still
+    # resolved by the probe that always runs at max_depth
+    monkeypatch.setattr(rootfinder, "_CLUSTER_REL", -1.0)
+    probed = _count_probes(monkeypatch)
+    f = AnalyticFunctionHandle(eval=lambda z: (z - 0.3) ** 2)
+    out = find_zeros(f, UNIT, max_depth=3)
+    assert len(probed) == 1
+    assert [r.multiplicity for r in out.roots] == [2]
+    assert abs(out.roots[0].location - 0.3) < 1e-9
 
 
 def test_exclusion_regions_block_search():
