@@ -2,9 +2,16 @@
 
 Propagates (u, u') for -u'' + (q(x) + c) u = lam * u across intervals on
 which q is a single expression.  Constant-coefficient stretches use the
-exact 2x2 transfer matrix in the entire functions cos(w d) and sin(w d)/w;
-sinusoidal stretches use fixed-step RK4.  All routines are vectorized over
-an ndarray of spectral parameters.
+exact 2x2 transfer matrix in the entire functions cos(w d) and sin(w d)/w.
+Sinusoidal stretches use fixed-step RK4 in closed form: one RK4 step of
+y' = [[0, 1], [q + c - lam, 0]] y is a 2x2 matrix whose entries are
+polynomials of degree <= 2 in lam, with coefficients from one vectorized
+evaluation of q at all nodes of the stretch.  The step matrices are built
+and multiplied pairwise in blocks of whole-array operations into one
+transfer per stretch, which consecutive full periods of a periodic tail
+share.  All routines are vectorized over an ndarray of spectral
+parameters; the seeds may add a leading axis of columns, such as the two
+canonical solutions of a monodromy.
 """
 
 from __future__ import annotations
@@ -17,6 +24,13 @@ import numpy as np
 from .core import ConstExpr, PeriodicTail, PotentialModel
 
 _RESCALE_LIMIT = 1e250
+_RESCALE_EVERY = 64       # RK4 steps between overflow checks of a transfer
+# A transfer entry stays below this, so that applying it to a solution
+# rescaled below _RESCALE_LIMIT stays finite.
+_TRANSFER_LIMIT = 1e50
+# Step-point pairs per block of RK4 step matrices multiplied together: few
+# array operations for few points, bounded memory for many.
+_BLOCK_POINTS = 1 << 12
 
 
 class Segment(NamedTuple):
@@ -93,29 +107,76 @@ def _step_const(qc: complex, lam, u, up, d: float):
     return u, up, logs
 
 
-def _step_rk4(q_of_x, x0: float, lam, u, up, d: float, step: float):
+def _rk4_transfer(expr, x0: float, lam, d: float, step: float,
+                  q_add: complex):
+    """RK4 transfer across a stretch where q(x) = expr(x) for x in x0 + [0, d].
+
+    With a = q + q_add - lam taken at x, x + h/2 and x + h (a1, a2, a3), one
+    RK4 step of y' = [[0, 1], [a, 0]] y is the matrix
+
+        s11 = 1 + h^2/6 (a1 + 2 a2) + h^4/24 a1 a2
+        s12 = h + h^3/6 a2
+        s21 = h/6 (a1 + 4 a2 + a3) + h^3/12 a2 (a1 + a3)
+        s22 = 1 + h^2/6 (2 a2 + a3) + h^4/24 a2 a3
+
+    whose entries are polynomials of degree <= 2 in lam.  The steps are
+    multiplied pairwise in blocks of up to 64; the product is rescaled
+    every 64 steps and at the end.  Returns (T, logs): T has shape
+    (2, 2) + lam.shape and the transfer is T * exp(logs).
+    """
     n = max(1, math.ceil(abs(d) / step))
     h = d / n
-    x = x0
-    logs = np.zeros(np.shape(lam))
-    for i in range(n):
-        q1 = q_of_x(x)
-        q2 = q_of_x(x + 0.5 * h)
-        q3 = q_of_x(x + h)
-        k1u = up
-        k1p = (q1 - lam) * u
-        k2u = up + 0.5 * h * k1p
-        k2p = (q2 - lam) * (u + 0.5 * h * k1u)
-        k3u = up + 0.5 * h * k2p
-        k3p = (q2 - lam) * (u + 0.5 * h * k2u)
-        k4u = up + h * k3p
-        k4p = (q3 - lam) * (u + h * k3u)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        up = up + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        x += h
-        if i % 64 == 63:
-            u, up, logs = _rescale(u, up, logs)
-    return u, up, logs
+    c = np.asarray(expr(x0 + 0.5 * h * np.arange(2 * n + 1)), dtype=complex)
+    c = c + q_add
+    c1, c2, c3 = c[0:-1:2], c[1::2], c[2::2]
+    w2, w3, w4 = h * h / 6.0, h ** 3 / 12.0, h ** 4 / 24.0
+    # constant and linear coefficients in lam of each step matrix, (2, 2, n)
+    const = np.array([
+        [1.0 + w2 * (c1 + 2.0 * c2) + w4 * c1 * c2, h + 2.0 * w3 * c2],
+        [h / 6.0 * (c1 + 4.0 * c2 + c3) + w3 * c2 * (c1 + c3),
+         1.0 + w2 * (2.0 * c2 + c3) + w4 * c2 * c3],
+    ])
+    lin = np.array([
+        [-3.0 * w2 - w4 * (c1 + c2), np.full(n, -2.0 * w3)],
+        [-h - w3 * (c1 + 2.0 * c2 + c3), -3.0 * w2 - w4 * (c2 + c3)],
+    ])
+    lam1 = lam.reshape(-1)
+    quad = np.multiply.outer(np.array([[w4, 0.0], [2.0 * w3, w4]]), lam1 * lam1)
+    quad = quad[:, :, None, :]
+    max_block = min(_RESCALE_EVERY,
+                    _pow2_floor(max(1, _BLOCK_POINTS // max(lam1.size, 1))))
+    T = None
+    logs = np.zeros(lam1.shape)
+    done = 0
+    while done < n:
+        k = min(max_block, _pow2_floor(n - done))
+        block = slice(done, done + k)
+        S = lin[:, :, block, None] * lam1
+        S += const[:, :, block, None]
+        S += quad
+        while S.shape[2] > 1:
+            S = _matmul(S[:, :, 1::2], S[:, :, 0::2])
+        T = S[:, :, 0] if T is None else _matmul(S[:, :, 0], T)
+        done += k
+        if done % _RESCALE_EVERY == 0 or done == n:
+            mag = np.max(np.abs(T), axis=(0, 1))
+            big = mag > _TRANSFER_LIMIT
+            if np.any(big):
+                factor = np.where(big, mag, 1.0)
+                T = T / factor
+                logs = logs + np.log(factor)
+    return T.reshape((2, 2) + lam.shape), logs.reshape(lam.shape)
+
+
+def _pow2_floor(n: int) -> int:
+    return 1 << (n.bit_length() - 1)
+
+
+def _matmul(a, b):
+    """Products of stacked 2x2 matrices, matrix axes first."""
+    out = a[:, 0, None] * b[None, 0]
+    out += a[:, 1, None] * b[None, 1]
+    return out
 
 
 def _rescale(u, up, logs):
@@ -133,20 +194,27 @@ def propagate(model: PotentialModel, lam, x_from: float, x_to: float,
               u, up, q_add: complex = 0.0, step: float = 1e-3):
     """Propagate (u, u') of -u'' + (q + q_add) u = lam u from x_from to x_to.
 
-    Works in either direction.  Returns (u, up, logs) where exp(logs) is a
-    magnitude factor split off to avoid overflow; the true solution is
-    (u, up) * exp(logs).
+    Works in either direction.  u and up broadcast against lam; a leading
+    axis beyond lam's shape holds independent columns, which share every
+    transfer.  Returns (u, up, logs) where exp(logs) is a magnitude factor
+    split off to avoid overflow; the true solution is (u, up) * exp(logs).
     """
     lam = np.asarray(lam, dtype=complex)
-    u = np.broadcast_to(np.asarray(u, dtype=complex), lam.shape).copy()
-    up = np.broadcast_to(np.asarray(up, dtype=complex), lam.shape).copy()
-    logs = np.zeros(lam.shape)
+    u = np.asarray(u, dtype=complex)
+    up = np.asarray(up, dtype=complex)
+    shape = np.broadcast(u, up, lam).shape
+    u = np.broadcast_to(u, shape).copy()
+    up = np.broadcast_to(up, shape).copy()
+    logs = np.zeros(shape)
     if math.isclose(x_from, x_to, rel_tol=0.0, abs_tol=1e-15):
         return u, up, logs
     forward = x_to > x_from
     segs = segments(model, *(sorted((x_from, x_to))))
     if not forward:
         segs = segs[::-1]
+    # the last RK4 stretch as (expr, local start, length) and its transfer;
+    # full periods of a tail repeat it, up to rounding in the local start
+    last, transfer = None, None
     for seg in segs:
         x0, x1 = (seg.a, seg.b) if forward else (seg.b, seg.a)
         d = x1 - x0
@@ -154,13 +222,16 @@ def propagate(model: PotentialModel, lam, x_from: float, x_to: float,
             u, up, dlogs = _step_const(complex(seg.expr.value) + q_add, lam,
                                        u, up, d)
         else:
-            expr = seg.expr
-            xoff = seg.xoff
-
-            def q_of_x(x, expr=expr, xoff=xoff):
-                return complex(expr(x - xoff)) + q_add
-
-            u, up, dlogs = _step_rk4(q_of_x, x0, lam, u, up, d, step)
+            local = x0 - seg.xoff
+            stretch = (seg.expr, local, d)
+            tol = 1e-12 * (1.0 + abs(x0))
+            if not (last is not None and last[0] == stretch[0]
+                    and abs(last[1] - stretch[1]) <= tol
+                    and abs(last[2] - d) <= tol):
+                last = stretch
+                transfer = _rk4_transfer(seg.expr, local, lam, d, step, q_add)
+            T, dlogs = transfer
+            u, up = T[0, 0] * u + T[0, 1] * up, T[1, 0] * u + T[1, 1] * up
         logs = logs + dlogs
         u, up, logs = _rescale(u, up, logs)
     return u, up, logs

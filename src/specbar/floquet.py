@@ -47,6 +47,7 @@ __all__ = [
 
 _DET_TOL = 1e-8
 _BRANCH_TOL = 1e-12
+_NULL_VECTOR_TOL = 1e-8
 
 
 class IntegrationError(SpecbarError):
@@ -130,12 +131,17 @@ def _require_periodic(model: PotentialModel) -> PeriodicTail:
 
 
 def _monodromy_arrays(model: PotentialModel, z, ode_step: float):
+    """Both canonical cell solutions at the cell end, from one propagation."""
     tail = _require_periodic(model)
     z = np.asarray(z, dtype=complex)
     x0, x1 = tail.start, tail.start + tail.period
-    p1, p1p, _ = _ode.propagate(model, z, x0, x1, 1.0, 0.0, step=ode_step)
-    p2, p2p, _ = _ode.propagate(model, z, x0, x1, 0.0, 1.0, step=ode_step)
-    return p1, p1p, p2, p2p
+    # columns phi1, phi2 on a leading axis: (u, u') = (1, 0) and (0, 1)
+    seeds = np.eye(2).reshape((2, 2) + (1,) * z.ndim)
+    u, up, logs = _ode.propagate(model, z, x0, x1, seeds[0], seeds[1],
+                                 step=ode_step)
+    scale = np.exp(logs)
+    u, up = u * scale, up * scale
+    return u[0], up[0], u[1], up[1]
 
 
 def monodromy(model: PotentialModel, z, ode_step: float = 1e-3) -> Monodromy:
@@ -196,6 +202,15 @@ def _select_rho(D, sheet: Sheet):
     return rho_p, rho_m
 
 
+def _multipliers(mono: Monodromy, sheet: Sheet):
+    """Discriminant and the multipliers (rho_plus, rho_minus) on the sheet."""
+    D = mono.discriminant
+    if np.min(np.abs(np.abs(np.asarray(D)) - 2.0)) < _BRANCH_TOL:
+        raise BranchPointError(f"discriminant {D} is at a band end (|D| = 2)")
+    rho_p, rho_m = _select_rho(D, sheet)
+    return D, rho_p, rho_m
+
+
 def floquet_data(model: PotentialModel, z, sheet: Sheet = Sheet.PRINCIPAL,
                  ode_step: float = 1e-3) -> FloquetData:
     """Discriminant, multipliers and exponent k = -(i/a) log(rho_plus).
@@ -206,11 +221,7 @@ def floquet_data(model: PotentialModel, z, sheet: Sheet = Sheet.PRINCIPAL,
     band end (|D| = 2) raise BranchPointError.
     """
     tail = _require_periodic(model)
-    mono = monodromy(model, z, ode_step)
-    D = mono.discriminant
-    if np.min(np.abs(np.abs(np.asarray(D)) - 2.0)) < _BRANCH_TOL:
-        raise BranchPointError(f"discriminant {D} is at a band end (|D| = 2)")
-    rho_p, rho_m = _select_rho(D, sheet)
+    D, rho_p, rho_m = _multipliers(monodromy(model, z, ode_step), sheet)
     k = (-1j / tail.period) * np.log(rho_p)
     scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
     if scalar:
@@ -230,24 +241,34 @@ def _discriminant_real(model: PotentialModel, z: np.ndarray, ode_step: float):
 
 
 def _scan_crossings(model, grid_z, g, ode_step, tol):
-    """Refine every sign change of g = |D| - 2 on the grid by bisection."""
+    """Refine every sign change of g = |D| - 2 on the grid by 16-section.
+
+    Each round evaluates 15 interior points of every bracket in one call and
+    keeps the sixteenth that holds the first sign change.  The rounds stand
+    for four bisections each, enough for three decades beyond tol.
+    """
     lo_idx = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
-    a = grid_z[lo_idx].copy()
-    b = grid_z[lo_idx + 1].copy()
-    ga = g[lo_idx].copy()
-    if len(a) == 0:
+    if len(lo_idx) == 0:
         return np.array([])
+    a = grid_z[lo_idx]
+    b = grid_z[lo_idx + 1]
+    ga = g[lo_idx]
     span = float(b[0] - a[0])
     # three decades beyond tol keeps the residual |g| below ~10 tol even
     # where the discriminant crosses steeply
-    iters = min(60, max(1, math.ceil(math.log2(max(span / (1e-3 * tol), 2.0)))))
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        gm = np.abs(_discriminant_real(model, mid, ode_step)) - 2.0
-        left = np.sign(ga) * np.sign(gm) < 0
-        b = np.where(left, mid, b)
-        a = np.where(left, a, mid)
-        ga = np.where(left, ga, gm)
+    bits = min(60, max(1, math.ceil(math.log2(max(span / (1e-3 * tol), 2.0)))))
+    frac = np.arange(1, 16) / 16.0
+    rows = np.arange(len(a))
+    for _ in range(math.ceil(bits / 4)):
+        inner = a[:, None] + (b - a)[:, None] * frac
+        gi = np.abs(_discriminant_real(model, inner.ravel(), ode_step)) - 2.0
+        gi = gi.reshape(inner.shape)
+        change = np.sign(ga)[:, None] * np.sign(gi) < 0
+        # the sixteenth [x_j, x_j+1] with x_0 = a, x_16 = b
+        j = np.where(change.any(axis=1), np.argmax(change, axis=1), 15)
+        xs = np.column_stack([a, inner, b])
+        gs = np.column_stack([ga, gi])
+        a, b, ga = xs[rows, j], xs[rows, j + 1], gs[rows, j]
     return 0.5 * (a + b)
 
 
@@ -255,20 +276,22 @@ def bands(model: PotentialModel, z_min: float, z_max: float, tol: float = 1e-10,
           grid: int = 2000, ode_step: float = 1e-3) -> BandStructure:
     """Real intervals of [z_min, z_max] where |D| <= 2, ends located to tol.
 
-    The scan doubles its grid when a refined scan finds a different number
-    of sign changes (a band squeezed inside one cell); after three retries
-    it raises BandResolutionError.  Intervals reaching the scan boundary
-    are clipped there.
+    The discriminant is evaluated once on a grid of 2 grid - 1 points; its
+    even points form the coarse scan.  The scan doubles its grid when the
+    fine scan finds a different number of sign changes than the coarse one
+    (a band squeezed inside one cell); after three retries it raises
+    BandResolutionError.  Each sign change of the fine scan is refined by
+    16-section, all brackets in one discriminant call per round.  Intervals
+    reaching the scan boundary are clipped there.
     """
     _require_periodic(model)
     if not z_min < z_max:
         raise ValueError("need z_min < z_max")
     n = grid
     for _ in range(4):
-        zg = np.linspace(z_min, z_max, n)
-        g = np.abs(_discriminant_real(model, zg, ode_step)) - 2.0
         zg2 = np.linspace(z_min, z_max, 2 * n - 1)
         g2 = np.abs(_discriminant_real(model, zg2, ode_step)) - 2.0
+        g = g2[::2]
         n_cross = int(np.sum(np.sign(g[:-1]) * np.sign(g[1:]) < 0))
         n_cross2 = int(np.sum(np.sign(g2[:-1]) * np.sign(g2[1:]) < 0))
         if n_cross == n_cross2:
@@ -300,44 +323,50 @@ def bands(model: PotentialModel, z_min: float, z_max: float, tol: float = 1e-10,
 # Floquet solutions
 # ---------------------------------------------------------------------------
 
-def _cell_vector(model, z, rho, x_target, ode_step):
-    """(psi, psi') at x_target in [start, start + period] for multiplier rho."""
-    tail = model.tail
-    p1, p1p, p2, p2p = _monodromy_arrays(model, z, ode_step)
-    v0 = -p2
-    v0p = p1 - rho
-    if math.isclose(x_target, tail.start, rel_tol=0.0, abs_tol=1e-15):
-        return v0, v0p
-    c1, c1p, _ = _ode.propagate(model, z, tail.start, x_target, 1.0, 0.0,
-                                step=ode_step)
-    c2, c2p, _ = _ode.propagate(model, z, tail.start, x_target, 0.0, 1.0,
-                                step=ode_step)
-    val = v0 * c1 + v0p * c2
-    der = v0 * c1p + v0p * c2p
-    return val, der
-
-
 def _solution_arrays(model, x: float, z, sign: str, sheet: Sheet,
-                     ode_step: float, rho=None):
-    """(value, derivative, logs) of the quasi-periodic solution at x."""
+                     ode_step: float):
+    """(value, derivative, logs) of the quasi-periodic solution at x.
+
+    The cell-start eigenvector (-phi2(end), phi1(end) - rho) of one checked
+    monodromy is propagated to x within its cell, or backwards below the
+    tail; whole periods beyond contribute the power of the multiplier.
+    """
     tail = _require_periodic(model)
     z = np.asarray(z, dtype=complex)
-    if rho is None:
-        data = floquet_data(model, z, sheet, ode_step)
-        rho = data.rho_plus if sign == "plus" else data.rho_minus
-    rho = np.asarray(rho, dtype=complex)
-    if x >= tail.start:
-        ncell = math.floor((x - tail.start) / tail.period + 1e-12)
-        x0 = x - ncell * tail.period
-        val, der = _cell_vector(model, z, rho, x0, ode_step)
-        logs = ncell * np.log(np.abs(rho))
+    mono = monodromy(model, z, ode_step)
+    _, rho_p, rho_m = _multipliers(mono, sheet)
+    rho = rho_p if sign == "plus" else rho_m
+    ncell = max(0, math.floor((x - tail.start) / tail.period + 1e-12))
+    x0 = x - ncell * tail.period
+    val, der = -mono.phi2_end, mono.phi1_end - rho
+    logs = ncell * np.log(np.abs(rho))
+    if not math.isclose(x0, tail.start, rel_tol=0.0, abs_tol=1e-15):
+        val, der, dlogs = _ode.propagate(model, z, tail.start, x0, val, der,
+                                         step=ode_step)
+        logs = logs + dlogs
+    if ncell:
         phase = np.exp(1j * ncell * np.angle(rho))
-        return val * phase, der * phase, logs
-    # below the tail: integrate the cell-start eigenvector backwards
-    p1, p1p, p2, p2p = _monodromy_arrays(model, z, ode_step)
-    val, der, logs = _ode.propagate(model, z, tail.start, x, -p2, p1 - rho,
-                                    step=ode_step)
+        val, der = val * phase, der * phase
     return val, der, logs
+
+
+def _null_cell_vector(model: PotentialModel, z, ode_step: float):
+    """True where the decaying cell-start eigenvector vanishes.
+
+    The eigenvector (-phi2(end), phi1(end) - rho_plus) of the monodromy
+    comes from its first row; it is zero where phi2(end) = 0 and
+    rho_plus = phi1(end), that is where the Dirichlet solution phi2 carries
+    the growing multiplier.  Zeros of functions built from it there are no
+    spectral points.  At a genuine Dirichlet eigenvalue, where phi2 decays,
+    the vector is (0, rho_minus - rho_plus) instead.  Vanishing means
+    |vector| <= 1e-8 max |M_ij|.
+    """
+    mono = monodromy(model, np.asarray(z, dtype=complex), ode_step)
+    _, rho_p, _ = _multipliers(mono, Sheet.PRINCIPAL)
+    size = np.hypot(np.abs(mono.phi2_end), np.abs(mono.phi1_end - rho_p))
+    entries = (mono.phi1_end, mono.phi1p_end, mono.phi2_end, mono.phi2p_end)
+    scale = np.max(np.abs(entries), axis=0)
+    return size <= _NULL_VECTOR_TOL * scale
 
 
 def floquet_solution(model: PotentialModel, x: float, z, sign: str = "plus",

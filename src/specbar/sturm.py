@@ -115,7 +115,9 @@ def interior_solution(ctx: CharacteristicContext, lam) -> SolutionSample:
     The seed (u, u')(0) = (sin eta, cos eta) satisfies the mixed boundary
     condition identically.  Constant stretches of the potential are
     propagated by exact transfer matrices, sinusoidal ones by RK4 at
-    ctx.ode_step.
+    ctx.ode_step, each as one transfer built from closed-form RK4 step
+    matrices.  Whole periods of a periodic tail share the first period's
+    transfer, so each further period costs one 2x2 product.
     """
     scalar = _is_scalar(lam)
     u, up, logs = _interior_arrays(ctx, lam)
@@ -312,7 +314,9 @@ def limit_eigenvalues(model: PotentialModel, gamma: complex, rect: Rectangle,
 
     These are the zeros of the boundary form of the decaying solution at
     the shifted spectral parameter; gamma = 0 recovers the unshifted
-    background operator.
+    background operator.  For a periodic tail, zeros at which the
+    cell-start Floquet eigenvector itself vanishes are dropped: there the
+    Dirichlet solution grows, so they are no eigenvalues.
     """
     gamma = complex(gamma)
     shift = 1j * gamma
@@ -328,8 +332,16 @@ def limit_eigenvalues(model: PotentialModel, gamma: complex, rect: Rectangle,
         return _limit_function_arrays(model, gamma, lam, ode_step, standoff)
 
     handle = AnalyticFunctionHandle(eval=f, exclusions=exclusions)
-    return find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
-                      max_depth=max_depth)
+    roots = find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
+                       max_depth=max_depth)
+    if isinstance(model.tail, PeriodicTail) and roots.roots:
+        # zeros of the eigenvector representation itself, not of a
+        # decaying solution
+        null = floquet._null_cell_vector(
+            model, np.array(roots.locations) - shift, ode_step)
+        roots = RootSet(tuple(r for r, drop in zip(roots.roots, null)
+                              if not drop))
+    return roots
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import specbar
 from specbar.cli import run
 from specbar.core import (
     ConstExpr,
@@ -174,3 +179,14 @@ def test_figure_preset_fig1(tmp_path):
     assert len(csv_path.read_text().splitlines()) > 10
     text = svg_path.read_text()
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("module", ["specbar", "specbar.cli"])
+def test_python_m_help(module):
+    src = str(Path(specbar.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

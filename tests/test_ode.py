@@ -1,0 +1,134 @@
+"""Regression guards for the propagator and the Floquet layer above it.
+
+The RK4 map is evaluated as closed-form step matrices multiplied into one
+transfer per stretch; these tests pin it to the textbook stage form, pin
+the reuse of one transfer across whole tail periods, and bound how many
+propagations and discriminant evaluations the periodic verbs make.  The
+call-count bounds are guards against rebuilding work, not tolerances.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from specbar import _ode, floquet, sturm
+from specbar.core import (
+    BarrierProblem,
+    ConstExpr,
+    PeriodicTail,
+    Piece,
+    PotentialModel,
+    SinExpr,
+)
+
+PERIOD = 2 * math.pi
+
+
+def _stage_rk4(q, lam, x0, d, step, u, up):
+    """Textbook RK4 in stage form for -u'' + q(x) u = lam u."""
+    n = max(1, math.ceil(abs(d) / step))
+    h = d / n
+    for i in range(n):
+        x = x0 + i * h
+        a1, a2, a3 = q(x) - lam, q(x + 0.5 * h) - lam, q(x + h) - lam
+        k1u, k1p = up, a1 * u
+        k2u, k2p = up + 0.5 * h * k1p, a2 * (u + 0.5 * h * k1u)
+        k3u, k3p = up + 0.5 * h * k2p, a2 * (u + 0.5 * h * k2u)
+        k4u, k4p = up + h * k3p, a3 * (u + h * k3u)
+        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        up = up + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    return u, up
+
+
+def _lams(n=50, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-3.0, 5.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+
+
+def _seeds(ndim):
+    eye = np.eye(2).reshape((2, 2) + (1,) * ndim)
+    return eye[0], eye[1]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("q_add", [0.0, 1j])
+def test_step_matrices_match_stage_form(sin_model, q_add):
+    lam = _lams()
+    u, up, logs = _ode.propagate(sin_model, lam, 0.0, PERIOD, *_seeds(1),
+                                 q_add=q_add, step=1e-2)
+    assert np.all(logs == 0.0)
+    for col, (u0, up0) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        ref = _stage_rk4(lambda x: math.sin(x) + q_add, lam, 0.0, PERIOD,
+                         1e-2, np.full(lam.shape, u0 + 0j),
+                         np.full(lam.shape, up0 + 0j))
+        scale = np.maximum(np.abs(ref[0]), np.abs(ref[1]))
+        assert np.max(np.abs(u[col] - ref[0]) / scale) < 1e-12
+        assert np.max(np.abs(up[col] - ref[1]) / scale) < 1e-12
+
+
+def test_whole_periods_match_chained_cells(sin_model):
+    lam = _lams(seed=1)
+    u, up, logs = _ode.propagate(sin_model, lam, 0.0, 4 * PERIOD, 0.3, 1.0,
+                                 step=1e-2)
+    cu, cup, clogs = np.full(lam.shape, 0.3 + 0j), np.ones(lam.shape, complex), 0.0
+    for k in range(4):
+        cu, cup, dl = _ode.propagate(sin_model, lam, k * PERIOD,
+                                     (k + 1) * PERIOD, cu, cup, step=1e-2)
+        clogs = clogs + dl
+    ratio = np.exp(clogs - logs)
+    scale = np.maximum(np.abs(u), np.abs(up))
+    assert np.max(np.abs(cu * ratio - u) / scale) < 1e-12
+    assert np.max(np.abs(cup * ratio - up) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("x_from, x_to", [(0.0, 9.1), (9.1, 0.4)])
+def test_column_seed_equals_single_columns(x_from, x_to):
+    model = PotentialModel(
+        pieces=(Piece(0.0, 1.3, ConstExpr(1j)), Piece(1.3, 2.0, SinExpr(0.5, 2.0))),
+        tail=PeriodicTail(period=PERIOD, start=2.5, expr=SinExpr(1.0, 1.0)),
+    )
+    lam = _lams(seed=2)
+    u, up, logs = _ode.propagate(model, lam, x_from, x_to, *_seeds(1),
+                                 q_add=0.5j, step=1e-2)
+    for col, (u0, up0) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        su, sup, slogs = _ode.propagate(model, lam, x_from, x_to, u0, up0,
+                                        q_add=0.5j, step=1e-2)
+        assert np.array_equal(u[col], su)
+        assert np.array_equal(up[col], sup)
+        assert np.array_equal(logs[col], slogs)
+
+
+def test_characteristic_propagation_count(sin_model, monkeypatch):
+    ctx = sturm.CharacteristicContext(BarrierProblem(sin_model, 1.0, 4 * math.pi),
+                                      ode_step=1e-2)
+    calls = _count_calls(monkeypatch, _ode, "propagate")
+    sturm.characteristic(ctx, np.array([-0.3 + 0.9j, 0.2 + 0.5j]))
+    # interior shot plus one monodromy
+    assert len(calls) <= 2
+
+
+def test_limit_function_propagation_count(sin_model, monkeypatch):
+    calls = _count_calls(monkeypatch, _ode, "propagate")
+    sturm._limit_function_arrays(sin_model, 1.0, np.array([0.1 + 1.1j]),
+                                 1e-2, 1e-3)
+    # the tail starts at 0: one monodromy and nothing to propagate
+    assert len(calls) == 1
+
+
+def test_bands_discriminant_call_count(sin_model, monkeypatch):
+    calls = _count_calls(monkeypatch, floquet, "_discriminant_real")
+    floquet.bands(sin_model, -1.0, 1.0, ode_step=1e-2)
+    # one grid scan, then nine 16-section rounds for all four band ends
+    assert len(calls) <= 10

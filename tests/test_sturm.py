@@ -9,6 +9,7 @@ from specbar.core import (
     BarrierProblem,
     ConstExpr,
     DomainError,
+    PeriodicTail,
     Piece,
     PotentialModel,
     Rectangle,
@@ -305,6 +306,22 @@ def test_limit_eigenvalues_shift_identity(stacked_model):
     want = sorted((z + 1j for z in base.locations), key=lambda z: z.real)
     assert len(got) == len(want) == 2
     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-10
+
+
+@pytest.mark.parametrize("phase", [0.0, math.pi])
+def test_limit_eigenvalues_sin_gap(phase):
+    # Both tails have a Dirichlet point of the shifted cell at -0.18339 + i.
+    # For +sin the Dirichlet solution grows there (the cell-start eigenvector
+    # vanishes instead), for -sin it decays: one genuine gap eigenvalue.
+    model = PotentialModel(tail=PeriodicTail(
+        period=2 * math.pi, start=0.0, expr=SinExpr(1.0, 1.0, phase)))
+    out = limit_eigenvalues(model, 1.0, Rectangle(-0.3, 0.55, 0.8, 1.2),
+                            ode_step=1e-2)
+    if phase == 0.0:
+        assert out.total_count == 0
+    else:
+        assert out.total_count == 1
+        assert abs(out.locations[0] - (-0.18339005 + 1j)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
