@@ -1,9 +1,12 @@
-"""Floquet analysis of the periodic tail.
+"""Floquet analysis of the periodic tail, and the tail solution of any background.
 
 Monodromy of the period cell, discriminant, multipliers and exponent, real
 band structure, quasi-periodic solutions, the persistent-pollution zero set
 for barrier widths advancing by whole periods, and embedded resonances on
-the bands.
+the bands.  Two helpers here serve every spectral verb, whatever the tail:
+the tail solution (a plane wave on a zero tail, the quasi-periodic solution
+on a periodic one) and the exclusions of the essential spectrum and its
+shifts.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from .core import (
     Sheet,
     SpecbarError,
     principal_sqrt,
+    sheeted_sqrt,
 )
 from .rootfinder import (
     AnalyticFunctionHandle,
+    HorizontalRay,
     HorizontalSegment,
     RootSet,
     find_zeros,
@@ -319,30 +324,54 @@ def bands(model: PotentialModel, z_min: float, z_max: float, tol: float = 1e-10,
     return BandStructure(tuple(intervals))
 
 
+def _essential_exclusions(model: PotentialModel, offsets, rect: Rectangle,
+                          pad: float, ode_step: float):
+    """The background's essential spectrum, shifted by each offset, as exclusions.
+
+    A zero tail gives the rays offset + [0, inf).  A periodic tail gives
+    its bands shifted by each offset, scanned over the real range that the
+    shifts can move into rect, widened by max |Re offset| + 1.
+    """
+    offsets = [complex(o) for o in offsets]
+    if not isinstance(model.tail, PeriodicTail):
+        return tuple(HorizontalRay(o.real, o.imag, pad) for o in offsets)
+    margin = max(abs(o.real) for o in offsets) + 1.0
+    bs = bands(model, min(rect.x_lo - o.real for o in offsets) - margin,
+               max(rect.x_hi - o.real for o in offsets) + margin,
+               ode_step=ode_step)
+    return tuple(HorizontalSegment(lo + o.real, hi + o.real, o.imag, pad)
+                 for o in offsets for lo, hi in bs.bands)
+
+
 # ---------------------------------------------------------------------------
 # Floquet solutions
 # ---------------------------------------------------------------------------
 
-def _solution_arrays(model, x: float, z, sign: str, sheet: Sheet,
-                     ode_step: float):
-    """(value, derivative, logs) of the quasi-periodic solution at x.
+def _cell_vector(mono: Monodromy, rho):
+    """Cell-start eigenvector (-phi2(end), phi1(end) - rho) of the monodromy.
 
-    The cell-start eigenvector (-phi2(end), phi1(end) - rho) of one checked
-    monodromy is propagated to x within its cell, or backwards below the
-    tail; whole periods beyond contribute the power of the multiplier.
+    It comes from the first row of M - rho; it vanishes where phi2(end) = 0
+    and rho = phi1(end).
     """
-    tail = _require_periodic(model)
-    z = np.asarray(z, dtype=complex)
-    mono = monodromy(model, z, ode_step)
-    _, rho_p, rho_m = _multipliers(mono, sheet)
-    rho = rho_p if sign == "plus" else rho_m
+    return -mono.phi2_end, mono.phi1_end - rho
+
+
+def _cell_solution(model: PotentialModel, x: float, mono: Monodromy, rho,
+                   ode_step: float):
+    """(value, derivative, logs) at x of the solution with multiplier rho.
+
+    The cell-start eigenvector is propagated to x within its cell, or
+    backwards below the tail; whole periods beyond contribute the power of
+    the multiplier.
+    """
+    tail = model.tail
     ncell = max(0, math.floor((x - tail.start) / tail.period + 1e-12))
     x0 = x - ncell * tail.period
-    val, der = -mono.phi2_end, mono.phi1_end - rho
+    val, der = _cell_vector(mono, rho)
     logs = ncell * np.log(np.abs(rho))
     if not math.isclose(x0, tail.start, rel_tol=0.0, abs_tol=1e-15):
-        val, der, dlogs = _ode.propagate(model, z, tail.start, x0, val, der,
-                                         step=ode_step)
+        val, der, dlogs = _ode.propagate(model, mono.z, tail.start, x0, val,
+                                         der, step=ode_step)
         logs = logs + dlogs
     if ncell:
         phase = np.exp(1j * ncell * np.angle(rho))
@@ -350,20 +379,48 @@ def _solution_arrays(model, x: float, z, sign: str, sheet: Sheet,
     return val, der, logs
 
 
+def _solution_arrays(model: PotentialModel, x: float, z, sign: str,
+                     sheet: Sheet, ode_step: float):
+    """(value, derivative, logs) at x of the tail solution of the background.
+
+    This is the one solution of -u'' + q u = z u that the characteristic,
+    the limit operator and the pollution cross-Wronskians are built from.
+    Sign "plus" is the solution that decays on the principal sheet, "minus"
+    the other one.  On a zero tail it is exp(+-i k x_t), with
+    k = sheeted_sqrt(z, sheet) and x_t = max(x, end of the pieces),
+    propagated back to x.  On a periodic tail it is the quasi-periodic
+    solution with multiplier rho_plus or rho_minus of one checked
+    monodromy.
+    """
+    z = np.asarray(z, dtype=complex)
+    if isinstance(model.tail, PeriodicTail):
+        mono = monodromy(model, z, ode_step)
+        _, rho_p, rho_m = _multipliers(mono, sheet)
+        return _cell_solution(model, x, mono, rho_p if sign == "plus" else rho_m,
+                              ode_step)
+    ik = (1j if sign == "plus" else -1j) * sheeted_sqrt(z, sheet)
+    xt = max(x, model.compact_end)
+    val = np.exp(ik * xt)
+    der = ik * val
+    if xt > x:
+        return _ode.propagate(model, z, xt, x, val, der, step=ode_step)
+    return val, der, np.zeros(z.shape)
+
+
 def _null_cell_vector(model: PotentialModel, z, ode_step: float):
     """True where the decaying cell-start eigenvector vanishes.
 
-    The eigenvector (-phi2(end), phi1(end) - rho_plus) of the monodromy
-    comes from its first row; it is zero where phi2(end) = 0 and
-    rho_plus = phi1(end), that is where the Dirichlet solution phi2 carries
-    the growing multiplier.  Zeros of functions built from it there are no
-    spectral points.  At a genuine Dirichlet eigenvalue, where phi2 decays,
-    the vector is (0, rho_minus - rho_plus) instead.  Vanishing means
+    The eigenvector vanishes where phi2(end) = 0 and rho_plus = phi1(end),
+    that is where the Dirichlet solution phi2 carries the growing
+    multiplier.  Zeros of functions built from it there are no spectral
+    points.  At a genuine Dirichlet eigenvalue, where phi2 decays, the
+    vector is (0, rho_minus - rho_plus) instead.  Vanishing means
     |vector| <= 1e-8 max |M_ij|.
     """
     mono = monodromy(model, np.asarray(z, dtype=complex), ode_step)
     _, rho_p, _ = _multipliers(mono, Sheet.PRINCIPAL)
-    size = np.hypot(np.abs(mono.phi2_end), np.abs(mono.phi1_end - rho_p))
+    val, der = _cell_vector(mono, rho_p)
+    size = np.hypot(np.abs(val), np.abs(der))
     entries = (mono.phi1_end, mono.phi1p_end, mono.phi2_end, mono.phi2p_end)
     scale = np.max(np.abs(entries), axis=0)
     return size <= _NULL_VECTOR_TOL * scale
@@ -373,14 +430,15 @@ def floquet_solution(model: PotentialModel, x: float, z, sign: str = "plus",
                      sheet: Sheet = Sheet.PRINCIPAL, ode_step: float = 1e-3):
     """Quasi-periodic solution (value, derivative) at x >= 0.
 
-    On the fundamental cell the solution is the monodromy eigenvector
-    (-phi2(end), phi1(end) - rho); beyond it the multiplier power law
-    extends it, and below the tail start it is integrated backwards through
-    the compact pieces.  Returns a SolutionSample whose log_scale carries
-    the multiplier magnitude.
+    This is the tail solution of a periodic background: on the fundamental
+    cell it is the monodromy eigenvector (-phi2(end), phi1(end) - rho);
+    beyond it the multiplier power law extends it, and below the tail start
+    it is integrated backwards through the compact pieces.  Returns a
+    SolutionSample whose log_scale carries the multiplier magnitude.
     """
     from .sturm import SolutionSample
 
+    _require_periodic(model)
     if x < 0:
         raise DomainError("solutions live on [0, inf)")
     if sign not in ("plus", "minus"):
@@ -396,16 +454,6 @@ def floquet_solution(model: PotentialModel, x: float, z, sign: str = "plus",
 # Persistent pollution set and embedded resonances
 # ---------------------------------------------------------------------------
 
-def band_exclusions(band_structure: BandStructure, offset: complex,
-                    pad: float) -> tuple[HorizontalSegment, ...]:
-    """Band intervals shifted by the additive complex offset, as exclusions."""
-    offset = complex(offset)
-    return tuple(
-        HorizontalSegment(lo + offset.real, hi + offset.real, offset.imag, pad)
-        for lo, hi in band_structure.bands
-    )
-
-
 def sp_zeros(model: PotentialModel, gamma: complex, x0: float, rect: Rectangle,
              standoff: float = 1e-3, ode_step: float = 1e-3,
              quad_tol: float = 1e-10, refine_tol: float = 1e-12,
@@ -420,13 +468,8 @@ def sp_zeros(model: PotentialModel, gamma: complex, x0: float, rect: Rectangle,
     if not (tail.start <= x0 < tail.start + tail.period):
         raise DomainError("x0 must lie in the fundamental cell of the tail")
     shift = 1j * gamma
-    pad_x = abs(shift.real) + 1.0
-    scan_lo = min(rect.x_lo, rect.x_lo - shift.real) - pad_x
-    scan_hi = max(rect.x_hi, rect.x_hi - shift.real) + pad_x
-    bs = bands(model, scan_lo, scan_hi, ode_step=ode_step)
-    exclusions = band_exclusions(bs, 0.0, standoff) + band_exclusions(
-        bs, shift, standoff
-    )
+    exclusions = _essential_exclusions(model, (0.0, shift), rect, standoff,
+                                       ode_step)
 
     def f(lam):
         lam = np.asarray(lam, dtype=complex)
@@ -441,15 +484,15 @@ def sp_zeros(model: PotentialModel, gamma: complex, x0: float, rect: Rectangle,
                       max_depth=max_depth)
 
 
-def _rho_upper(model: PotentialModel, z: np.ndarray, ode_step: float):
+def _rho_upper(model: PotentialModel, mono: Monodromy, ode_step: float):
     """Multiplier on a real band continued from the upper half-plane.
 
     Just above a band the decaying multiplier tends to (D + i s sqrt(4-D^2))/2
-    with sign s opposite to D'(z); the derivative is estimated by a central
-    difference.
+    with sign s opposite to D'(z); D comes from the monodromy, its
+    derivative from a central difference.
     """
-    z = np.asarray(z, dtype=float)
-    D = _discriminant_real(model, z, ode_step)
+    z = np.asarray(mono.z).real
+    D = np.asarray(mono.discriminant).real
     h = 1e-6
     Dp = (_discriminant_real(model, z + h, ode_step)
           - _discriminant_real(model, z - h, ode_step)) / (2 * h)
@@ -459,27 +502,20 @@ def _rho_upper(model: PotentialModel, z: np.ndarray, ode_step: float):
 
 
 def _upper_solution_at_zero(model: PotentialModel, z, ode_step: float):
-    """(value, derivative) at x = 0 of the tail solution continued from above."""
+    """(value, derivative) at x = 0 of the tail solution continued from above.
+
+    On a zero tail the principal square root already is the upper-edge
+    value; on a periodic tail the multiplier is continued by _rho_upper.
+    """
     z = np.asarray(z, dtype=complex)
     if isinstance(model.tail, PeriodicTail):
-        tail = model.tail
-        rho = _rho_upper(model, z.real, ode_step)
-        p1, p1p, p2, p2p = _monodromy_arrays(model, z, ode_step)
-        v0 = -p2
-        v0p = p1 - rho
-        if tail.start == 0.0:
-            return v0, v0p
-        val, der, logs = _ode.propagate(model, z, tail.start, 0.0, v0, v0p,
-                                        step=ode_step)
-        return val * np.exp(logs), der * np.exp(logs)
-    # zero tail: plane wave with the upper-edge square root
-    k = principal_sqrt(z)
-    xt = model.compact_end
-    v0 = np.exp(1j * k * xt)
-    v0p = 1j * k * v0
-    if xt == 0.0:
-        return v0 * np.ones(z.shape), v0p * np.ones(z.shape)
-    val, der, logs = _ode.propagate(model, z, xt, 0.0, v0, v0p, step=ode_step)
+        mono = monodromy(model, z, ode_step)
+        val, der, logs = _cell_solution(model, 0.0, mono,
+                                        _rho_upper(model, mono, ode_step),
+                                        ode_step)
+    else:
+        val, der, logs = _solution_arrays(model, 0.0, z, "plus",
+                                          Sheet.PRINCIPAL, ode_step)
     return val * np.exp(logs), der * np.exp(logs)
 
 

@@ -370,16 +370,19 @@ def _newton(f: AnalyticFunctionHandle, z0: complex, refine_tol: float,
             break
         step = multiplicity * fz / df
         t = 1.0
+        descended = False
         for _ in range(30):
             z_new = z - t * step
-            if region is not None and not region.contains(z_new):
-                t *= 0.5
-                continue
-            f_new = f(z_new)
-            if _cabs(f_new) < _cabs(fz):
+            if z_new == z:
+                # the step is below the float spacing at z
                 break
+            if region is None or region.contains(z_new):
+                f_new = f(z_new)
+                if _cabs(f_new) < _cabs(fz):
+                    descended = True
+                    break
             t *= 0.5
-        else:
+        if not descended:
             break
         z, fz = z_new, f_new
         if _cabs(fz) < best_res:
@@ -466,7 +469,7 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
     f.check_clearance(rect)
     roots: list[Root] = []
 
-    def recurse(r: Rectangle, depth: int, top: bool) -> None:
+    def recurse(r: Rectangle, depth: int) -> None:
         # Inflation on boundary-zero suspicion can make sibling rectangles
         # overlap slightly; the duplicate-merge pass below undoes the
         # resulting double counts.
@@ -492,10 +495,10 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
         if depth >= max_depth:
             raise ClusterUnresolvedError(r, count)
         child_a, child_b = _clean_split(f, r)
-        recurse(child_a, depth + 1, False)
-        recurse(child_b, depth + 1, False)
+        recurse(child_a, depth + 1)
+        recurse(child_b, depth + 1)
 
-    recurse(rect, 0, True)
+    recurse(rect, 0)
 
     # Merge duplicates that can arise from refinement across shared edges.
     merged: list[Root] = []

@@ -9,7 +9,7 @@ the eigenvalues (principal sheet) or resonances (second sheet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ from .core import (
 )
 from .rootfinder import (
     AnalyticFunctionHandle,
-    HorizontalRay,
     RootSet,
     find_zeros,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "reference_characteristic",
     "pollution_factor",
     "pollution_zeros",
-    "calibrated_context",
 ]
 
 
@@ -135,31 +133,19 @@ def _check_zero_tail_clearance(lam, standoff: float, what: str):
 
 def _exterior_arrays(ctx: CharacteristicContext, lam, check: bool = True):
     model = ctx.problem.model
-    R = ctx.problem.R
-    lam = np.asarray(lam, dtype=complex)
-    if isinstance(model.tail, PeriodicTail):
-        val, der, logs = floquet._solution_arrays(
-            model, R, lam, "plus", ctx.sheet, ctx.ode_step
-        )
-        return val, der, logs
-    if check:
+    if check and not model.is_periodic:
         _check_zero_tail_clearance(lam, ctx.standoff, "spectral parameter")
-    k = sheeted_sqrt(lam, ctx.sheet)
-    xt = max(R, model.compact_end)
-    v = np.exp(1j * k * xt)
-    vp = 1j * k * v
-    if xt > R:
-        u, up, logs = _ode.propagate(model, lam, xt, R, v, vp, step=ctx.ode_step)
-        return u, up, logs
-    return v, vp, np.zeros(lam.shape)
+    return floquet._solution_arrays(model, ctx.problem.R, lam, "plus",
+                                    ctx.sheet, ctx.ode_step)
 
 
 def exterior_solution(ctx: CharacteristicContext, lam) -> SolutionSample:
     """Decaying-at-infinity solution of the unperturbed equation, taken at R.
 
-    For a zero tail this is exp(i k x) with k = sheeted_sqrt(lam, sheet),
-    propagated backwards through any compact pieces beyond R; for a periodic
-    tail it is the quasi-periodic solution with the (possibly continued)
+    This is the tail solution of the background (floquet._solution_arrays,
+    sign "plus"): for a zero tail exp(i k x) with k = sheeted_sqrt(lam,
+    sheet), propagated backwards through any compact pieces beyond R; for a
+    periodic tail the quasi-periodic solution with the (possibly continued)
     decaying multiplier.
     """
     scalar = _is_scalar(lam)
@@ -191,13 +177,14 @@ def characteristic(ctx: CharacteristicContext, lam):
 
 
 def _damped_handle(ctx: CharacteristicContext,
-                   exclusions=()) -> AnalyticFunctionHandle:
-    """Root-finding handle: the Wronskian times an analytic damping factor.
+                   rect: Rectangle) -> AnalyticFunctionHandle:
+    """Root-finding handle for rect: the Wronskian times a damping factor.
 
     The factor exp(i k_int R - i k_ext x_t) cancels the exponential growth
     of the interior solution and the exterior normalization, keeping |f|
     of moderate size uniformly over large rectangles without moving any
-    zeros; it is analytic wherever the characteristic itself is.
+    zeros; it is analytic wherever the characteristic itself is.  The
+    handle excludes the essential spectrum and its shift by i gamma.
     """
     model = ctx.problem.model
     R = ctx.problem.R
@@ -213,35 +200,9 @@ def _damped_handle(ctx: CharacteristicContext,
             expo = expo - 1j * sheeted_sqrt(lam, ctx.sheet) * xt
         return w * np.exp(expo)
 
-    return AnalyticFunctionHandle(eval=f, exclusions=tuple(exclusions))
-
-
-def _zero_tail_exclusions(gamma: complex, pad: float):
-    shift = 1j * complex(gamma)
-    return (
-        HorizontalRay(0.0, 0.0, pad),
-        HorizontalRay(shift.real, shift.imag, pad),
-    )
-
-
-def _periodic_exclusions(model, gamma, rect: Rectangle, pad: float,
-                         ode_step: float):
-    shift = 1j * complex(gamma)
-    margin = abs(shift.real) + 1.0
-    lo = min(rect.x_lo, rect.x_lo - shift.real) - margin
-    hi = max(rect.x_hi, rect.x_hi - shift.real) + margin
-    bs = floquet.bands(model, lo, hi, ode_step=ode_step)
-    return floquet.band_exclusions(bs, 0.0, pad) + floquet.band_exclusions(
-        bs, shift, pad
-    )
-
-
-def _search_exclusions(ctx: CharacteristicContext, rect: Rectangle):
-    model = ctx.problem.model
-    if isinstance(model.tail, PeriodicTail):
-        return _periodic_exclusions(model, ctx.problem.gamma, rect,
-                                    ctx.standoff, ctx.ode_step)
-    return _zero_tail_exclusions(ctx.problem.gamma, ctx.standoff)
+    exclusions = floquet._essential_exclusions(
+        model, (0.0, 1j * complex(gamma)), rect, ctx.standoff, ctx.ode_step)
+    return AnalyticFunctionHandle(eval=f, exclusions=exclusions)
 
 
 def eigenvalues(ctx: CharacteristicContext, rect: Rectangle,
@@ -254,9 +215,8 @@ def eigenvalues(ctx: CharacteristicContext, rect: Rectangle,
     """
     if ctx.sheet is not Sheet.PRINCIPAL:
         raise DomainError("eigenvalue search requires the principal sheet")
-    handle = _damped_handle(ctx, _search_exclusions(ctx, rect))
-    return find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
-                      max_depth=max_depth)
+    return find_zeros(_damped_handle(ctx, rect), rect, quad_tol=quad_tol,
+                      refine_tol=refine_tol, max_depth=max_depth)
 
 
 def resonances(ctx: CharacteristicContext, rect: Rectangle,
@@ -269,9 +229,8 @@ def resonances(ctx: CharacteristicContext, rect: Rectangle,
         raise DomainError(
             "resonance rectangles must lie in the lower right quadrant"
         )
-    handle = _damped_handle(ctx, _search_exclusions(ctx, rect))
-    return find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
-                      max_depth=max_depth)
+    return find_zeros(_damped_handle(ctx, rect), rect, quad_tol=quad_tol,
+                      refine_tol=refine_tol, max_depth=max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +247,10 @@ def _limit_function_arrays(model: PotentialModel, gamma: complex, lam,
     lam = np.asarray(lam, dtype=complex)
     z = lam - 1j * gamma
     eta = complex(model.eta)
-    if isinstance(model.tail, PeriodicTail):
-        val, der, logs = floquet._solution_arrays(
-            model, 0.0, z, "plus", Sheet.PRINCIPAL, ode_step
-        )
-    else:
+    if not model.is_periodic:
         _check_zero_tail_clearance(z, standoff, "shifted spectral parameter")
-        k = principal_sqrt(z)
-        xt = model.compact_end
-        v = np.exp(1j * k * xt)
-        vp = 1j * k * v
-        if xt > 0:
-            val, der, logs = _ode.propagate(model, z, xt, 0.0, v, vp,
-                                            step=ode_step)
-        else:
-            val, der, logs = v, vp, np.zeros(z.shape)
+    val, der, logs = floquet._solution_arrays(model, 0.0, z, "plus",
+                                              Sheet.PRINCIPAL, ode_step)
     return (np.cos(eta) * val - np.sin(eta) * der) * np.exp(logs)
 
 
@@ -320,13 +268,8 @@ def limit_eigenvalues(model: PotentialModel, gamma: complex, rect: Rectangle,
     """
     gamma = complex(gamma)
     shift = 1j * gamma
-    if isinstance(model.tail, PeriodicTail):
-        margin = abs(shift.real) + 1.0
-        bs = floquet.bands(model, rect.x_lo - shift.real - margin,
-                           rect.x_hi - shift.real + margin, ode_step=ode_step)
-        exclusions = floquet.band_exclusions(bs, shift, standoff)
-    else:
-        exclusions = (HorizontalRay(shift.real, shift.imag, standoff),)
+    exclusions = floquet._essential_exclusions(model, (shift,), rect, standoff,
+                                               ode_step)
 
     def f(lam):
         return _limit_function_arrays(model, gamma, lam, ode_step, standoff)
@@ -381,6 +324,22 @@ def reference_characteristic(example: str, lam, R: float,
 # Pollution diagnostics for integrable-tail backgrounds
 # ---------------------------------------------------------------------------
 
+def _pollution_arrays(model: PotentialModel, gamma: complex, R: float, lam,
+                      ode_step: float):
+    """Cross-Wronskian at R of the tail solutions at lam and lam - i gamma.
+
+    Each solution is divided by its exponential carrier exp(+-i k R).
+    """
+    z = lam - 1j * complex(gamma)
+    vp, dp, lp = floquet._solution_arrays(model, R, lam, "plus",
+                                          Sheet.PRINCIPAL, ode_step)
+    vm, dm, lm = floquet._solution_arrays(model, R, z, "minus",
+                                          Sheet.PRINCIPAL, ode_step)
+    cp = np.exp(lp - 1j * principal_sqrt(lam) * R)
+    cm = np.exp(lm + 1j * principal_sqrt(z) * R)
+    return (vp * cp) * (dm * cm) - (dp * cp) * (vm * cm)
+
+
 def pollution_factor(model: PotentialModel, gamma: complex, R: float, lam):
     """Cross-Wronskian of the normalized tail solutions at the barrier edge.
 
@@ -388,35 +347,13 @@ def pollution_factor(model: PotentialModel, gamma: complex, R: float, lam):
     -i (sqrt(lam - i gamma) + sqrt(lam)), which never vanishes; its zeros
     locate persistent pollution, so the limit being bounded away from zero
     certifies an empty pollution set away from the essential spectrum.
+    Sinusoidal pieces beyond R are integrated at the default step 1e-3.
     """
     if isinstance(model.tail, PeriodicTail):
         raise DomainError("pollution_factor applies to zero-tail models")
     scalar = _is_scalar(lam)
-    lam = np.asarray(lam, dtype=complex)
-    z = lam - 1j * complex(gamma)
-    kp = principal_sqrt(lam)
-    km = principal_sqrt(z)
-    xt = model.compact_end
-
-    def tail_solution(k, zz, sign):
-        v = np.exp(sign * 1j * k * xt)
-        vp = sign * 1j * k * v
-        if xt > R:
-            u, up, logs = _ode.propagate(model, zz, xt, R, v, vp)
-            return u * np.exp(logs), up * np.exp(logs)
-        u, up = v, vp
-        if xt < R:
-            # beyond the pieces the solution stays a pure exponential
-            u = np.exp(sign * 1j * k * R)
-            up = sign * 1j * k * u
-        return u, up
-
-    vp_, dp_ = tail_solution(kp, lam, +1)
-    vm_, dm_ = tail_solution(km, z, -1)
-    # remove the exponential carriers: psi~_+ = e^{-i k R} psi_+ etc.
-    cp = np.exp(-1j * kp * R)
-    cm = np.exp(1j * km * R)
-    out = (vp_ * cp) * (dm_ * cm) - (dp_ * cp) * (vm_ * cm)
+    out = _pollution_arrays(model, gamma, R, np.asarray(lam, dtype=complex),
+                            1e-3)
     return complex(out) if scalar else out
 
 
@@ -434,29 +371,10 @@ def pollution_zeros(model: PotentialModel, gamma: complex, x0: float,
                           "use floquet.sp_zeros for periodic tails")
 
     def f(lam):
-        return pollution_factor(model, gamma, x0, np.asarray(lam, dtype=complex))
+        return _pollution_arrays(model, gamma, x0, lam, ode_step)
 
-    handle = AnalyticFunctionHandle(
-        eval=f, exclusions=_zero_tail_exclusions(gamma, standoff)
-    )
+    exclusions = floquet._essential_exclusions(
+        model, (0.0, 1j * complex(gamma)), rect, standoff, ode_step)
+    handle = AnalyticFunctionHandle(eval=f, exclusions=exclusions)
     return find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
                       max_depth=max_depth)
-
-
-def calibrated_context(ctx: CharacteristicContext, probe_lam: complex,
-                       agree_tol: float = 1e-9,
-                       min_step: float = 1e-6) -> CharacteristicContext:
-    """Halve ode_step until two successive characteristic values agree.
-
-    Only sinusoidal potential stretches depend on the step, so models built
-    purely from constants return the context unchanged after one check.
-    """
-    current = ctx
-    w_prev = characteristic(current, probe_lam)
-    while current.ode_step * 0.5 >= min_step:
-        trial = replace(current, ode_step=current.ode_step * 0.5)
-        w = characteristic(trial, probe_lam)
-        if abs(w - w_prev) <= agree_tol * max(1.0, abs(w)):
-            return current
-        current, w_prev = trial, w
-    return current

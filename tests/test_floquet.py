@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import mathieu_a, mathieu_b
 
+from specbar import floquet
 from specbar.core import (
     ConstExpr,
     DomainError,
@@ -12,6 +13,7 @@ from specbar.core import (
     PotentialModel,
     Rectangle,
     Sheet,
+    SinExpr,
     principal_sqrt,
 )
 from specbar.floquet import (
@@ -249,6 +251,29 @@ def test_embedded_resonances_band_validation(sin_model):
         sin_model, (SIN_BAND_1[0] + 5e-3, SIN_BAND_1[1] - 5e-3), tol=1e-6,
         grid=400, ode_step=4e-3,
     ) == []
+
+
+@pytest.mark.parametrize("model", [
+    PotentialModel(tail=PeriodicTail(2 * math.pi, 0.0, SinExpr(1.0, 1.0))),
+    PotentialModel(pieces=(Piece(0.0, 2.0, ConstExpr(1.0)),),
+                   tail=PeriodicTail(2 * math.pi, 2.0, SinExpr(1.0, 1.0))),
+], ids=["sin", "const_then_sin"])
+def test_upper_solution_is_the_limit_from_above(model):
+    # On a band the tail solution continued from the upper half-plane is
+    # the limit of the decaying Floquet solution at z + i eps: the error
+    # falls linearly with eps.
+    z = np.array([-0.36, 0.65, 0.8, 0.9])
+    val, der = floquet._upper_solution_at_zero(model, z, 4e-3)
+    size = np.hypot(np.abs(val), np.abs(der))
+    errs = []
+    for eps in (1e-6, 1e-7):
+        s = floquet_solution(model, 0.0, z + 1j * eps, ode_step=4e-3)
+        scale = np.exp(s.log_scale)
+        errs.append(np.hypot(np.abs(s.value * scale - val),
+                             np.abs(s.derivative * scale - der)) / size)
+    assert np.all(errs[0] < 1e3 * 1e-6)
+    ratio = errs[0] / errs[1]
+    assert np.all((ratio > 8.0) & (ratio < 12.0))
 
 
 def test_exponent_continuation_toward_band(sin_model):

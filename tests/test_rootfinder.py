@@ -90,6 +90,28 @@ def test_find_zeros_constructed_pair():
     assert all(r.multiplicity == 1 for r in out.roots)
 
 
+def test_newton_evaluates_no_point_repeatedly():
+    # Once a Newton step falls below the float spacing at z, z - t*step
+    # equals z and |f| cannot fall; the line search must stop there
+    # instead of halving t at one and the same point.
+    zeros = [1 / 3 + 1j / 7, 0.9 - 0.2j, -0.4 + 0.1j]
+    coeffs = np.poly(zeros)
+    scalar_points = []
+
+    def f(z):
+        if z.size == 1:
+            scalar_points.append(complex(z[0]))
+        return np.polyval(coeffs, z)
+
+    out = find_zeros(AnalyticFunctionHandle(eval=f),
+                     Rectangle(-1.0, 1.2, -0.5, 0.5))
+    assert max(scalar_points.count(z) for z in scalar_points) <= 2
+    got = sorted(out.locations, key=lambda z: z.real)
+    want = sorted(zeros, key=lambda z: z.real)
+    assert [r.multiplicity for r in out.roots] == [1, 1, 1]
+    assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+
 def test_find_zeros_double_root():
     f = AnalyticFunctionHandle(eval=lambda z: (z - 0.3) ** 2)
     out = find_zeros(f, UNIT)

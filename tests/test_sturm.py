@@ -1,10 +1,11 @@
+import inspect
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from specbar import _ode
+from specbar import _ode, floquet
 from specbar.core import (
     BarrierProblem,
     ConstExpr,
@@ -20,7 +21,6 @@ from specbar.core import (
 from specbar.enclosures import EssentialSpectrumApprox, gamma_a_contains
 from specbar.sturm import (
     CharacteristicContext,
-    calibrated_context,
     characteristic,
     eigenvalues,
     exterior_solution,
@@ -324,6 +324,26 @@ def test_limit_eigenvalues_sin_gap(phase):
         assert abs(out.locations[0] - (-0.18339005 + 1j)) < 1e-7
 
 
+@pytest.mark.parametrize("model_name, rect, ode_step, spectral", [
+    # crosses the ray [0, inf), clears i + [0, inf)
+    ("stacked_model", Rectangle(1.0, 2.0, -0.3, 0.3), 1e-3, pollution_zeros),
+    # crosses the first band [-0.378, -0.348], clears its shift by i
+    ("sin_model", Rectangle(-0.45, -0.25, -0.1, 0.1), 1e-2, floquet.sp_zeros),
+], ids=["stacked", "sin"])
+def test_exclusions_unshifted_only_where_the_verb_needs_them(
+        request, model_name, rect, ode_step, spectral):
+    # The limit operator T0 + i gamma excludes only the shifted essential
+    # spectrum; the barrier and pollution searches exclude it and the
+    # unshifted one.
+    model = request.getfixturevalue(model_name)
+    out = limit_eigenvalues(model, 1.0, rect, ode_step=ode_step)
+    assert all(rect.contains(z) for z in out.locations)
+    with pytest.raises(DomainError):
+        eigenvalues(_ctx(model, 1.0, 4 * math.pi, ode_step=ode_step), rect)
+    with pytest.raises(DomainError):
+        spectral(model, 1.0, 0.0, rect, ode_step=ode_step)
+
+
 # ---------------------------------------------------------------------------
 # Resonances
 # ---------------------------------------------------------------------------
@@ -445,11 +465,23 @@ def test_pollution_zeros_empty_for_stacked(stacked_model):
     assert out.total_count == 0
 
 
-def test_calibrated_context_constant_model(free_model):
-    ctx = _ctx(free_model, 1.0, 10.0, ode_step=0.1)
-    out = calibrated_context(ctx, 2.0 + 0.5j)
-    # transfer matrices are exact: no refinement needed
-    assert out.ode_step == 0.1
+def test_pollution_zeros_propagates_at_ode_step(monkeypatch):
+    # a sinusoidal piece beyond x0: the tail solution is integrated by RK4
+    # from its end back to x0, at the step the caller asked for
+    model = PotentialModel(pieces=(Piece(0.0, 4.7, SinExpr(0.5, 2.0)),))
+    steps = []
+    propagate = _ode.propagate
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(propagate).bind(*args, **kwargs)
+        bound.apply_defaults()
+        steps.append(bound.arguments["step"])
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(_ode, "propagate", recording)
+    pollution_zeros(model, 1.0, 2.0, Rectangle(-4.0, 4.0, 0.05, 0.95),
+                    ode_step=4e-3)
+    assert steps and set(steps) == {4e-3}
 
 
 def test_ode_step_validation(free_model):
