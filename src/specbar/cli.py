@@ -282,6 +282,13 @@ def _cmd_fd(args) -> int:
 
 
 def _cmd_enclose(args) -> int:
+    gamma = _coupling_to_gamma(args.gamma)
+    if gamma.imag != 0.0 or not gamma.real > 0.0:
+        raise ValueError(
+            f"enclose needs a dissipative barrier, --gamma 0,<g> with g > 0; "
+            f"got the coupling {args.gamma.real!r},{args.gamma.imag!r}"
+        )
+    gamma = gamma.real
     model = load_model(args.model)
     if model.is_periodic:
         lo, hi = args.band_range
@@ -289,11 +296,11 @@ def _cmd_enclose(args) -> int:
         sigma = enclosures.EssentialSpectrumApprox.from_band_structure(bs)
     else:
         sigma = enclosures.EssentialSpectrumApprox.half_line()
-    strip = enclosures.StripParams(args.gamma, args.s_minus, args.s_plus)
+    strip = enclosures.StripParams(gamma, args.s_minus, args.s_plus)
     lam = args.lam
     verdict = {
         "lambda": [lam.real, lam.imag],
-        "gamma_a": enclosures.gamma_a_contains(lam, sigma, args.gamma),
+        "gamma_a": enclosures.gamma_a_contains(lam, sigma, gamma),
         "gamma_b": enclosures.gamma_b_contains(lam, sigma, strip),
         "we_strip": enclosures.we_strip_contains(lam, sigma, strip),
     }
@@ -509,7 +516,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enclose", help="enclosure membership of a point")
     p.add_argument("--model", required=True)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", type=_parse_complex, required=True,
+                   help="complex coupling of the cutoff term, re,im; enclosures "
+                        "need a dissipative barrier 0,<gamma> with gamma > 0")
     p.add_argument("--lambda", type=_parse_complex, required=True, dest="lam")
     p.add_argument("--s-minus", type=float, default=0.0, dest="s_minus")
     p.add_argument("--s-plus", type=float, default=1.0, dest="s_plus")

@@ -407,23 +407,41 @@ def _solution_arrays(model: PotentialModel, x: float, z, sign: str,
     return val, der, np.zeros(z.shape)
 
 
-def _null_cell_vector(model: PotentialModel, z, ode_step: float):
-    """True where the decaying cell-start eigenvector vanishes.
+def _null_cell_vector(model: PotentialModel, z, sign: str, sheet: Sheet,
+                      ode_step: float):
+    """True where the cell-start eigenvector of a tail solution vanishes.
 
-    The eigenvector vanishes where phi2(end) = 0 and rho_plus = phi1(end),
-    that is where the Dirichlet solution phi2 carries the growing
-    multiplier.  Zeros of functions built from it there are no spectral
-    points.  At a genuine Dirichlet eigenvalue, where phi2 decays, the
-    vector is (0, rho_minus - rho_plus) instead.  Vanishing means
+    The eigenvector for the multiplier rho of the sign and sheet vanishes
+    where phi2(end) = 0 and rho = phi1(end), that is where the Dirichlet
+    solution phi2 carries the other multiplier.  Vanishing means
     |vector| <= 1e-8 max |M_ij|.
     """
     mono = monodromy(model, np.asarray(z, dtype=complex), ode_step)
-    _, rho_p, _ = _multipliers(mono, Sheet.PRINCIPAL)
-    val, der = _cell_vector(mono, rho_p)
+    _, rho_p, rho_m = _multipliers(mono, sheet)
+    val, der = _cell_vector(mono, rho_p if sign == "plus" else rho_m)
     size = np.hypot(np.abs(val), np.abs(der))
     entries = (mono.phi1_end, mono.phi1p_end, mono.phi2_end, mono.phi2p_end)
     scale = np.max(np.abs(entries), axis=0)
     return size <= _NULL_VECTOR_TOL * scale
+
+
+def _drop_null_roots(model: PotentialModel, roots: RootSet, solutions,
+                     ode_step: float) -> RootSet:
+    """The roots at none of which a tail solution's cell vector vanishes.
+
+    solutions lists (offset, sign, sheet), one for each tail solution the
+    searched function is built from, taken at lam - offset.  On a periodic
+    tail that solution is its cell-start eigenvector propagated, so where
+    the vector vanishes the function vanishes whatever the spectrum: such
+    zeros are no spectral points.  A zero tail keeps every root.
+    """
+    if not isinstance(model.tail, PeriodicTail) or not roots.roots:
+        return roots
+    lam = np.array(roots.locations)
+    null = np.zeros(lam.shape, dtype=bool)
+    for offset, sign, sheet in solutions:
+        null |= _null_cell_vector(model, lam - offset, sign, sheet, ode_step)
+    return RootSet(tuple(r for r, drop in zip(roots.roots, null) if not drop))
 
 
 def floquet_solution(model: PotentialModel, x: float, z, sign: str = "plus",
@@ -462,7 +480,9 @@ def sp_zeros(model: PotentialModel, gamma: complex, x0: float, rect: Rectangle,
 
     The function is psi_plus(x0, lam) psi_minus'(x0, lam - i gamma)
     - psi_plus'(x0, lam) psi_minus(x0, lam - i gamma); its zeros are the
-    possible pollution points for barrier widths x0 + n*period.
+    possible pollution points for barrier widths x0 + n*period.  Zeros at
+    which the cell-start eigenvector of either solution vanishes are
+    dropped.
     """
     tail = _require_periodic(model)
     if not (tail.start <= x0 < tail.start + tail.period):
@@ -480,8 +500,11 @@ def sp_zeros(model: PotentialModel, gamma: complex, x0: float, rect: Rectangle,
         return (vp * dm - dp * vm) * np.exp(lp + lm)
 
     handle = AnalyticFunctionHandle(eval=f, exclusions=exclusions)
-    return find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
-                      max_depth=max_depth)
+    roots = find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
+                       max_depth=max_depth)
+    return _drop_null_roots(model, roots, ((0.0, "plus", Sheet.PRINCIPAL),
+                                           (shift, "minus", Sheet.PRINCIPAL)),
+                            ode_step)
 
 
 def _rho_upper(model: PotentialModel, mono: Monodromy, ode_step: float):

@@ -2,18 +2,15 @@
 
 The zero count inside a rectangle is obtained from the argument principle:
 (1/2*pi*i) times the contour integral of f'/f equals the number of zeros
-counted with multiplicity.  The same contour also gives the first two
-moments of the zeros (the integrals of z f'/f and (z - c)^2 f'/f, c the
-rectangle's centre), hence the spread of the zeros about their mean.
-Rectangles are subdivided recursively until each holds at most one zero,
-which is then polished by damped Newton iteration.  A rectangle counting two
-or more zeros is probed for a single multiple zero (Newton with the
-multiplicity-m step, confirmed by a winding check on a small surrounding box)
-only when the spread is tiny against the rectangle, i.e. the zeros (nearly)
-coincide; otherwise it is bisected without a probe.  At the maximum depth
-the probe always runs, and a cluster it cannot confirm is reported as an
-error.  This moment gate follows Delves & Lyness (Math. Comp. 21, 1967) and
-Kravanja, Sakurai & Van Barel (BIT 39, 1999).
+counted with multiplicity.  The same contour gives the moments
+s_k = sum_j m_j w_j^k, k < 8, of the zeros w_j (multiplicities m_j) in
+coordinates scaled to the rectangle.  One leaf resolver turns the moments
+of every counted rectangle into zeros: the Hankel pencil of Kravanja,
+Sakurai & Van Barel (BIT 39, 1999), which extends the moment method of
+Delves & Lyness (Math. Comp. 21, 1967), gives up to four distinct zeros
+and their multiplicities, and damped Newton with the multiplicity polishes
+each.  A rectangle the pencil cannot account for is bisected, and one still
+unresolved at the maximum depth is reported as an error.
 
 Function handles must evaluate vectorized over ndarrays of complex points;
 the contour quadrature exploits this heavily.
@@ -46,7 +43,8 @@ __all__ = [
 ]
 
 _BOUNDARY_REL = 1e-12        # |f| below this fraction of the edge max flags a boundary zero
-_CLUSTER_REL = 1e-2          # multiplicity probe only if the zero spread <= this * longer side
+_MOMENTS = 8                 # s_0 .. s_7: the pencil of up to four distinct zeros
+_RANK_REL = 1e-8             # Hankel singular values above this * the largest make its rank
 _MAX_EDGE_POINTS = 1 << 16   # cap on trapezoid refinement per edge
 _INFLATE_ATTEMPTS = 5
 
@@ -202,20 +200,20 @@ def _logderiv(f: AnalyticFunctionHandle, z: np.ndarray, fz: np.ndarray, scale: f
     return dfz / fz
 
 
-def _edge_integrals(f: AnalyticFunctionHandle, za: complex, zb: complex,
-                    quad_tol: float, rect: Rectangle, centre: complex):
-    """Integrals of f'/f, z f'/f and (z - centre)^2 f'/f along za -> zb.
+def _edge_moments(f: AnalyticFunctionHandle, za: complex, zb: complex,
+                  quad_tol: float, rect: Rectangle, centre: complex, half: float):
+    """Integrals of w^k f'/f along za -> zb for k < 8, w = (z - centre)/half.
 
     Trapezoid sums with interval doubling and one Richardson extrapolation
-    step; converged when two successive extrapolants of the first two
-    integrals agree to quad_tol.  The third rides on the same samples.
-    Raises BoundaryZeroError when |f| dips below the boundary-zero threshold
-    relative to the edge maximum.
+    step; converged when two successive extrapolants of the integrals of
+    f'/f and z f'/f = (centre + half w) f'/f agree to quad_tol.  The higher
+    moments ride on the same samples.  Raises BoundaryZeroError when |f|
+    dips below the boundary-zero threshold relative to the edge maximum.
     """
     dz = zb - za
     scale = abs(dz)
 
-    def sample(ts):
+    def sample(ts, weights=1.0):
         z = za + ts * dz
         fz = np.asarray(f.eval(z))
         fabs = np.abs(fz)
@@ -225,72 +223,59 @@ def _edge_integrals(f: AnalyticFunctionHandle, za: complex, zb: complex,
             )
         if fabs.size and fabs.min() <= _BOUNDARY_REL * max(fabs.max(), 1e-300):
             raise BoundaryZeroError(rect)
-        g = _logderiv(f, z, fz, scale)
-        return g, z * g, (z - centre) ** 2 * g
+        # a running power keeps the memory at one sample array
+        p = _logderiv(f, z, fz, scale) * weights
+        w = (z - centre) / half
+        sums = np.empty(_MOMENTS, dtype=complex)
+        for k in range(_MOMENTS):
+            sums[k] = p.sum()
+            p *= w
+        return sums
 
     m = 32
     ts = np.linspace(0.0, 1.0, m + 1)
-    g, zg, z2g = sample(ts)
-    w = np.ones(m + 1)
-    w[0] = w[-1] = 0.5
-    t0 = (w @ g) / m
-    t1 = (w @ zg) / m
-    t2 = (w @ z2g) / m
-    r0_prev = r1_prev = None
+    weights = np.ones(m + 1)
+    weights[0] = weights[-1] = 0.5
+    t = sample(ts, weights) / m
+    r_prev = None
     while m < _MAX_EDGE_POINTS:
-        t0_prev, t1_prev, t2_prev = t0, t1, t2
+        t_prev = t
         m *= 2
-        ts_new = (np.arange(m // 2) * 2 + 1) / m
-        g_new, zg_new, z2g_new = sample(ts_new)
-        t0 = 0.5 * t0 + g_new.sum() / m
-        t1 = 0.5 * t1 + zg_new.sum() / m
-        t2 = 0.5 * t2 + z2g_new.sum() / m
+        t = 0.5 * t + sample((np.arange(m // 2) * 2 + 1) / m) / m
         # Richardson extrapolation of the doubled trapezoid sums
-        r0 = t0 + (t0 - t0_prev) / 3.0
-        r1 = t1 + (t1 - t1_prev) / 3.0
-        if r0_prev is not None:
+        r = t + (t - t_prev) / 3.0
+        r0, r1 = r[0], centre * r[0] + half * r[1]
+        if r_prev is not None:
             # Tolerances on the dz-integral scale, relative to the edge
             # contribution once it exceeds O(1).
             tol0 = quad_tol * max(1.0, abs(r0) * scale)
             tol1 = quad_tol * max(1.0, abs(r1) * scale, abs(za), abs(zb))
-            if abs(r0 - r0_prev) * scale < tol0 and abs(r1 - r1_prev) * scale < tol1:
-                r2 = t2 + (t2 - t2_prev) / 3.0
-                return r0 * dz, r1 * dz, r2 * dz
-        r0_prev, r1_prev = r0, r1
+            if abs(r0 - r_prev[0]) * scale < tol0 and abs(r1 - r_prev[1]) * scale < tol1:
+                return r * dz
+        r_prev = r0, r1
     raise QuadratureError(
         f"contour quadrature did not stabilize on edge {za} -> {zb}"
     )
 
 
-def _contour_counts(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol: float):
-    """Zero count, first moment and spread from the boundary contour of rect.
+def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol: float):
+    """Zero count and scaled moments from the boundary contour of rect.
 
-    Returns (count, moment_sum, spread) where moment_sum is the sum of zero
-    locations weighted by multiplicity and spread is |s2/n - (s1/n - c)^2|,
-    the modulus of the variance of the zero locations (c the centre of rect,
-    s1 and s2 the first and centred second moment sums).  The spread is
-    0.0 when the count is 0.
+    Returns (count, s) with s[k] = sum_j m_j w_j^k for k < 8, the zeros z_j
+    of multiplicity m_j taken as w_j = (z_j - c)/h, c the centre of rect and
+    h half its longer side.
     """
+    centre = rect.center
+    half = 0.5 * max(rect.width, rect.height)
     corners = rect.corners
-    centre = complex(rect.x_lo + 0.5 * rect.width, rect.y_lo + 0.5 * rect.height)
-    i0 = 0.0 + 0.0j
-    i1 = 0.0 + 0.0j
-    i2 = 0.0 + 0.0j
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        e0, e1, e2 = _edge_integrals(f, a, b, quad_tol, rect, centre)
-        i0 += e0
-        i1 += e1
-        i2 += e2
-    val = i0 / (2.0j * math.pi)
-    n = round(val.real)
-    if abs(val - n) > 0.25:
+    s = sum(_edge_moments(f, a, b, quad_tol, rect, centre, half)
+            for a, b in zip(corners, corners[1:] + corners[:1])) / (2.0j * math.pi)
+    n = round(s[0].real)
+    if abs(s[0] - n) > 0.25:
         raise QuadratureError(
-            f"contour value {val} is not within 0.25 of an integer on {rect}"
+            f"contour value {s[0]} is not within 0.25 of an integer on {rect}"
         )
-    s1 = i1 / (2.0j * math.pi)
-    s2 = i2 / (2.0j * math.pi)
-    spread = abs(s2 / n - (s1 / n - centre) ** 2) if n > 0 else 0.0
-    return int(n), s1, spread
+    return int(n), s
 
 
 def _inflate_rng(rect: Rectangle, attempt: int) -> float:
@@ -310,8 +295,8 @@ def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol:
     current = rect
     for attempt in range(_INFLATE_ATTEMPTS + 1):
         try:
-            n, m1, spread = _contour_counts(f, current, quad_tol)
-            return n, m1, spread, current
+            n, s = _contour_moments(f, current, quad_tol)
+            return n, s, current
         except (BoundaryZeroError, QuadratureError) as exc:
             if attempt == _INFLATE_ATTEMPTS:
                 raise
@@ -332,7 +317,7 @@ def winding_number(f: AnalyticFunctionHandle, rect: Rectangle,
     from an integer raises QuadratureError.
     """
     f.check_clearance(rect)
-    n, _, _, _ = _counts_with_inflation(f, rect, quad_tol)
+    n, _, _ = _counts_with_inflation(f, rect, quad_tol)
     return n
 
 
@@ -427,44 +412,77 @@ def _clean_split(f: AnalyticFunctionHandle, rect: Rectangle):
     )
 
 
-def _try_multiple_root(f: AnalyticFunctionHandle, rect: Rectangle, count: int,
-                       moment: complex, quad_tol: float, refine_tol: float):
-    """Attempt to resolve a count >= 2 rectangle as one multiple zero."""
-    z0 = moment / count
-    if not rect.scaled(1.2).contains(z0):
-        return None
-    scale = max(abs(rect.width), abs(rect.height))
-    z, res = _newton(f, z0, refine_tol, scale, multiplicity=count,
-                     region=rect.scaled(2.0))
-    if z is None or not rect.scaled(1.01).contains(z):
-        return None
+def _multiple_zero_confirmed(f: AnalyticFunctionHandle, z: complex,
+                             multiplicity: int, quad_tol: float) -> bool:
+    """Winding check on a small box about z: it must count the multiplicity."""
     side = 1e-5 * max(1.0, abs(z))
     for _ in range(3):
         box = Rectangle(z.real - side, z.real + side, z.imag - side, z.imag + side)
         try:
-            n_box, _, _, _ = _counts_with_inflation(f, box, quad_tol)
+            n_box, _, _ = _counts_with_inflation(f, box, quad_tol)
         except (BoundaryZeroError, QuadratureError):
             side *= 1.37
             continue
-        if n_box == count:
-            return Root(z, count, res)
+        return n_box == multiplicity
+    return False
+
+
+def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int,
+                  s: np.ndarray, quad_tol: float, refine_tol: float):
+    """The zeros of a counted rectangle from its moment pencil, or None.
+
+    The Hankel matrix [s_(i+j)] of size min(count, 4) has the number of
+    distinct zeros as its numerical rank; the eigenvalues of the pencil
+    ([s_(i+j+1)], [s_(i+j)]) on its leading block of that size are the
+    zeros, and a Vandermonde solve gives their multiplicities, which must
+    be positive integers summing to count (Kravanja, Sakurai & Van Barel,
+    BIT 39, 1999).
+    Each zero is Newton-polished with its multiplicity and must stay in
+    rect, a multiple one must pass a winding check on a small box, and no
+    two polished zeros may draw closer than half the distance between
+    their pencil estimates.  None means the rectangle must be bisected.
+    """
+    size = min(count, _MOMENTS // 2)
+    hankel = np.array([[s[i + j] for j in range(size + 1)] for i in range(size)])
+    sv = np.linalg.svd(hankel[:, :size], compute_uv=False)
+    rank = int(np.sum(sv > _RANK_REL * sv[0]))
+    if rank == size < count:
+        return None  # more distinct zeros than the pencil can show
+    w = np.linalg.eigvals(np.linalg.solve(hankel[:rank, :rank],
+                                          hankel[:rank, 1:rank + 1]))
+    mult = np.linalg.solve(np.vander(w, rank, increasing=True).T, s[:rank])
+    whole = np.round(mult.real).astype(int)
+    if np.any(np.abs(mult - whole) > 0.25) or np.any(whole < 1) or whole.sum() != count:
         return None
-    return None
+    scale = max(rect.width, rect.height)
+    estimates = rect.center + 0.5 * scale * w
+    roots = []
+    for z0, m in zip(estimates, whole):
+        z, res = _newton(f, complex(z0), refine_tol, scale, multiplicity=int(m),
+                         region=rect.scaled(2.0))
+        if z is None or not rect.contains(z) or (
+                m > 1 and not _multiple_zero_confirmed(f, z, m, quad_tol)):
+            return None
+        roots.append(Root(z, int(m), res))
+    zs = np.array([r.location for r in roots])
+    apart = np.abs(zs[:, None] - zs) > 0.5 * np.abs(estimates[:, None] - estimates)
+    if not np.all(apart | np.eye(rank, dtype=bool)):
+        return None
+    return roots
 
 
 def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
                quad_tol: float = 1e-10, refine_tol: float = 1e-12,
                max_depth: int = 40) -> RootSet:
-    """All zeros of f in rect with multiplicities, via recursive bisection.
+    """All zeros of f in rect with multiplicities, via the moment pencil.
 
-    Each sub-rectangle is bisected until its winding count is at most one;
-    isolated zeros are polished by damped Newton to |f| < refine_tol.  A
-    rectangle with count >= 2 is probed for one multiple zero only when the
-    contour moments show a cluster: the spread of its zeros about their
-    mean is at most 1e-2 times the longer side.  Otherwise it is bisected
-    without a probe.  At max_depth the probe always runs, and a rectangle
-    whose count still exceeds one raises ClusterUnresolvedError unless the
-    probe verifies a multiple zero.
+    Every rectangle with a nonzero winding count goes to one leaf resolver:
+    the Hankel pencil of its contour moments gives the distinct zeros and
+    their multiplicities, and each zero is polished by damped Newton to
+    |f| < refine_tol.  A rectangle the resolver cannot account for (more
+    than four distinct zeros, non-integer multiplicities, a failed
+    polish or winding check) is bisected; at max_depth it raises
+    ClusterUnresolvedError.
     """
     f.check_clearance(rect)
     roots: list[Root] = []
@@ -473,25 +491,16 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
         # Inflation on boundary-zero suspicion can make sibling rectangles
         # overlap slightly; the duplicate-merge pass below undoes the
         # resulting double counts.
-        count, moment, spread, r = _counts_with_inflation(f, r, quad_tol)
+        count, s, r = _counts_with_inflation(f, r, quad_tol)
         if count == 0:
             return
-        scale = max(r.width, r.height)
-        if count == 1:
-            z, res = _newton(f, moment, refine_tol, scale, region=r.scaled(2.0))
-            if z is not None:
-                roots.append(Root(z, 1, res))
-                return
-        else:
-            probe = depth >= max_depth or math.sqrt(spread) <= _CLUSTER_REL * scale
-            if _log.isEnabledFor(logging.DEBUG):
-                _log.debug("count %d in %s: sigma %.3e, probe %s", count, r,
-                           math.sqrt(spread), "run" if probe else "skipped")
-            if probe:
-                found = _try_multiple_root(f, r, count, moment, quad_tol, refine_tol)
-                if found is not None:
-                    roots.append(found)
-                    return
+        found = _resolve_leaf(f, r, count, s, quad_tol, refine_tol)
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("count %d in %s: %s", count, r, "bisected" if found is None
+                       else f"resolved, multiplicities {[z.multiplicity for z in found]}")
+        if found is not None:
+            roots.extend(found)
+            return
         if depth >= max_depth:
             raise ClusterUnresolvedError(r, count)
         child_a, child_b = _clean_split(f, r)

@@ -205,32 +205,46 @@ def _damped_handle(ctx: CharacteristicContext,
     return AnalyticFunctionHandle(eval=f, exclusions=exclusions)
 
 
+def _characteristic_zeros(ctx: CharacteristicContext, rect: Rectangle,
+                          quad_tol: float, refine_tol: float,
+                          max_depth: int) -> RootSet:
+    """Zeros of the damped characteristic in rect, less the null-vector ones."""
+    roots = find_zeros(_damped_handle(ctx, rect), rect, quad_tol=quad_tol,
+                       refine_tol=refine_tol, max_depth=max_depth)
+    return floquet._drop_null_roots(ctx.problem.model, roots,
+                                    ((0.0, "plus", ctx.sheet),), ctx.ode_step)
+
+
 def eigenvalues(ctx: CharacteristicContext, rect: Rectangle,
                 quad_tol: float = 1e-10, refine_tol: float = 1e-12,
                 max_depth: int = 40) -> RootSet:
     """All eigenvalues of the barrier problem inside rect (principal sheet).
 
     The rectangle must keep the context's standoff distance from the
-    essential spectrum of the background and its barrier shift.
+    essential spectrum of the background and its barrier shift.  For a
+    periodic tail, zeros at which the cell-start Floquet eigenvector of the
+    exterior solution vanishes are dropped: they are zeros of that
+    representation, not eigenvalues.
     """
     if ctx.sheet is not Sheet.PRINCIPAL:
         raise DomainError("eigenvalue search requires the principal sheet")
-    return find_zeros(_damped_handle(ctx, rect), rect, quad_tol=quad_tol,
-                      refine_tol=refine_tol, max_depth=max_depth)
+    return _characteristic_zeros(ctx, rect, quad_tol, refine_tol, max_depth)
 
 
 def resonances(ctx: CharacteristicContext, rect: Rectangle,
                quad_tol: float = 1e-10, refine_tol: float = 1e-12,
                max_depth: int = 40) -> RootSet:
-    """Second-sheet zeros of the characteristic in a lower-right rectangle."""
+    """Second-sheet zeros of the characteristic in a lower-right rectangle.
+
+    As for eigenvalues, null-vector zeros of a periodic tail are dropped.
+    """
     if ctx.sheet is not Sheet.SECOND:
         raise DomainError("resonance search requires the second sheet")
     if rect.x_lo < 0 or rect.y_hi > 0:
         raise DomainError(
             "resonance rectangles must lie in the lower right quadrant"
         )
-    return find_zeros(_damped_handle(ctx, rect), rect, quad_tol=quad_tol,
-                      refine_tol=refine_tol, max_depth=max_depth)
+    return _characteristic_zeros(ctx, rect, quad_tol, refine_tol, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +291,8 @@ def limit_eigenvalues(model: PotentialModel, gamma: complex, rect: Rectangle,
     handle = AnalyticFunctionHandle(eval=f, exclusions=exclusions)
     roots = find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
                        max_depth=max_depth)
-    if isinstance(model.tail, PeriodicTail) and roots.roots:
-        # zeros of the eigenvector representation itself, not of a
-        # decaying solution
-        null = floquet._null_cell_vector(
-            model, np.array(roots.locations) - shift, ode_step)
-        roots = RootSet(tuple(r for r, drop in zip(roots.roots, null)
-                              if not drop))
-    return roots
+    return floquet._drop_null_roots(model, roots,
+                                    ((shift, "plus", Sheet.PRINCIPAL),), ode_step)
 
 
 # ---------------------------------------------------------------------------

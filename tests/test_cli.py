@@ -137,13 +137,26 @@ def test_enclose_verb(model_paths, tmp_path):
     out = tmp_path / "enc.json"
     code = run([
         "enclose", "--model", str(model_paths / "free.json"),
-        "--gamma", "1.0", "--lambda", "0.5,0.5", "--out", str(out),
+        "--gamma", "0,1", "--lambda", "0.5,0.5", "--out", str(out),
     ])
     assert code == 0
     verdict = json.loads(out.read_text())
     assert verdict["gamma_a"] is True
     assert verdict["gamma_b"] is True
     assert verdict["we_strip"] is True
+
+
+def test_enclose_rejects_a_non_dissipative_coupling(model_paths, tmp_path, capsys):
+    # --gamma is the complex coupling re,im for every verb: 1.0 is the
+    # coupling 1 + 0i, i.e. gamma = -i, which is no dissipative barrier
+    out = tmp_path / "enc.json"
+    code = run([
+        "enclose", "--model", str(model_paths / "free.json"),
+        "--gamma", "1.0", "--lambda", "0.5,0.5", "--out", str(out),
+    ])
+    assert code == 1
+    assert "dissipative barrier" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_on_usage_error(model_paths):

@@ -224,6 +224,18 @@ def test_sp_zeros_residual_contract_and_isolation(sin_model):
             assert abs(locs[i] - locs[j]) > 1e-4
 
 
+def test_sp_zeros_drop_null_cell_vector_zero():
+    # On the -sin tail the Dirichlet point -0.18339 decays, so the cell
+    # vector of the solution with the other multiplier, psi_minus at
+    # lam - i gamma, vanishes at lam = -0.18339 + i (|v| ~ 6e-14) and the
+    # cross-Wronskian with it: no pollution point.
+    model = PotentialModel(tail=PeriodicTail(
+        period=2 * math.pi, start=0.0, expr=SinExpr(1.0, 1.0, math.pi)))
+    out = sp_zeros(model, 1.0, 0.0, Rectangle(-0.3, -0.05, 0.9, 1.1),
+                   ode_step=1e-2)
+    assert out.total_count == 0
+
+
 def test_sp_zeros_validates_cell_offset(sin_model):
     with pytest.raises(DomainError):
         sp_zeros(sin_model, 0.25, 10.0, Rectangle(-0.3, 0.5, 0.02, 0.23))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specbar import rootfinder
 from specbar.core import DomainError, Rectangle
 from specbar.rootfinder import (
     AnalyticFunctionHandle,
@@ -21,9 +20,10 @@ UNIT = Rectangle(-1.0, 1.0, -1.0, 1.0)
 
 # Regression guard on the work of the free R=10 search of
 # test_closed_form_roots_in_strip, not a tolerance to loosen: with the
-# moment-gated multiplicity probe it evaluates 462,546 points (7,540,921
-# when every count >= 2 was probed); the bound leaves about 20% headroom.
-FREE_R10_POINT_BOUND = 550_000
+# moment-pencil leaf resolver it evaluates 353,482 points (462,489 with a
+# moment-gated multiplicity probe and Newton only at count 1); the bound
+# leaves about 20% headroom.
+FREE_R10_POINT_BOUND = 425_000
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50,
                              database=None)
@@ -33,17 +33,15 @@ def _poly_handle(coeffs):
     return AnalyticFunctionHandle(eval=lambda z, c=coeffs: np.polyval(c, z))
 
 
-def _count_probes(monkeypatch):
-    """Record the rectangle of every multiplicity probe find_zeros makes."""
-    probed = []
-    real = rootfinder._try_multiple_root
+def _counted(fn):
+    """A handle on fn and the list of array sizes it was evaluated on."""
+    sizes = []
 
-    def counting(f, rect, *args, **kwargs):
-        probed.append(rect)
-        return real(f, rect, *args, **kwargs)
+    def f(z):
+        sizes.append(z.size)
+        return fn(z)
 
-    monkeypatch.setattr(rootfinder, "_try_multiple_root", counting)
-    return probed
+    return AnalyticFunctionHandle(eval=f), sizes
 
 
 def _lattice_point(cell, jitter):
@@ -113,13 +111,15 @@ def test_newton_evaluates_no_point_repeatedly():
 
 
 def test_find_zeros_double_root():
-    f = AnalyticFunctionHandle(eval=lambda z: (z - 0.3) ** 2)
-    out = find_zeros(f, UNIT)
-    assert len(out.roots) == 1
-    root = out.roots[0]
-    assert root.multiplicity == 2
-    assert abs(root.location - 0.3) < 1e-9
-    assert out.total_count == 2
+    # also a double zero found within three levels, and a fivefold zero
+    for power, max_depth in ((2, 40), (2, 3), (5, 40)):
+        f = AnalyticFunctionHandle(eval=lambda z, p=power: (z - 0.3) ** p)
+        out = find_zeros(f, UNIT, max_depth=max_depth)
+        assert len(out.roots) == 1
+        root = out.roots[0]
+        assert root.multiplicity == power
+        assert abs(root.location - 0.3) < 1e-9
+        assert out.total_count == power
 
 
 def test_find_zeros_triple_with_simple():
@@ -141,31 +141,20 @@ def test_closed_form_roots_in_strip():
     assert all(0.0 <= z.imag <= 1.0 for z in got)
 
 
-def test_closed_form_search_makes_no_probe(monkeypatch):
-    probed = _count_probes(monkeypatch)
-    points = 0
-
-    def f_free(z):
-        nonlocal points
-        points += z.size
-        return oracle_f_free(z, 10.0)
-
-    out = find_zeros(AnalyticFunctionHandle(eval=f_free),
-                     Rectangle(0.1, 5.0, 0.05, 0.95))
+def test_closed_form_search_stays_within_point_bound():
+    f, sizes = _counted(lambda z: oracle_f_free(z, 10.0))
+    out = find_zeros(f, Rectangle(0.1, 5.0, 0.05, 0.95))
     assert out.total_count == 5
-    assert probed == []
-    assert points <= FREE_R10_POINT_BOUND
+    assert sum(sizes) <= FREE_R10_POINT_BOUND
 
 
-def test_close_pair_is_bisected_without_probe(monkeypatch, caplog):
-    # 0.05 is the closest spacing criterion 5 draws; the spread of such a
-    # pair is far above the cluster gate on every rectangle holding both
-    probed = _count_probes(monkeypatch)
+def test_close_pair_is_resolved_by_the_pencil(caplog):
+    # 0.05 is the closest spacing criterion 5 draws; the moment pencil of
+    # the search rectangle itself separates such a pair, without bisection
     f = AnalyticFunctionHandle(eval=lambda z: (z - 0.1 - 0.2j) * (z - 0.15 - 0.2j))
     with caplog.at_level(logging.DEBUG, logger="specbar.rootfinder"):
         out = find_zeros(f, UNIT)
-    assert probed == []
-    assert any("probe skipped" in m for m in caplog.messages)
+    assert caplog.messages == [f"count 2 in {UNIT}: resolved, multiplicities [1, 1]"]
     locs = sorted(out.locations, key=lambda z: z.real)
     assert [r.multiplicity for r in out.roots] == [1, 1]
     assert abs(locs[0] - (0.1 + 0.2j)) < 1e-10
@@ -173,14 +162,25 @@ def test_close_pair_is_bisected_without_probe(monkeypatch, caplog):
 
 
 def test_very_close_pair_resolves_to_simple_roots():
-    # at 1e-3 the gate cannot tell the pair from a double zero, so probes
-    # run and fail until bisection separates the two
-    f = AnalyticFunctionHandle(eval=lambda z: (z - 0.3) * (z - 0.301))
+    # at 1e-3 the pencil of the search rectangle cannot yet tell the pair
+    # from a double zero; a few bisections separate it (337,306 points
+    # when every count >= 2 rectangle was probed for one multiple zero)
+    f, sizes = _counted(lambda z: (z - 0.3) * (z - 0.301))
     out = find_zeros(f, UNIT)
     locs = sorted(out.locations, key=lambda z: z.real)
     assert [r.multiplicity for r in out.roots] == [1, 1]
     assert abs(locs[0] - 0.3) < 1e-10
     assert abs(locs[1] - 0.301) < 1e-10
+    assert sum(sizes) <= 20_000
+
+
+def test_pair_2e4_apart_resolves_within_three_levels():
+    f = AnalyticFunctionHandle(eval=lambda z: (z - 0.1) * (z - 0.1 - 2e-4))
+    out = find_zeros(f, UNIT, max_depth=3)
+    locs = sorted(out.locations, key=lambda z: z.real)
+    assert [r.multiplicity for r in out.roots] == [1, 1]
+    assert abs(locs[0] - 0.1) < 1e-10
+    assert abs(locs[1] - (0.1 + 2e-4)) < 1e-10
 
 
 @PROPERTY_SETTINGS
@@ -303,25 +303,15 @@ def test_non_integer_contour_raises_quadrature_error():
 
 
 def test_cluster_unresolved_at_max_depth():
-    # two distinct roots 2e-4 apart cannot be separated in three levels and
-    # fail the multiple-root verification, so the cluster is reported
-    f = AnalyticFunctionHandle(eval=lambda z: (z - 0.1) * (z - 0.1 - 2e-4))
+    # five distinct roots 2e-4 apart: a pencil of size four cannot show
+    # them, and three levels of bisection do not separate them, so the
+    # cluster is reported
+    zeros = [0.1 + 2e-4 * k for k in range(5)]
+    f = AnalyticFunctionHandle(eval=lambda z: np.polyval(np.poly(zeros), z))
     with pytest.raises(ClusterUnresolvedError) as exc:
         find_zeros(f, UNIT, max_depth=3)
-    assert exc.value.count == 2
+    assert exc.value.count == 5
     assert isinstance(exc.value.rect, Rectangle)
-
-
-def test_max_depth_probe_runs_when_gate_stays_shut(monkeypatch):
-    # with the cluster gate shut everywhere, a double zero is still
-    # resolved by the probe that always runs at max_depth
-    monkeypatch.setattr(rootfinder, "_CLUSTER_REL", -1.0)
-    probed = _count_probes(monkeypatch)
-    f = AnalyticFunctionHandle(eval=lambda z: (z - 0.3) ** 2)
-    out = find_zeros(f, UNIT, max_depth=3)
-    assert len(probed) == 1
-    assert [r.multiplicity for r in out.roots] == [2]
-    assert abs(out.roots[0].location - 0.3) < 1e-9
 
 
 def test_exclusion_regions_block_search():

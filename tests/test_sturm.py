@@ -324,6 +324,15 @@ def test_limit_eigenvalues_sin_gap(phase):
         assert abs(out.locations[0] - (-0.18339005 + 1j)) < 1e-7
 
 
+def test_eigenvalues_drop_null_cell_vector_zero(sin_model):
+    # Dirichlet point -0.18339 of the +sin cell, where the Dirichlet
+    # solution grows: the cell-start eigenvector of the exterior solution
+    # vanishes there (|v| ~ 5e-14), and with it the characteristic.  A
+    # barrier eigenvalue has 0 < Im < gamma, so that real zero is none.
+    ctx = _ctx(sin_model, 1.0, 4 * math.pi, ode_step=1e-2)
+    assert eigenvalues(ctx, Rectangle(-0.3, -0.05, -0.1, 0.1)).total_count == 0
+
+
 @pytest.mark.parametrize("model_name, rect, ode_step, spectral", [
     # crosses the ray [0, inf), clears i + [0, inf)
     ("stacked_model", Rectangle(1.0, 2.0, -0.3, 0.3), 1e-3, pollution_zeros),
