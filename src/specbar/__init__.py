@@ -39,7 +39,6 @@ from .sturm import (
     interior_solution,
     limit_eigenvalues,
     pollution_factor,
-    pollution_zeros,
     reference_characteristic,
     resonances,
 )

@@ -113,6 +113,18 @@ def _root_rows(rootset, R, sheet: Sheet) -> list[list]:
 _ROOT_HEADER = ["re_lambda", "im_lambda", "multiplicity", "residual", "R", "sheet"]
 
 
+_FD_HEADER = ["R", "X", "h", "re_lambda", "im_lambda", "class"]
+
+
+def _classified_rows(R, X, h, cls) -> list[list]:
+    """CSV rows of a classified truncation spectrum, one per eigenvalue."""
+    return [[R, X, h, lam.real, lam.imag, tag]
+            for group, tag in ((cls.pollution_real, "pollution"),
+                               (cls.essential_approx, "essential"),
+                               (cls.discrete_candidates, "discrete"))
+            for lam in group]
+
+
 def _scatter_roots(path, rootsets_by_label, title):
     series = []
     for i, (label, rootset, marker) in enumerate(rootsets_by_label):
@@ -129,33 +141,18 @@ def _scatter_roots(path, rootsets_by_label, title):
 # Verb implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_spectrum(args) -> int:
+def _cmd_roots(args) -> int:
     model = load_model(args.model)
     gamma = _coupling_to_gamma(args.gamma)
     ctx = sturm.CharacteristicContext(
-        BarrierProblem(model, gamma, args.R),
+        BarrierProblem(model, gamma, args.R), sheet=args.sheet,
         ode_step=args.ode_step, standoff=args.standoff,
     )
-    roots = sturm.eigenvalues(ctx, args.rect)
-    _write_csv(args.out, _ROOT_HEADER, _root_rows(roots, args.R, Sheet.PRINCIPAL))
+    roots = args.search(ctx, args.rect)
+    _write_csv(args.out, _ROOT_HEADER, _root_rows(roots, args.R, args.sheet))
     if args.svg:
-        _scatter_roots(args.svg, [("eigenvalues", roots, "circle")],
-                       f"spectrum, R={args.R:g}")
-    return 0
-
-
-def _cmd_resonances(args) -> int:
-    model = load_model(args.model)
-    gamma = _coupling_to_gamma(args.gamma)
-    ctx = sturm.CharacteristicContext(
-        BarrierProblem(model, gamma, args.R), sheet=Sheet.SECOND,
-        ode_step=args.ode_step, standoff=args.standoff,
-    )
-    roots = sturm.resonances(ctx, args.rect)
-    _write_csv(args.out, _ROOT_HEADER, _root_rows(roots, args.R, Sheet.SECOND))
-    if args.svg:
-        _scatter_roots(args.svg, [("resonances", roots, "cross")],
-                       f"resonances, R={args.R:g}")
+        _scatter_roots(args.svg, [(args.label, roots, args.marker)],
+                       f"{args.verb}, R={args.R:g}")
     return 0
 
 
@@ -181,16 +178,12 @@ def _cmd_bands(args) -> int:
 def _cmd_sp(args) -> int:
     model = load_model(args.model)
     gamma = _coupling_to_gamma(args.gamma)
-    if model.is_periodic:
-        x0 = args.x0 if args.x0 is not None else model.tail.start
-        roots = floquet.sp_zeros(model, gamma, x0, args.rect,
-                                 standoff=args.standoff,
-                                 ode_step=args.ode_step)
-    else:
-        x0 = args.x0 if args.x0 is not None else max(model.compact_end, 1.0)
-        roots = sturm.pollution_zeros(model, gamma, x0, args.rect,
-                                      standoff=args.standoff,
-                                      ode_step=args.ode_step)
+    x0 = args.x0
+    if x0 is None:
+        x0 = (model.tail.start if model.is_periodic
+              else max(model.compact_end, 1.0))
+    roots = floquet.sp_zeros(model, gamma, x0, args.rect,
+                             standoff=args.standoff, ode_step=args.ode_step)
     _write_csv(args.out, _ROOT_HEADER, _root_rows(roots, None, Sheet.PRINCIPAL))
     return 0
 
@@ -270,14 +263,8 @@ def _cmd_fd(args) -> int:
         # the barrier i*gamma shifts spectra upward by Re(gamma)
         cls = fdtrunc.classify_spectrum(eigs, bs, gamma.real,
                                         tol_band=args.tol_band)
-        for group, tag in ((cls.pollution_real, "pollution"),
-                           (cls.essential_approx, "essential"),
-                           (cls.discrete_candidates, "discrete")):
-            for lam in group:
-                rows.append([float(R), float(X), args.h, lam.real, lam.imag,
-                             tag])
-    _write_csv(args.out, ["R", "X", "h", "re_lambda", "im_lambda", "class"],
-               rows)
+        rows += _classified_rows(R, X, args.h, cls)
+    _write_csv(args.out, _FD_HEADER, rows)
     return 0
 
 
@@ -380,20 +367,15 @@ def _preset_fig3(out_dir: Path) -> None:
         X = R + 100.0
         t = fdtrunc.build_matrix(BarrierProblem(model, gamma, R), X, h)
         eigs = fdtrunc.eigenvalues_dense(t, cap=8000)
-        cls = fdtrunc.classify_spectrum(eigs, bs, gamma)
-        for group, tag in ((cls.pollution_real, "pollution"),
-                           (cls.essential_approx, "essential"),
-                           (cls.discrete_candidates, "discrete")):
-            for lam in group:
-                rows.append([R, X, h, lam.real, lam.imag, tag])
+        rows += _classified_rows(R, X, h,
+                                 fdtrunc.classify_spectrum(eigs, bs, gamma))
         keep = [z for z in eigs if -0.6 <= z.real <= 1.2 and
                 -0.1 <= z.imag <= gamma + 0.1]
         series.append(svgplot.Series(
             x=tuple(z.real for z in keep), y=tuple(z.imag for z in keep),
             label=f"R={R:g}", marker="circle" if R == 20.0 else "cross",
         ))
-    _write_csv(out_dir / "fig3.csv",
-               ["R", "X", "h", "re_lambda", "im_lambda", "class"], rows)
+    _write_csv(out_dir / "fig3.csv", _FD_HEADER, rows)
     svgplot.scatter_svg(out_dir / "fig3.svg", series,
                         title="finite-difference truncation spectrum",
                         xlabel="Re", ylabel="Im",
@@ -444,19 +426,18 @@ def _build_parser() -> argparse.ArgumentParser:
     _allow_negative_values(ap)
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("spectrum", help="barrier eigenvalues in a rectangle")
-    _add_common(p)
-    p.add_argument("--R", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--svg")
-    p.set_defaults(fn=_cmd_spectrum)
-
-    p = sub.add_parser("resonances", help="second-sheet zeros in a rectangle")
-    _add_common(p)
-    p.add_argument("--R", type=float, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--svg")
-    p.set_defaults(fn=_cmd_resonances)
+    for verb, help_, sheet, search, label, marker in (
+            ("spectrum", "barrier eigenvalues in a rectangle", Sheet.PRINCIPAL,
+             sturm.eigenvalues, "eigenvalues", "circle"),
+            ("resonances", "second-sheet zeros in a rectangle", Sheet.SECOND,
+             sturm.resonances, "resonances", "cross")):
+        p = sub.add_parser(verb, help=help_)
+        _add_common(p)
+        p.add_argument("--R", type=float, required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--svg")
+        p.set_defaults(fn=_cmd_roots, sheet=sheet, search=search, label=label,
+                       marker=marker)
 
     p = sub.add_parser("limit", help="limit-operator eigenvalues")
     _add_common(p)
@@ -475,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sp", help="persistent-pollution zero set")
     _add_common(p)
     p.add_argument("--x0", type=float, default=None,
-                   help="cell offset (defaults to the tail start)")
+                   help="cell offset (defaults to the tail start; for a "
+                        "zero tail, the end of the pieces but at least 1)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sp)
 

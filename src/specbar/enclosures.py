@@ -47,30 +47,17 @@ class EssentialSpectrumApprox:
         return cls(((start, math.inf),), (start, math.inf))
 
     @classmethod
-    def from_band_structure(cls, bs: BandStructure,
-                            unbounded_above: bool = True
-                            ) -> "EssentialSpectrumApprox":
-        """Computed bands, with the hull opened upward for the operators here.
+    def from_band_structure(cls, bs: BandStructure) -> "EssentialSpectrumApprox":
+        """Computed bands, with the hull opened upward.
 
-        Band-gap backgrounds are unbounded above, so the extended hull
-        reaches +inf unless explicitly told otherwise.
+        Band-gap backgrounds are unbounded above.
         """
         if not bs.bands:
             raise ValueError("band structure is empty")
-        lo = bs.bands[0][0]
-        hi = math.inf if unbounded_above else bs.bands[-1][1]
-        return cls(tuple(bs.bands), (lo, hi))
+        return cls(tuple(bs.bands), (bs.bands[0][0], math.inf))
 
     def distance(self, x: float) -> float:
-        best = math.inf
-        for lo, hi in self.intervals:
-            if x < lo:
-                best = min(best, lo - x)
-            elif x > hi:
-                best = min(best, x - hi)
-            else:
-                return 0.0
-        return best
+        return BandStructure(self.intervals).distance(x)
 
 
 @dataclass(frozen=True)

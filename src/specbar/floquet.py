@@ -2,11 +2,10 @@
 
 Monodromy of the period cell, discriminant, multipliers and exponent, real
 band structure, quasi-periodic solutions, the persistent-pollution zero set
-for barrier widths advancing by whole periods, and embedded resonances on
-the bands.  Two helpers here serve every spectral verb, whatever the tail:
-the tail solution (a plane wave on a zero tail, the quasi-periodic solution
-on a periodic one) and the exclusions of the essential spectrum and its
-shifts.
+of either tail, and embedded resonances on the bands.  Every spectral verb,
+whatever the tail, is built from the tail solution here (a plane wave on a
+zero tail, the quasi-periodic solution on a periodic one) and searched by
+the one search here, which excludes the essential spectrum and its shifts.
 """
 
 from __future__ import annotations
@@ -245,29 +244,24 @@ def _discriminant_real(model: PotentialModel, z: np.ndarray, ode_step: float):
     return D.real
 
 
-def _scan_crossings(model, grid_z, g, ode_step, tol):
-    """Refine every sign change of g = |D| - 2 on the grid by 16-section.
+def _scan_crossings(g, grid_z, gv, bits: int):
+    """Refine every sign change of g on the grid to bits bits by 16-section.
 
+    g maps a real array to real values, gv holds its values on the grid.
     Each round evaluates 15 interior points of every bracket in one call and
-    keeps the sixteenth that holds the first sign change.  The rounds stand
-    for four bisections each, enough for three decades beyond tol.
+    keeps the sixteenth that holds the first sign change: four bisections.
     """
-    lo_idx = np.nonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)[0]
+    lo_idx = np.nonzero(np.sign(gv[:-1]) * np.sign(gv[1:]) < 0)[0]
     if len(lo_idx) == 0:
         return np.array([])
     a = grid_z[lo_idx]
     b = grid_z[lo_idx + 1]
-    ga = g[lo_idx]
-    span = float(b[0] - a[0])
-    # three decades beyond tol keeps the residual |g| below ~10 tol even
-    # where the discriminant crosses steeply
-    bits = min(60, max(1, math.ceil(math.log2(max(span / (1e-3 * tol), 2.0)))))
+    ga = gv[lo_idx]
     frac = np.arange(1, 16) / 16.0
     rows = np.arange(len(a))
     for _ in range(math.ceil(bits / 4)):
         inner = a[:, None] + (b - a)[:, None] * frac
-        gi = np.abs(_discriminant_real(model, inner.ravel(), ode_step)) - 2.0
-        gi = gi.reshape(inner.shape)
+        gi = g(inner.ravel()).reshape(inner.shape)
         change = np.sign(ga)[:, None] * np.sign(gi) < 0
         # the sixteenth [x_j, x_j+1] with x_0 = a, x_16 = b
         j = np.where(change.any(axis=1), np.argmax(change, axis=1), 15)
@@ -292,25 +286,32 @@ def bands(model: PotentialModel, z_min: float, z_max: float, tol: float = 1e-10,
     _require_periodic(model)
     if not z_min < z_max:
         raise ValueError("need z_min < z_max")
+
+    def g(z):
+        return np.abs(_discriminant_real(model, z, ode_step)) - 2.0
+
     n = grid
     for _ in range(4):
         zg2 = np.linspace(z_min, z_max, 2 * n - 1)
-        g2 = np.abs(_discriminant_real(model, zg2, ode_step)) - 2.0
-        g = g2[::2]
-        n_cross = int(np.sum(np.sign(g[:-1]) * np.sign(g[1:]) < 0))
+        g2 = g(zg2)
+        gc = g2[::2]
+        n_cross = int(np.sum(np.sign(gc[:-1]) * np.sign(gc[1:]) < 0))
         n_cross2 = int(np.sum(np.sign(g2[:-1]) * np.sign(g2[1:]) < 0))
         if n_cross == n_cross2:
-            zg, g = zg2, g2
+            zg, gv = zg2, g2
             break
         n *= 2
     else:
         raise BandResolutionError(
             f"band ends still unresolved at grid size {n}; range [{z_min}, {z_max}]"
         )
-    ends = list(_scan_crossings(model, zg, g, ode_step, tol))
-    points = sorted(ends)
+    # three decades beyond tol keeps the residual |g| below ~10 tol even
+    # where the discriminant crosses steeply
+    span = float(zg[1] - zg[0])
+    bits = min(60, max(1, math.ceil(math.log2(max(span / (1e-3 * tol), 2.0)))))
+    points = sorted(_scan_crossings(g, zg, gv, bits))
     intervals: list[tuple[float, float]] = []
-    inside = g[0] <= 0.0
+    inside = gv[0] <= 0.0
     left = z_min if inside else None
     for p in points:
         if inside:
@@ -425,16 +426,22 @@ def _null_cell_vector(model: PotentialModel, z, sign: str, sheet: Sheet,
     return size <= _NULL_VECTOR_TOL * scale
 
 
-def _drop_null_roots(model: PotentialModel, roots: RootSet, solutions,
-                     ode_step: float) -> RootSet:
-    """The roots at none of which a tail solution's cell vector vanishes.
+def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, offsets,
+                   solutions, pad: float, ode_step: float) -> RootSet:
+    """Zeros in rect of f, a function built from tail solutions of the background.
 
-    solutions lists (offset, sign, sheet), one for each tail solution the
-    searched function is built from, taken at lam - offset.  On a periodic
-    tail that solution is its cell-start eigenvector propagated, so where
-    the vector vanishes the function vanishes whatever the spectrum: such
-    zeros are no spectral points.  A zero tail keeps every root.
+    This is the one search of every spectral verb.  It excludes the
+    essential spectrum shifted by each offset, padded by pad, and finds the
+    zeros with the defaults of find_zeros.  solutions lists (offset, sign,
+    sheet), one for each tail solution f is built from, taken at
+    lam - offset.  On a periodic tail that solution is its cell-start
+    eigenvector propagated, so where the vector vanishes f vanishes
+    whatever the spectrum: such zeros are no spectral points and are
+    dropped.  A zero tail keeps every root.
     """
+    exclusions = _essential_exclusions(model, offsets, rect, pad, ode_step)
+    roots = find_zeros(AnalyticFunctionHandle(eval=f, exclusions=exclusions),
+                       rect)
     if not isinstance(model.tail, PeriodicTail) or not roots.roots:
         return roots
     lam = np.array(roots.locations)
@@ -472,39 +479,53 @@ def floquet_solution(model: PotentialModel, x: float, z, sign: str = "plus",
 # Persistent pollution set and embedded resonances
 # ---------------------------------------------------------------------------
 
+def _cross_wronskian(model: PotentialModel, gamma: complex, x: float, lam,
+                     ode_step: float):
+    """W(psi_plus(lam), psi_minus(lam - i gamma)) at x, normalized.
+
+    On a zero tail each solution is divided by its carrier exp(+-i k x),
+    which keeps the function of moderate size over large rectangles.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    z = lam - 1j * complex(gamma)
+    vp, dp, lp = _solution_arrays(model, x, lam, "plus", Sheet.PRINCIPAL,
+                                  ode_step)
+    vm, dm, lm = _solution_arrays(model, x, z, "minus", Sheet.PRINCIPAL,
+                                  ode_step)
+    expo = lp + lm
+    if not isinstance(model.tail, PeriodicTail):
+        expo = expo + 1j * (principal_sqrt(z) - principal_sqrt(lam)) * x
+    return (vp * dm - dp * vm) * np.exp(expo)
+
+
 def sp_zeros(model: PotentialModel, gamma: complex, x0: float, rect: Rectangle,
-             standoff: float = 1e-3, ode_step: float = 1e-3,
-             quad_tol: float = 1e-10, refine_tol: float = 1e-12,
-             max_depth: int = 40) -> RootSet:
+             standoff: float = 1e-3, ode_step: float = 1e-3) -> RootSet:
     """Zeros in rect of the cross-Wronskian that governs persistent pollution.
 
     The function is psi_plus(x0, lam) psi_minus'(x0, lam - i gamma)
     - psi_plus'(x0, lam) psi_minus(x0, lam - i gamma); its zeros are the
-    possible pollution points for barrier widths x0 + n*period.  Zeros at
-    which the cell-start eigenvector of either solution vanishes are
-    dropped.
+    possible pollution points for barrier widths x0 + n*period on a
+    periodic tail, where x0 must lie in the fundamental cell.  On a zero
+    tail x0 must be nonnegative; an integrable background provably has no
+    zeros away from the essential spectrum, so an empty result is the
+    expected outcome.  Zeros at which the cell-start eigenvector of either
+    solution vanishes are dropped.
     """
-    tail = _require_periodic(model)
-    if not (tail.start <= x0 < tail.start + tail.period):
-        raise DomainError("x0 must lie in the fundamental cell of the tail")
-    shift = 1j * gamma
-    exclusions = _essential_exclusions(model, (0.0, shift), rect, standoff,
-                                       ode_step)
+    tail = model.tail
+    if isinstance(tail, PeriodicTail):
+        if not tail.start <= x0 < tail.start + tail.period:
+            raise DomainError("x0 must lie in the fundamental cell of the tail")
+    elif x0 < 0:
+        raise DomainError("x0 must be nonnegative")
+    shift = 1j * complex(gamma)
 
     def f(lam):
-        lam = np.asarray(lam, dtype=complex)
-        vp, dp, lp = _solution_arrays(model, x0, lam, "plus", Sheet.PRINCIPAL,
-                                      ode_step)
-        vm, dm, lm = _solution_arrays(model, x0, lam - shift, "minus",
-                                      Sheet.PRINCIPAL, ode_step)
-        return (vp * dm - dp * vm) * np.exp(lp + lm)
+        return _cross_wronskian(model, gamma, x0, lam, ode_step)
 
-    handle = AnalyticFunctionHandle(eval=f, exclusions=exclusions)
-    roots = find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
-                       max_depth=max_depth)
-    return _drop_null_roots(model, roots, ((0.0, "plus", Sheet.PRINCIPAL),
-                                           (shift, "minus", Sheet.PRINCIPAL)),
-                            ode_step)
+    return _spectral_zeros(model, f, rect, (0.0, shift),
+                           ((0.0, "plus", Sheet.PRINCIPAL),
+                            (shift, "minus", Sheet.PRINCIPAL)),
+                           standoff, ode_step)
 
 
 def _rho_upper(model: PotentialModel, mono: Monodromy, ode_step: float):
@@ -548,8 +569,9 @@ def embedded_resonances(model: PotentialModel, band: tuple[float, float],
                         standoff: float = 1e-3) -> list[float]:
     """Real zeros of the boundary form of the upper-continued tail solution.
 
-    Scans Re BC[phi_u(., z)] for sign changes on the band, bisects each
-    bracket, and keeps points whose full residual |BC[phi_u]| is below tol.
+    Scans Re BC[phi_u(., z)] for sign changes on the band, refines each
+    bracket to 60 bits, and keeps points whose full residual |BC[phi_u]| is
+    below tol.
     The interval must stay inside a band (periodic tail) or inside (0, inf)
     (zero tail), away from the ends by the standoff.
     """
@@ -574,21 +596,7 @@ def embedded_resonances(model: PotentialModel, band: tuple[float, float],
         return np.cos(eta) * val - np.sin(eta) * der
 
     zg = np.linspace(lo, hi, grid)
-    hv = h(zg)
-    re = hv.real
-    idx = np.nonzero(np.sign(re[:-1]) * np.sign(re[1:]) < 0)[0]
-    out: list[float] = []
-    for i in idx:
-        a, b = float(zg[i]), float(zg[i + 1])
-        ra = re[i]
-        for _ in range(60):
-            mid = 0.5 * (a + b)
-            rm = h(np.array([mid]))[0].real
-            if np.sign(ra) * np.sign(rm) < 0:
-                b = mid
-            else:
-                a, ra = mid, rm
-        mu = 0.5 * (a + b)
-        if abs(h(np.array([mu]))[0]) < tol:
-            out.append(mu)
-    return out
+    mu = _scan_crossings(lambda z: h(z).real, zg, h(zg).real, 60)
+    if not len(mu):
+        return []
+    return [float(m) for m in mu[np.abs(h(mu)) < tol]]

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import BarrierProblem, PotentialModel, Rectangle, Sheet, SpecbarError
+from .core import BarrierProblem, PotentialModel, Rectangle, SpecbarError
 from .sturm import CharacteristicContext, eigenvalues
 
 __all__ = [
@@ -70,10 +70,8 @@ def thread_count() -> int:
 
 
 def run_sweep(model: PotentialModel, gamma: complex, R_grid: Sequence[float],
-              target: complex, rect: Rectangle,
-              sheet: Sheet = Sheet.PRINCIPAL, ode_step: float = 1e-3,
-              standoff: float = 1e-3, quad_tol: float = 1e-10,
-              refine_tol: float = 1e-12) -> list[ConvergenceRecord]:
+              target: complex, rect: Rectangle, ode_step: float = 1e-3,
+              standoff: float = 1e-3) -> list[ConvergenceRecord]:
     """Eigenvalue errors against a fixed target across barrier widths.
 
     Widths must be increasing and the rectangle must contain the target or
@@ -89,11 +87,9 @@ def run_sweep(model: PotentialModel, gamma: complex, R_grid: Sequence[float],
         raise ValueError(f"target {target} lies too far outside the sweep rectangle")
 
     def one(R: float) -> ConvergenceRecord:
-        ctx = CharacteristicContext(
-            BarrierProblem(model, gamma, R), sheet=sheet, ode_step=ode_step,
-            standoff=standoff,
-        )
-        roots = eigenvalues(ctx, rect, quad_tol=quad_tol, refine_tol=refine_tol)
+        ctx = CharacteristicContext(BarrierProblem(model, gamma, R),
+                                    ode_step=ode_step, standoff=standoff)
+        roots = eigenvalues(ctx, rect)
         best = roots.nearest(complex(target))
         if best is None:
             return ConvergenceRecord(R, None, complex(target), math.inf)

@@ -482,7 +482,8 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
     |f| < refine_tol.  A rectangle the resolver cannot account for (more
     than four distinct zeros, non-integer multiplicities, a failed
     polish or winding check) is bisected; at max_depth it raises
-    ClusterUnresolvedError.
+    ClusterUnresolvedError.  The spectral verbs search with the default
+    quad_tol, refine_tol and max_depth.
     """
     f.check_clearance(rect)
     roots: list[Root] = []

@@ -25,11 +25,7 @@ from .core import (
     principal_sqrt,
     sheeted_sqrt,
 )
-from .rootfinder import (
-    AnalyticFunctionHandle,
-    RootSet,
-    find_zeros,
-)
+from .rootfinder import RootSet
 
 __all__ = [
     "SolutionSample",
@@ -42,7 +38,6 @@ __all__ = [
     "limit_eigenvalues",
     "reference_characteristic",
     "pollution_factor",
-    "pollution_zeros",
 ]
 
 
@@ -176,15 +171,14 @@ def characteristic(ctx: CharacteristicContext, lam):
     return complex(out) if scalar else out
 
 
-def _damped_handle(ctx: CharacteristicContext,
-                   rect: Rectangle) -> AnalyticFunctionHandle:
-    """Root-finding handle for rect: the Wronskian times a damping factor.
+def _characteristic_zeros(ctx: CharacteristicContext, rect: Rectangle) -> RootSet:
+    """Zeros in rect of the Wronskian times a damping factor.
 
     The factor exp(i k_int R - i k_ext x_t) cancels the exponential growth
     of the interior solution and the exterior normalization, keeping |f|
     of moderate size uniformly over large rectangles without moving any
     zeros; it is analytic wherever the characteristic itself is.  The
-    handle excludes the essential spectrum and its shift by i gamma.
+    search excludes the essential spectrum and its shift by i gamma.
     """
     model = ctx.problem.model
     R = ctx.problem.R
@@ -200,24 +194,12 @@ def _damped_handle(ctx: CharacteristicContext,
             expo = expo - 1j * sheeted_sqrt(lam, ctx.sheet) * xt
         return w * np.exp(expo)
 
-    exclusions = floquet._essential_exclusions(
-        model, (0.0, 1j * complex(gamma)), rect, ctx.standoff, ctx.ode_step)
-    return AnalyticFunctionHandle(eval=f, exclusions=exclusions)
+    return floquet._spectral_zeros(model, f, rect, (0.0, 1j * complex(gamma)),
+                                   ((0.0, "plus", ctx.sheet),), ctx.standoff,
+                                   ctx.ode_step)
 
 
-def _characteristic_zeros(ctx: CharacteristicContext, rect: Rectangle,
-                          quad_tol: float, refine_tol: float,
-                          max_depth: int) -> RootSet:
-    """Zeros of the damped characteristic in rect, less the null-vector ones."""
-    roots = find_zeros(_damped_handle(ctx, rect), rect, quad_tol=quad_tol,
-                       refine_tol=refine_tol, max_depth=max_depth)
-    return floquet._drop_null_roots(ctx.problem.model, roots,
-                                    ((0.0, "plus", ctx.sheet),), ctx.ode_step)
-
-
-def eigenvalues(ctx: CharacteristicContext, rect: Rectangle,
-                quad_tol: float = 1e-10, refine_tol: float = 1e-12,
-                max_depth: int = 40) -> RootSet:
+def eigenvalues(ctx: CharacteristicContext, rect: Rectangle) -> RootSet:
     """All eigenvalues of the barrier problem inside rect (principal sheet).
 
     The rectangle must keep the context's standoff distance from the
@@ -228,12 +210,10 @@ def eigenvalues(ctx: CharacteristicContext, rect: Rectangle,
     """
     if ctx.sheet is not Sheet.PRINCIPAL:
         raise DomainError("eigenvalue search requires the principal sheet")
-    return _characteristic_zeros(ctx, rect, quad_tol, refine_tol, max_depth)
+    return _characteristic_zeros(ctx, rect)
 
 
-def resonances(ctx: CharacteristicContext, rect: Rectangle,
-               quad_tol: float = 1e-10, refine_tol: float = 1e-12,
-               max_depth: int = 40) -> RootSet:
+def resonances(ctx: CharacteristicContext, rect: Rectangle) -> RootSet:
     """Second-sheet zeros of the characteristic in a lower-right rectangle.
 
     As for eigenvalues, null-vector zeros of a periodic tail are dropped.
@@ -244,7 +224,7 @@ def resonances(ctx: CharacteristicContext, rect: Rectangle,
         raise DomainError(
             "resonance rectangles must lie in the lower right quadrant"
         )
-    return _characteristic_zeros(ctx, rect, quad_tol, refine_tol, max_depth)
+    return _characteristic_zeros(ctx, rect)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +249,7 @@ def _limit_function_arrays(model: PotentialModel, gamma: complex, lam,
 
 
 def limit_eigenvalues(model: PotentialModel, gamma: complex, rect: Rectangle,
-                      ode_step: float = 1e-3, standoff: float = 1e-3,
-                      quad_tol: float = 1e-10, refine_tol: float = 1e-12,
-                      max_depth: int = 40) -> RootSet:
+                      ode_step: float = 1e-3, standoff: float = 1e-3) -> RootSet:
     """Eigenvalues of the limit operator inside rect.
 
     These are the zeros of the boundary form of the decaying solution at
@@ -282,17 +260,13 @@ def limit_eigenvalues(model: PotentialModel, gamma: complex, rect: Rectangle,
     """
     gamma = complex(gamma)
     shift = 1j * gamma
-    exclusions = floquet._essential_exclusions(model, (shift,), rect, standoff,
-                                               ode_step)
 
     def f(lam):
         return _limit_function_arrays(model, gamma, lam, ode_step, standoff)
 
-    handle = AnalyticFunctionHandle(eval=f, exclusions=exclusions)
-    roots = find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
-                       max_depth=max_depth)
-    return floquet._drop_null_roots(model, roots,
-                                    ((shift, "plus", Sheet.PRINCIPAL),), ode_step)
+    return floquet._spectral_zeros(model, f, rect, (shift,),
+                                   ((shift, "plus", Sheet.PRINCIPAL),),
+                                   standoff, ode_step)
 
 
 # ---------------------------------------------------------------------------
@@ -332,57 +306,18 @@ def reference_characteristic(example: str, lam, R: float,
 # Pollution diagnostics for integrable-tail backgrounds
 # ---------------------------------------------------------------------------
 
-def _pollution_arrays(model: PotentialModel, gamma: complex, R: float, lam,
-                      ode_step: float):
-    """Cross-Wronskian at R of the tail solutions at lam and lam - i gamma.
-
-    Each solution is divided by its exponential carrier exp(+-i k R).
-    """
-    z = lam - 1j * complex(gamma)
-    vp, dp, lp = floquet._solution_arrays(model, R, lam, "plus",
-                                          Sheet.PRINCIPAL, ode_step)
-    vm, dm, lm = floquet._solution_arrays(model, R, z, "minus",
-                                          Sheet.PRINCIPAL, ode_step)
-    cp = np.exp(lp - 1j * principal_sqrt(lam) * R)
-    cm = np.exp(lm + 1j * principal_sqrt(z) * R)
-    return (vp * cp) * (dm * cm) - (dp * cp) * (vm * cm)
-
-
 def pollution_factor(model: PotentialModel, gamma: complex, R: float, lam):
     """Cross-Wronskian of the normalized tail solutions at the barrier edge.
 
     For an integrable (zero-tail) background this converges, as R grows, to
     -i (sqrt(lam - i gamma) + sqrt(lam)), which never vanishes; its zeros
-    locate persistent pollution, so the limit being bounded away from zero
-    certifies an empty pollution set away from the essential spectrum.
-    Sinusoidal pieces beyond R are integrated at the default step 1e-3.
+    locate persistent pollution (floquet.sp_zeros searches them), so the
+    limit being bounded away from zero certifies an empty pollution set
+    away from the essential spectrum.  Sinusoidal pieces beyond R are
+    integrated at the default step 1e-3.
     """
     if isinstance(model.tail, PeriodicTail):
         raise DomainError("pollution_factor applies to zero-tail models")
     scalar = _is_scalar(lam)
-    out = _pollution_arrays(model, gamma, R, np.asarray(lam, dtype=complex),
-                            1e-3)
+    out = floquet._cross_wronskian(model, gamma, R, lam, 1e-3)
     return complex(out) if scalar else out
-
-
-def pollution_zeros(model: PotentialModel, gamma: complex, x0: float,
-                    rect: Rectangle, standoff: float = 1e-3,
-                    ode_step: float = 1e-3, quad_tol: float = 1e-10,
-                    refine_tol: float = 1e-12, max_depth: int = 40) -> RootSet:
-    """Zeros in rect of the pollution cross-Wronskian for a zero-tail model.
-
-    The integrable case provably has none away from the essential spectrum;
-    an empty result is the expected outcome.
-    """
-    if isinstance(model.tail, PeriodicTail):
-        raise DomainError("pollution_zeros applies to zero-tail models; "
-                          "use floquet.sp_zeros for periodic tails")
-
-    def f(lam):
-        return _pollution_arrays(model, gamma, x0, lam, ode_step)
-
-    exclusions = floquet._essential_exclusions(
-        model, (0.0, 1j * complex(gamma)), rect, standoff, ode_step)
-    handle = AnalyticFunctionHandle(eval=f, exclusions=exclusions)
-    return find_zeros(handle, rect, quad_tol=quad_tol, refine_tol=refine_tol,
-                      max_depth=max_depth)

@@ -20,14 +20,10 @@ from specbar.enclosures import (
     l1_lambda_limit,
 )
 from specbar.fdtrunc import build_matrix, classify_spectrum, eigenvalues_dense
-from specbar.floquet import bands, monodromy, floquet_data
+from specbar.floquet import bands, monodromy, floquet_data, sp_zeros
 from specbar.harness import fit_rate, run_sweep
 from specbar.rootfinder import AnalyticFunctionHandle, find_zeros
-from specbar.sturm import (
-    CharacteristicContext,
-    eigenvalues,
-    pollution_zeros,
-)
+from specbar.sturm import CharacteristicContext, eigenvalues
 
 from conftest import (
     STACKED_LIMIT_EIG_2,
@@ -188,8 +184,7 @@ def test_criterion_06_characteristic_equivalence(free_model, stacked_model):
 def test_criterion_07_no_persistent_pollution(stacked_model):
     """Empty pollution zero set and a positive lower bound on its limit."""
     t0 = time.time()
-    out = pollution_zeros(stacked_model, 1.0, 6.0,
-                          Rectangle(-4.0, 4.0, 0.05, 0.95))
+    out = sp_zeros(stacked_model, 1.0, 6.0, Rectangle(-4.0, 4.0, 0.05, 0.95))
     xs = np.linspace(-5, 5, 100)
     ys = np.linspace(-3, 3, 100)
     lam = xs[None, :] + 1j * ys[:, None]

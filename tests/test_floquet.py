@@ -236,9 +236,11 @@ def test_sp_zeros_drop_null_cell_vector_zero():
     assert out.total_count == 0
 
 
-def test_sp_zeros_validates_cell_offset(sin_model):
+def test_sp_zeros_validates_cell_offset(sin_model, stacked_model):
     with pytest.raises(DomainError):
         sp_zeros(sin_model, 0.25, 10.0, Rectangle(-0.3, 0.5, 0.02, 0.23))
+    with pytest.raises(DomainError):
+        sp_zeros(stacked_model, 1.0, -1.0, Rectangle(-4.0, 4.0, 0.05, 0.95))
 
 
 def test_embedded_resonances_free_zero_tail(free_model):
