@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import linalg
+from scipy.optimize import linear_sum_assignment
 
 from specbar.core import BarrierProblem, PotentialModel, SinExpr, PeriodicTail
+from specbar import fdtrunc
 from specbar.fdtrunc import (
     SolverError,
     TridiagonalOperator,
@@ -20,6 +23,16 @@ def _free_operator(n: int, h: float) -> TridiagonalOperator:
         n=n, sub=off.copy(), diag=np.full(n, 2.0 / h**2, dtype=complex),
         super=off.copy(), h=h, X=(n + 1) * h,
     )
+
+
+def _dense(t: TridiagonalOperator) -> np.ndarray:
+    return np.diag(t.diag) + np.diag(t.sub, -1) + np.diag(t.super, 1)
+
+
+def _matched_distance(a, b) -> float:
+    cost = np.abs(np.asarray(a)[:, None] - np.asarray(b)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 def test_build_matrix_arithmetic():
@@ -122,6 +135,44 @@ def test_mathieu_truncation_vs_recurrence_oracle(sin_model):
             if abs(step) < 1e-14 * (1 + abs(z)):
                 break
         assert abs(z - lam) < 1e-6
+
+
+@pytest.mark.parametrize("name, gamma, R, X, h, n", [
+    ("sin", 1.0, 5.0, 10.05, 0.05, 200),
+    ("stacked", 1.0, 10.0, 30.0, 0.05, 599),     # three levels of Im diag
+    ("free", 0.5, 3.0, 4.0, 0.25, 15),
+])
+def test_agrees_with_dense_zgeev(request, name, gamma, R, X, h, n):
+    model = request.getfixturevalue(f"{name}_model")
+    t = build_matrix(BarrierProblem(model, gamma, R), X, h)
+    assert t.n == n
+    got = eigenvalues_dense(t)
+    assert _matched_distance(got, linalg.eigvals(_dense(t))) <= 1e-12 * t.norm_inf()
+
+
+@pytest.mark.parametrize("diag", [
+    # the block start 1 zeroes the first pivot exactly
+    [1.0, 2.0 + 1j, 3.0 + 1j],
+    # blocks [1+i, 1+i] | [5] | [1+i, 1+i] have equal spectra, so their
+    # start points coincide unless they are moved apart
+    [1.0 + 1j, 1.0 + 1j, 5.0, 1.0 + 1j, 1.0 + 1j],
+], ids=["leading-minor-zero", "identical-blocks"])
+def test_degenerate_start_points(diag):
+    n = len(diag)
+    off = np.ones(n - 1, dtype=complex)
+    t = TridiagonalOperator(n=n, sub=off, diag=np.array(diag, dtype=complex),
+                            super=off.copy(), h=0.25, X=0.25 * (n + 1))
+    got = eigenvalues_dense(t)
+    assert _matched_distance(got, linalg.eigvals(_dense(t))) <= 1e-12 * t.norm_inf()
+
+
+def test_power_sum_certificate_rejects_a_repeated_eigenvalue(monkeypatch, sin_model):
+    t = build_matrix(BarrierProblem(sin_model, 0.25, 4.0), 10.05, 0.05)
+    eigs = np.sort_complex(np.array(eigenvalues_dense(t)))
+    eigs[5] = eigs[4]       # a true eigenvalue, so the residual check alone passes
+    monkeypatch.setattr(fdtrunc, "_aberth", lambda _: eigs.copy())
+    with pytest.raises(SolverError, match="power sum"):
+        eigenvalues_dense(t)
 
 
 def test_cap_and_residual_guards():
