@@ -259,7 +259,7 @@ def _cmd_fd(args) -> int:
         prob = BarrierProblem(model, gamma, R)
         X = R + args.x_offset
         t = fdtrunc.build_matrix(prob, X, args.h)
-        eigs = fdtrunc.eigenvalues_dense(t, cap=args.cap)
+        eigs = fdtrunc.eigenvalues_dense(t)
         # the barrier i*gamma shifts spectra upward by Re(gamma)
         cls = fdtrunc.classify_spectrum(eigs, bs, gamma.real,
                                         tol_band=args.tol_band)
@@ -366,7 +366,7 @@ def _preset_fig3(out_dir: Path) -> None:
     for R in (20.0, 40.0):
         X = R + 100.0
         t = fdtrunc.build_matrix(BarrierProblem(model, gamma, R), X, h)
-        eigs = fdtrunc.eigenvalues_dense(t, cap=8000)
+        eigs = fdtrunc.eigenvalues_dense(t)
         rows += _classified_rows(R, X, h,
                                  fdtrunc.classify_spectrum(eigs, bs, gamma))
         keep = [z for z in eigs if -0.6 <= z.real <= 1.2 and
@@ -489,7 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="truncation margin X - R")
     p.add_argument("--h", type=float, default=0.05)
     p.add_argument("--tol-band", type=float, default=5e-3, dest="tol_band")
-    p.add_argument("--cap", type=int, default=6000)
     p.add_argument("--band-range", type=_parse_pair, default=(-1.0, 1.0),
                    dest="band_range")
     p.add_argument("--ode-step", type=float, default=1e-3, dest="ode_step")

@@ -46,6 +46,33 @@ class DomainError(SpecbarError, ValueError):
     """An argument lies outside the domain of validity of an operation."""
 
 
+def _is_scalar(z) -> bool:
+    """True for a Python or numpy scalar and for a 0-d array."""
+    return np.isscalar(z) or getattr(z, "ndim", 0) == 0
+
+
+@dataclass(frozen=True)
+class SolutionSample:
+    """Solution value and derivative at a point, with a magnitude offset.
+
+    The represented solution values are (value, derivative) * exp(log_scale);
+    the factor is split off so that strongly growing solutions stay inside
+    floating-point range.  Fields may be ndarrays for vectorized spectral
+    parameters.
+    """
+
+    value: complex
+    derivative: complex
+    x: float
+    log_scale: float = 0.0
+
+
+def _sample(value, derivative, x, logs, scalar: bool) -> SolutionSample:
+    if scalar:
+        return SolutionSample(complex(value), complex(derivative), x, float(logs))
+    return SolutionSample(value, derivative, x, logs)
+
+
 class Sheet(enum.Enum):
     """Branch selector for square roots and Floquet multipliers."""
 
@@ -66,7 +93,7 @@ def principal_sqrt(z):
     # half-plane values moves the cut to [0, inf) with Im >= 0.
     flip = (w.imag < 0) | ((w.imag == 0) & (w.real < 0))
     w = np.where(flip, -w, w)
-    if np.isscalar(z) or getattr(z, "ndim", 0) == 0:
+    if _is_scalar(z):
         return complex(w)
     return w
 

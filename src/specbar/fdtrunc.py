@@ -87,12 +87,12 @@ def build_matrix(p: BarrierProblem, X: float, h: float) -> TridiagonalOperator:
                                h=h, X=X)
 
 
-def _spot_check(t: TridiagonalOperator, eigs: np.ndarray, count: int) -> None:
+def _spot_check(t: TridiagonalOperator, eigs: np.ndarray) -> None:
     """Residual check by one inverse-iteration step per sampled eigenvalue."""
     n = t.n
     scale = t.norm_inf()
     rng = np.random.default_rng(12345)
-    idx = np.linspace(0, len(eigs) - 1, count).astype(int)
+    idx = np.linspace(0, len(eigs) - 1, min(_SPOT_CHECKS, len(eigs))).astype(int)
     ab = np.zeros((3, n), dtype=complex)
     for i in idx:
         lam = eigs[i]
@@ -118,6 +118,7 @@ def _spot_check(t: TridiagonalOperator, eigs: np.ndarray, count: int) -> None:
 _EPS = np.finfo(float).eps
 _ROW_BLOCK = 256     # rows per pass of the Aberth sum: O(256 n) memory
 _MAX_ITER = 100
+_SPOT_CHECKS = 5     # eigenvalues sampled for the inverse-iteration residual check
 _STOP = 32.0         # a point stops once |step| <= _STOP * eps * ||T||
 
 
@@ -204,8 +205,7 @@ def _aberth(t: TridiagonalOperator) -> np.ndarray:
                       f"{_MAX_ITER} Ehrlich–Aberth iterations")
 
 
-def eigenvalues_dense(t: TridiagonalOperator, cap: int = 6000,
-                      check_count: int = 5) -> list[complex]:
+def eigenvalues_dense(t: TridiagonalOperator, cap: int = 9000) -> list[complex]:
     """All eigenvalues of the truncated operator, sorted by real then imaginary part.
 
     An Ehrlich–Aberth iteration on det(T - z) finds all n eigenvalues in
@@ -217,11 +217,15 @@ def eigenvalues_dense(t: TridiagonalOperator, cap: int = 6000,
 
         |Σλ − tr T| ≤ 1e-12·n·‖T‖∞,   |Σλ² − tr T²| ≤ 1e-12·n·‖T‖∞²,
 
-    and ``check_count`` sampled eigenvalues pass one inverse-iteration step
-    each with residual at most 1e-8·‖T‖∞.  Any failure raises SolverError.
+    and five sampled eigenvalues pass one inverse-iteration step each with
+    residual at most 1e-8·‖T‖∞.  Any failure raises SolverError.
     """
     if t.n > cap:
-        raise SolverError(f"matrix size {t.n} exceeds the configured cap {cap}")
+        raise SolverError(
+            f"matrix size {t.n} exceeds the configured cap {cap}: n = round(X/h) - 1 "
+            f"with X = {t.X:g} and h = {t.h:g}, so coarsen h or shrink X "
+            f"(the fd verb's --h and --x-offset)"
+        )
     eigs = _aberth(t)
     if not np.all(np.isfinite(eigs)):
         raise SolverError("eigensolver returned non-finite values")
@@ -234,8 +238,7 @@ def eigenvalues_dense(t: TridiagonalOperator, cap: int = 6000,
             raise SolverError(f"power sum {power} misses tr T^{power} by "
                               f"{miss:.3e} > {bound:.3e}")
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    if check_count > 0:
-        _spot_check(t, eigs, min(check_count, len(eigs)))
+    _spot_check(t, eigs)
     return [complex(e) for e in eigs]
 
 

@@ -23,6 +23,8 @@ from .core import (
     Rectangle,
     Sheet,
     SpecbarError,
+    _is_scalar,
+    _sample,
     principal_sqrt,
     sheeted_sqrt,
 )
@@ -166,8 +168,7 @@ def monodromy(model: PotentialModel, z, ode_step: float = 1e-3) -> Monodromy:
             f"monodromy determinant drift {drift:.3e} exceeds {_DET_TOL}; "
             f"reduce ode_step"
         )
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-    if scalar:
+    if _is_scalar(z):
         return Monodromy(complex(p1), complex(p1p), complex(p2), complex(p2p),
                          complex(z), tail.start, tail.period)
     return Monodromy(p1, p1p, p2, p2p, np.asarray(z, dtype=complex),
@@ -227,8 +228,7 @@ def floquet_data(model: PotentialModel, z, sheet: Sheet = Sheet.PRINCIPAL,
     tail = _require_periodic(model)
     D, rho_p, rho_m = _multipliers(monodromy(model, z, ode_step), sheet)
     k = (-1j / tail.period) * np.log(rho_p)
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-    if scalar:
+    if _is_scalar(z):
         return FloquetData(complex(np.asarray(D)), complex(rho_p), complex(rho_m),
                            complex(k), sheet)
     return FloquetData(D, rho_p, rho_m, k, sheet)
@@ -461,18 +461,13 @@ def floquet_solution(model: PotentialModel, x: float, z, sign: str = "plus",
     it is integrated backwards through the compact pieces.  Returns a
     SolutionSample whose log_scale carries the multiplier magnitude.
     """
-    from .sturm import SolutionSample
-
     _require_periodic(model)
     if x < 0:
         raise DomainError("solutions live on [0, inf)")
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
     val, der, logs = _solution_arrays(model, x, z, sign, sheet, ode_step)
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-    if scalar:
-        return SolutionSample(complex(val), complex(der), x, float(logs))
-    return SolutionSample(val, der, x, logs)
+    return _sample(val, der, x, logs, _is_scalar(z))
 
 
 # ---------------------------------------------------------------------------

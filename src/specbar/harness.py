@@ -9,8 +9,6 @@ its log (power decay).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +24,6 @@ __all__ = [
     "InsufficientDataError",
     "run_sweep",
     "fit_rate",
-    "thread_count",
 ]
 
 
@@ -59,14 +56,12 @@ class RateFit:
 
 
 def thread_count() -> int:
-    """Worker cap for sweep parallelism, overridable via SPECBAR_THREADS."""
-    env = os.environ.get("SPECBAR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+    """Always 1: a sweep runs its widths one after another.
+
+    Kept only for ``perfbench/tracing.py``, which reads it to report the
+    ``harness.workers`` figure.
+    """
+    return 1
 
 
 def run_sweep(model: PotentialModel, gamma: complex, R_grid: Sequence[float],
@@ -83,25 +78,18 @@ def run_sweep(model: PotentialModel, gamma: complex, R_grid: Sequence[float],
     """
     if list(R_grid) != sorted(R_grid) or len(set(R_grid)) != len(R_grid):
         raise ValueError("R_grid must be strictly increasing")
-    if not rect.scaled(1.25).contains(complex(target)):
+    target = complex(target)
+    if not rect.scaled(1.25).contains(target):
         raise ValueError(f"target {target} lies too far outside the sweep rectangle")
 
-    def one(R: float) -> ConvergenceRecord:
+    records = []
+    for R in R_grid:
         ctx = CharacteristicContext(BarrierProblem(model, gamma, R),
                                     ode_step=ode_step, standoff=standoff)
-        roots = eigenvalues(ctx, rect)
-        best = roots.nearest(complex(target))
-        if best is None:
-            return ConvergenceRecord(R, None, complex(target), math.inf)
-        return ConvergenceRecord(R, best.location, complex(target),
-                                 abs(best.location - complex(target)))
-
-    workers = min(thread_count(), len(R_grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, R_grid))
-    else:
-        records = [one(R) for R in R_grid]
+        best = eigenvalues(ctx, rect).nearest(target)
+        matched = None if best is None else best.location
+        error = math.inf if best is None else abs(matched - target)
+        records.append(ConvergenceRecord(R, matched, target, error))
     if all(math.isinf(r.error) for r in records):
         raise SweepFailureError("no sweep point matched an eigenvalue")
     return records

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .core import Rectangle, SpecbarError, DomainError
+from .core import DomainError, Rectangle, SpecbarError, _is_scalar
 
 __all__ = [
     "AnalyticFunctionHandle",
@@ -139,12 +139,12 @@ class AnalyticFunctionHandle:
     exclusions: tuple[ExclusionRegion, ...] = ()
 
     def __call__(self, z):
-        scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
+        scalar = _is_scalar(z)
         out = self.eval(np.atleast_1d(np.asarray(z, dtype=complex)))
         return complex(out[0]) if scalar else out
 
     def deriv(self, z, scale: float = 1.0):
-        scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
+        scalar = _is_scalar(z)
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
         if self.eval_deriv is not None:
             out = np.asarray(self.eval_deriv(arr))

@@ -22,6 +22,9 @@ from .core import (
     PotentialModel,
     Rectangle,
     Sheet,
+    SolutionSample,
+    _is_scalar,
+    _sample,
     principal_sqrt,
     sheeted_sqrt,
 )
@@ -39,22 +42,6 @@ __all__ = [
     "reference_characteristic",
     "pollution_factor",
 ]
-
-
-@dataclass(frozen=True)
-class SolutionSample:
-    """Solution value and derivative at a point, with a magnitude offset.
-
-    The represented solution values are (value, derivative) * exp(log_scale);
-    the factor is split off so that strongly growing solutions stay inside
-    floating-point range.  Fields may be ndarrays for vectorized spectral
-    parameters.
-    """
-
-    value: complex
-    derivative: complex
-    x: float
-    log_scale: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -76,16 +63,6 @@ class CharacteristicContext:
             )
         if self.standoff <= 0:
             raise ValueError("standoff must be positive")
-
-
-def _is_scalar(z) -> bool:
-    return np.isscalar(z) or getattr(z, "ndim", 0) == 0
-
-
-def _sample(value, derivative, x, logs, scalar: bool) -> SolutionSample:
-    if scalar:
-        return SolutionSample(complex(value), complex(derivative), x, float(logs))
-    return SolutionSample(value, derivative, x, logs)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +89,8 @@ def interior_solution(ctx: CharacteristicContext, lam) -> SolutionSample:
     matrices.  Whole periods of a periodic tail share the first period's
     transfer, so each further period costs one 2x2 product.
     """
-    scalar = _is_scalar(lam)
     u, up, logs = _interior_arrays(ctx, lam)
-    return _sample(u, up, ctx.problem.R, logs, scalar)
+    return _sample(u, up, ctx.problem.R, logs, _is_scalar(lam))
 
 
 def _check_zero_tail_clearance(lam, standoff: float, what: str):
@@ -143,9 +119,8 @@ def exterior_solution(ctx: CharacteristicContext, lam) -> SolutionSample:
     periodic tail the quasi-periodic solution with the (possibly continued)
     decaying multiplier.
     """
-    scalar = _is_scalar(lam)
     val, der, logs = _exterior_arrays(ctx, lam)
-    return _sample(val, der, ctx.problem.R, logs, scalar)
+    return _sample(val, der, ctx.problem.R, logs, _is_scalar(lam))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import specbar
-from specbar.cli import run
+from specbar.cli import _build_parser, run
 from specbar.core import (
     ConstExpr,
     PeriodicTail,
@@ -17,6 +18,7 @@ from specbar.core import (
     SinExpr,
     save_model,
 )
+from specbar.fdtrunc import eigenvalues_dense
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +133,14 @@ def test_fd_verb_quick(model_paths, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "R,X,h,re_lambda,im_lambda,class"
     assert len(lines) - 1 == 31  # n = round(8/0.25) - 1
+
+
+def test_fd_defaults_fit_the_solver_cap():
+    # the fd verb's default offset and step must admit R = 120 (n = 8399)
+    args = _build_parser().parse_args(["fd", "--model", "m", "--R", "120",
+                                       "--out", "o"])
+    cap = inspect.signature(eigenvalues_dense).parameters["cap"].default
+    assert round((max(args.R) + args.x_offset) / args.h) - 1 <= cap
 
 
 def test_enclose_verb(model_paths, tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specbar.core import (
     ConstExpr,
@@ -13,9 +14,11 @@ from specbar.core import (
     Rectangle,
     Sheet,
     SinExpr,
+    ZeroTail,
     eval_potential,
     load_model,
     model_from_dict,
+    model_to_dict,
     principal_sqrt,
     save_model,
     sheeted_sqrt,
@@ -124,6 +127,32 @@ def test_model_json_round_trip(tmp_path):
     assert raw["pieces"][0]["kind"] == "const"
     assert raw["tail"]["kind"] == "periodic"
     assert raw["eta"] == [0.3, 0.1]
+
+
+_REAL = st.floats(-1e3, 1e3)
+_SIN = st.builds(SinExpr, _REAL, _REAL, _REAL)
+_EXPR = st.builds(ConstExpr, st.complex_numbers(max_magnitude=1e3)) | _SIN
+_REAL_EXPR = st.builds(ConstExpr, _REAL) | _SIN
+
+
+@st.composite
+def _models(draw):
+    pieces, x = [], 0.0
+    for expr, width in draw(st.lists(st.tuples(_EXPR, st.floats(1e-3, 10.0)),
+                                     max_size=4)):
+        pieces.append(Piece(x, x + width, expr))
+        x += width
+    tail = draw(st.just(ZeroTail()) | st.builds(
+        PeriodicTail, period=st.floats(1e-2, 10.0),
+        start=st.floats(0.0, 10.0).map(lambda gap: x + gap), expr=_REAL_EXPR))
+    eta = draw(st.complex_numbers(max_magnitude=10.0))
+    return PotentialModel(pieces=tuple(pieces), tail=tail, eta=eta)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_models())
+def test_model_dict_round_trip_through_json(m):
+    assert model_from_dict(json.loads(json.dumps(model_to_dict(m)))) == m
 
 
 def test_model_from_dict_rejects_unknown():

@@ -9,7 +9,6 @@ from specbar.harness import (
     SweepFailureError,
     fit_rate,
     run_sweep,
-    thread_count,
 )
 from specbar.rootfinder import Root, RootSet
 
@@ -104,15 +103,6 @@ def test_run_sweep_all_unmatched(free_model):
     with pytest.raises(SweepFailureError):
         run_sweep(free_model, 1.0, [5.0, 10.0], -4 + 0.5j,
                   Rectangle(-5.0, -3.0, 0.3, 0.7))
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("SPECBAR_THREADS", "2")
-    assert thread_count() == 2
-    monkeypatch.setenv("SPECBAR_THREADS", "not-a-number")
-    assert thread_count() >= 1
-    monkeypatch.delenv("SPECBAR_THREADS")
-    assert thread_count() >= 1
 
 
 def test_run_sweep_stacked_errors_decrease(stacked_model):

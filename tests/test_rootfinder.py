@@ -253,6 +253,38 @@ def test_winding_additivity_over_bisection():
                                            + winding_number(f, right))
 
 
+def _split(rect, fraction, axis):
+    """The two halves of rect cut at fraction of its width ("x") or height."""
+    if axis == "x":
+        cut = rect.x_lo + fraction * rect.width
+        return (Rectangle(rect.x_lo, cut, rect.y_lo, rect.y_hi),
+                Rectangle(cut, rect.x_hi, rect.y_lo, rect.y_hi))
+    cut = rect.y_lo + fraction * rect.height
+    return (Rectangle(rect.x_lo, rect.x_hi, rect.y_lo, cut),
+            Rectangle(rect.x_lo, rect.x_hi, cut, rect.y_hi))
+
+
+@PROPERTY_SETTINGS
+@given(
+    fraction=st.floats(0.3, 0.7),
+    axis=st.sampled_from("xy"),
+    roots=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=8),
+)
+def test_winding_additivity_over_random_splits(fraction, axis, roots):
+    rect = Rectangle(-1.3, 1.1, -1.2, 1.15)
+    halves = _split(rect, fraction, axis)
+    # keep every zero 0.05 clear of the outer contour and of the cut
+    cut = halves[0].x_hi if axis == "x" else halves[0].y_hi
+    lines = [(rect.x_lo, "x"), (rect.x_hi, "x"), (rect.y_lo, "y"),
+             (rect.y_hi, "y"), (cut, axis)]
+    roots = [z for z in roots
+             if all(abs((z.real if a == "x" else z.imag) - at) >= 0.05
+                    for at, a in lines)]
+    f = _poly_handle(np.atleast_1d(np.poly(roots)))
+    assert winding_number(f, rect) == sum(winding_number(f, h) for h in halves)
+    assert winding_number(f, rect) == sum(rect.contains(z) for z in roots)
+
+
 def test_random_polynomial_recovery():
     rng = np.random.default_rng(7)
     for _ in range(100):
