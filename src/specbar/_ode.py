@@ -1,17 +1,21 @@
 """Vectorized propagation of second-order spectral problems.
 
 Propagates (u, u') for -u'' + (q(x) + c) u = lam * u across intervals on
-which q is a single expression.  Constant-coefficient stretches use the
-exact 2x2 transfer matrix in the entire functions cos(w d) and sin(w d)/w.
-Sinusoidal stretches use fixed-step RK4 in closed form: one RK4 step of
+which q is a single expression.  Every stretch becomes a transfer matrix
+applied a repeat count of times.  A constant stretch is the exact matrix
+of one substep h, in the entire functions cos(w h) and sin(w h)/w,
+repeated over as many substeps as keep its entries bounded.  A
+sinusoidal stretch is fixed-step RK4 in closed form: one RK4 step of
 y' = [[0, 1], [q + c - lam, 0]] y is a 2x2 matrix whose entries are
 polynomials of degree <= 2 in lam, with coefficients from one vectorized
 evaluation of q at all nodes of the stretch.  The step matrices are built
 and multiplied pairwise in blocks of whole-array operations into one
-transfer per stretch, which consecutive full periods of a periodic tail
-share.  All routines are vectorized over an ndarray of spectral
-parameters; the seeds may add a leading axis of columns, such as the two
-canonical solutions of a monodromy.
+transfer per stretch.  Every transfer has entries below _TRANSFER_LIMIT
+and is applied to a solution rescaled below _RESCALE_LIMIT, so no
+magnitude overflows; consecutive full periods of a periodic tail share
+one transfer, whichever kind.  All routines are vectorized over an ndarray
+of spectral parameters; the seeds may add a leading axis of columns, such
+as the two canonical solutions of a monodromy.
 """
 
 from __future__ import annotations
@@ -28,6 +32,10 @@ _RESCALE_EVERY = 64       # RK4 steps between overflow checks of a transfer
 # A transfer entry stays below this, so that applying it to a solution
 # rescaled below _RESCALE_LIMIT stays finite.
 _TRANSFER_LIMIT = 1e50
+# Bound on |Im w| h for one constant substep of length h: its entries are
+# at most e^100 max(1, |w|, h) < 3e43 max(1, |w|, h), below
+# _TRANSFER_LIMIT for |w| and h up to 3e6.
+_CONST_GROWTH = 100.0
 # Step-point pairs per block of RK4 step matrices multiplied together: few
 # array operations for few points, bounded memory for many.
 _BLOCK_POINTS = 1 << 12
@@ -90,21 +98,20 @@ def _sinc_like(w2: np.ndarray, d: float):
     return c, s
 
 
-def _step_const(qc: complex, lam, u, up, d: float):
-    """Exact transfer across a constant stretch, substepped so that no
-    intermediate magnitude exceeds floating-point range."""
+def _const_transfer(qc: complex, lam, d: float):
+    """Exact transfer across a constant stretch of length d.
+
+    Returns (T, 0.0, n): the substep matrix T = ((c, s), (-w^2 s, c)) of
+    length d/n, as nested tuples of arrays shaped like lam, is applied n
+    times, with n the fewest substeps whose growth stays below
+    _CONST_GROWTH.
+    """
     w2 = lam - qc
-    w = np.sqrt(np.asarray(w2, dtype=complex))
+    w = np.sqrt(w2)
     growth = float(np.max(np.abs(w.imag))) * abs(d) if w.size else 0.0
-    nsub = max(1, math.ceil(growth / 200.0))
-    dd = d / nsub
-    c, s = _sinc_like(w2, dd)
-    logs = np.zeros(np.shape(lam))
-    for _ in range(nsub):
-        u, up = c * u + s * up, -w2 * s * u + c * up
-        if nsub > 1:
-            u, up, logs = _rescale(u, up, logs)
-    return u, up, logs
+    nsub = max(1, math.ceil(growth / _CONST_GROWTH))
+    c, s = _sinc_like(w2, d / nsub)
+    return ((c, s), (-w2 * s, c)), 0.0, nsub
 
 
 def _rk4_transfer(expr, x0: float, lam, d: float, step: float,
@@ -121,8 +128,8 @@ def _rk4_transfer(expr, x0: float, lam, d: float, step: float,
 
     whose entries are polynomials of degree <= 2 in lam.  The steps are
     multiplied pairwise in blocks of up to 64; the product is rescaled
-    every 64 steps and at the end.  Returns (T, logs): T has shape
-    (2, 2) + lam.shape and the transfer is T * exp(logs).
+    every 64 steps and at the end.  Returns (T, logs, 1): T has shape
+    (2, 2) + lam.shape and the transfer, applied once, is T * exp(logs).
     """
     n = max(1, math.ceil(abs(d) / step))
     h = d / n
@@ -165,7 +172,7 @@ def _rk4_transfer(expr, x0: float, lam, d: float, step: float,
                 factor = np.where(big, mag, 1.0)
                 T = T / factor
                 logs = logs + np.log(factor)
-    return T.reshape((2, 2) + lam.shape), logs.reshape(lam.shape)
+    return T.reshape((2, 2) + lam.shape), logs.reshape(lam.shape), 1
 
 
 def _pow2_floor(n: int) -> int:
@@ -212,26 +219,27 @@ def propagate(model: PotentialModel, lam, x_from: float, x_to: float,
     segs = segments(model, *(sorted((x_from, x_to))))
     if not forward:
         segs = segs[::-1]
-    # the last RK4 stretch as (expr, local start, length) and its transfer;
+    # the last stretch as (expr, local start, length) and its transfer;
     # full periods of a tail repeat it, up to rounding in the local start
     last, transfer = None, None
     for seg in segs:
         x0, x1 = (seg.a, seg.b) if forward else (seg.b, seg.a)
         d = x1 - x0
-        if isinstance(seg.expr, ConstExpr):
-            u, up, dlogs = _step_const(complex(seg.expr.value) + q_add, lam,
-                                       u, up, d)
-        else:
-            local = x0 - seg.xoff
-            stretch = (seg.expr, local, d)
-            tol = 1e-12 * (1.0 + abs(x0))
-            if not (last is not None and last[0] == stretch[0]
-                    and abs(last[1] - stretch[1]) <= tol
-                    and abs(last[2] - d) <= tol):
-                last = stretch
+        local = x0 - seg.xoff
+        stretch = (seg.expr, local, d)
+        tol = 1e-12 * (1.0 + abs(x0))
+        if not (last is not None and last[0] == stretch[0]
+                and abs(last[1] - stretch[1]) <= tol
+                and abs(last[2] - d) <= tol):
+            last = stretch
+            if isinstance(seg.expr, ConstExpr):
+                transfer = _const_transfer(complex(seg.expr.value) + q_add,
+                                           lam, d)
+            else:
                 transfer = _rk4_transfer(seg.expr, local, lam, d, step, q_add)
-            T, dlogs = transfer
-            u, up = T[0, 0] * u + T[0, 1] * up, T[1, 0] * u + T[1, 1] * up
-        logs = logs + dlogs
-        u, up, logs = _rescale(u, up, logs)
+        T, dlogs, repeats = transfer
+        for _ in range(repeats):
+            u, up = T[0][0] * u + T[0][1] * up, T[1][0] * u + T[1][1] * up
+            logs = logs + dlogs
+            u, up, logs = _rescale(u, up, logs)
     return u, up, logs

@@ -396,16 +396,12 @@ def _cmd_figure(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, gamma=True, rect=True):
-    p.add_argument("--model", required=True, help="model JSON file")
-    if gamma:
-        p.add_argument("--gamma", type=_parse_complex, default=1j,
-                       help="complex coupling of the cutoff term, re,im "
-                            "(default 0,1: dissipative barrier of strength 1)")
-    if rect:
-        p.add_argument("--rect", type=_parse_rect, required=True,
-                       help="search rectangle x_lo,x_hi,y_lo,y_hi")
-    p.add_argument("--ode-step", type=float, default=1e-3, dest="ode_step")
+def _add_common(p):
+    p.add_argument("--gamma", type=_parse_complex, default=1j,
+                   help="complex coupling of the cutoff term, re,im "
+                        "(default 0,1: dissipative barrier of strength 1)")
+    p.add_argument("--rect", type=_parse_rect, required=True,
+                   help="search rectangle x_lo,x_hi,y_lo,y_hi")
     p.add_argument("--standoff", type=float, default=1e-3)
 
 
@@ -425,13 +421,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _allow_negative_values(ap)
     sub = ap.add_subparsers(dest="verb", required=True)
+    # every verb but figure reads a model and may propagate through it
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--model", required=True, help="model JSON file")
+    shared.add_argument("--ode-step", type=float, default=1e-3,
+                        dest="ode_step")
 
     for verb, help_, sheet, search, label, marker in (
             ("spectrum", "barrier eigenvalues in a rectangle", Sheet.PRINCIPAL,
              sturm.eigenvalues, "eigenvalues", "circle"),
             ("resonances", "second-sheet zeros in a rectangle", Sheet.SECOND,
              sturm.resonances, "resonances", "cross")):
-        p = sub.add_parser(verb, help=help_)
+        p = sub.add_parser(verb, help=help_, parents=[shared])
         _add_common(p)
         p.add_argument("--R", type=float, required=True)
         p.add_argument("--out", required=True)
@@ -439,21 +440,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=_cmd_roots, sheet=sheet, search=search, label=label,
                        marker=marker)
 
-    p = sub.add_parser("limit", help="limit-operator eigenvalues")
+    p = sub.add_parser("limit", parents=[shared],
+                       help="limit-operator eigenvalues")
     _add_common(p)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_limit)
 
-    p = sub.add_parser("bands", help="real spectral bands of the periodic tail")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("bands", parents=[shared],
+                       help="real spectral bands of the periodic tail")
     p.add_argument("--range", type=_parse_pair, required=True,
                    help="scan interval lo,hi")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--ode-step", type=float, default=1e-3, dest="ode_step")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_bands)
 
-    p = sub.add_parser("sp", help="persistent-pollution zero set")
+    p = sub.add_parser("sp", parents=[shared],
+                       help="persistent-pollution zero set")
     _add_common(p)
     p.add_argument("--x0", type=float, default=None,
                    help="cell offset (defaults to the tail start; for a "
@@ -461,8 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sp)
 
-    p = sub.add_parser("converge", help="barrier-width convergence sweep")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("converge", parents=[shared],
+                       help="barrier-width convergence sweep")
     p.add_argument("--gamma", type=_parse_complex, default=1j,
                    help="complex coupling of the cutoff term, re,im")
     p.add_argument("--mode", choices=("eigenvalue", "essential"),
@@ -474,14 +476,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="essential-spectrum point (mode essential)")
     p.add_argument("--rect", type=_parse_rect, default=None)
     p.add_argument("--skip-initial", type=int, default=2, dest="skip_initial")
-    p.add_argument("--ode-step", type=float, default=1e-3, dest="ode_step")
     p.add_argument("--standoff", type=float, default=1e-3)
     p.add_argument("--out", required=True, help="JSON summary path")
     p.add_argument("--csv", default=None, help="per-width record CSV path")
     p.set_defaults(fn=_cmd_converge)
 
-    p = sub.add_parser("fd", help="finite-difference truncation spectra")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("fd", parents=[shared],
+                       help="finite-difference truncation spectra")
     p.add_argument("--gamma", type=_parse_complex, default=1j,
                    help="complex coupling of the cutoff term, re,im")
     p.add_argument("--R", type=_parse_grid, required=True)
@@ -491,12 +492,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-band", type=float, default=5e-3, dest="tol_band")
     p.add_argument("--band-range", type=_parse_pair, default=(-1.0, 1.0),
                    dest="band_range")
-    p.add_argument("--ode-step", type=float, default=1e-3, dest="ode_step")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_fd)
 
-    p = sub.add_parser("enclose", help="enclosure membership of a point")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("enclose", parents=[shared],
+                       help="enclosure membership of a point")
     p.add_argument("--gamma", type=_parse_complex, required=True,
                    help="complex coupling of the cutoff term, re,im; enclosures "
                         "need a dissipative barrier 0,<gamma> with gamma > 0")
@@ -505,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-plus", type=float, default=1.0, dest="s_plus")
     p.add_argument("--band-range", type=_parse_pair, default=(-2.0, 10.0),
                    dest="band_range")
-    p.add_argument("--ode-step", type=float, default=1e-3, dest="ode_step")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_enclose)
 

@@ -389,9 +389,10 @@ def _solution_arrays(model: PotentialModel, x: float, z, sign: str,
     Sign "plus" is the solution that decays on the principal sheet, "minus"
     the other one.  On a zero tail it is exp(+-i k x_t), with
     k = sheeted_sqrt(z, sheet) and x_t = max(x, end of the pieces),
-    propagated back to x.  On a periodic tail it is the quasi-periodic
-    solution with multiplier rho_plus or rho_minus of one checked
-    monodromy.
+    propagated back to x; the carrier is kept in log form, its modulus in
+    logs, so it neither overflows nor underflows at large x_t.  On a
+    periodic tail it is the quasi-periodic solution with multiplier
+    rho_plus or rho_minus of one checked monodromy.
     """
     z = np.asarray(z, dtype=complex)
     if isinstance(model.tail, PeriodicTail):
@@ -401,11 +402,14 @@ def _solution_arrays(model: PotentialModel, x: float, z, sign: str,
                               ode_step)
     ik = (1j if sign == "plus" else -1j) * sheeted_sqrt(z, sheet)
     xt = max(x, model.compact_end)
-    val = np.exp(ik * xt)
+    expo = ik * xt
+    val = np.exp(1j * expo.imag)
     der = ik * val
     if xt > x:
-        return _ode.propagate(model, z, xt, x, val, der, step=ode_step)
-    return val, der, np.zeros(z.shape)
+        val, der, logs = _ode.propagate(model, z, xt, x, val, der,
+                                        step=ode_step)
+        return val, der, logs + expo.real
+    return val, der, expo.real
 
 
 def _null_cell_vector(model: PotentialModel, z, sign: str, sheet: Sheet,

@@ -83,11 +83,14 @@ def interior_solution(ctx: CharacteristicContext, lam) -> SolutionSample:
     """Shoot -u'' + (q + i gamma) u = lam u from 0 to the barrier edge R.
 
     The seed (u, u')(0) = (sin eta, cos eta) satisfies the mixed boundary
-    condition identically.  Constant stretches of the potential are
-    propagated by exact transfer matrices, sinusoidal ones by RK4 at
-    ctx.ode_step, each as one transfer built from closed-form RK4 step
-    matrices.  Whole periods of a periodic tail share the first period's
-    transfer, so each further period costs one 2x2 product.
+    condition identically.  Every stretch of the potential is one transfer
+    matrix with bounded entries, applied a repeat count of times: the exact
+    substep matrix of a constant stretch, or the product of closed-form
+    RK4 step matrices at ctx.ode_step of a sinusoidal one.  The solution is
+    rescaled after each application, so no width overflows; the split-off
+    magnitude is the sample's log_scale.  Whole periods of a periodic tail
+    share the first period's transfer, so each further period costs one
+    2x2 product.
     """
     u, up, logs = _interior_arrays(ctx, lam)
     return _sample(u, up, ctx.problem.R, logs, _is_scalar(lam))
@@ -117,7 +120,7 @@ def exterior_solution(ctx: CharacteristicContext, lam) -> SolutionSample:
     sign "plus"): for a zero tail exp(i k x) with k = sheeted_sqrt(lam,
     sheet), propagated backwards through any compact pieces beyond R; for a
     periodic tail the quasi-periodic solution with the (possibly continued)
-    decaying multiplier.
+    decaying multiplier.  Its magnitude is carried in log_scale.
     """
     val, der, logs = _exterior_arrays(ctx, lam)
     return _sample(val, der, ctx.problem.R, logs, _is_scalar(lam))

@@ -2,7 +2,8 @@
 
 The RK4 map is evaluated as closed-form step matrices multiplied into one
 transfer per stretch; these tests pin it to the textbook stage form, pin
-the reuse of one transfer across whole tail periods, and bound how many
+the reuse of one transfer across whole tail periods, keep a wide constant
+barrier finite against its closed form, and bound how many
 propagations and discriminant evaluations the periodic verbs make.  The
 call-count bounds are guards against rebuilding work, not tolerances.
 """
@@ -78,19 +79,39 @@ def test_step_matrices_match_stage_form(sin_model, q_add):
         assert np.max(np.abs(up[col] - ref[1]) / scale) < 1e-12
 
 
-def test_whole_periods_match_chained_cells(sin_model):
-    lam = _lams(seed=1)
-    u, up, logs = _ode.propagate(sin_model, lam, 0.0, 4 * PERIOD, 0.3, 1.0,
-                                 step=1e-2)
-    cu, cup, clogs = np.full(lam.shape, 0.3 + 0j), np.ones(lam.shape, complex), 0.0
-    for k in range(4):
-        cu, cup, dl = _ode.propagate(sin_model, lam, k * PERIOD,
-                                     (k + 1) * PERIOD, cu, cup, step=1e-2)
-        clogs = clogs + dl
-    ratio = np.exp(clogs - logs)
-    scale = np.maximum(np.abs(u), np.abs(up))
-    assert np.max(np.abs(cu * ratio - u) / scale) < 1e-12
-    assert np.max(np.abs(cup * ratio - up) / scale) < 1e-12
+def test_whole_periods_match_chained_cells(sin_model, free_periodic_model):
+    # the constant tail reuses its cell transfer by the same rule as the sin tail
+    for model in (sin_model, free_periodic_model):
+        period = model.tail.period
+        lam = _lams(seed=1)
+        u, up, logs = _ode.propagate(model, lam, 0.0, 4 * period, 0.3, 1.0,
+                                     step=1e-2)
+        cu, cup = np.full(lam.shape, 0.3 + 0j), np.ones(lam.shape, complex)
+        clogs = 0.0
+        for k in range(4):
+            cu, cup, dl = _ode.propagate(model, lam, k * period,
+                                         (k + 1) * period, cu, cup, step=1e-2)
+            clogs = clogs + dl
+        ratio = np.exp(clogs - logs)
+        scale = np.maximum(np.abs(u), np.abs(up))
+        assert np.max(np.abs(cu * ratio - u) / scale) < 1e-12
+        assert np.max(np.abs(cup * ratio - up) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("R", [600.0, 696.0])
+def test_wide_constant_barrier_stays_finite(free_model, R):
+    # u = sin(wR)/w, u' = cos(wR) with w = sqrt(lam - i); Im w < 0, so both
+    # carry exp(i w R) ~ e^(1.03 R), past floating-point range: compare logs
+    lam = -1.0 + 0.5j
+    ctx = sturm.CharacteristicContext(BarrierProblem(free_model, 1.0, R))
+    s = sturm.interior_solution(ctx, lam)
+    assert np.isfinite(s.value) and np.isfinite(s.derivative)
+    w = np.sqrt(lam - 1j)
+    tiny = np.exp(-2j * w * R)
+    log_u = 1j * w * R + np.log((1.0 - tiny) / (2j * w))
+    log_up = 1j * w * R + np.log((1.0 + tiny) / 2.0)
+    assert abs(np.exp(np.log(s.value) + s.log_scale - log_u) - 1.0) < 1e-11
+    assert abs(np.exp(np.log(s.derivative) + s.log_scale - log_up) - 1.0) < 1e-11
 
 
 @pytest.mark.parametrize("x_from, x_to", [(0.0, 9.1), (9.1, 0.4)])

@@ -97,8 +97,9 @@ def test_interior_boundary_condition_seed():
 
 def test_exterior_zero_tail_decay(free_model):
     s = exterior_solution(_ctx(free_model, 1.0, 10.0), -1.0)
-    assert abs(s.value - math.exp(-10.0)) < 1e-15
-    assert abs(s.derivative + math.exp(-10.0)) < 1e-15
+    scale = math.exp(s.log_scale)
+    assert abs(s.value * scale - math.exp(-10.0)) < 1e-15
+    assert abs(s.derivative * scale + math.exp(-10.0)) < 1e-15
 
 
 def test_exterior_periodic_free_matches_plane_wave(free_periodic_model):
@@ -118,7 +119,7 @@ def test_exterior_second_sheet_grows(free_model):
     lam = 1 - 0.2j
     a = exterior_solution(_ctx(free_model, 1.0, 10.0, sheet=Sheet.SECOND), lam)
     b = exterior_solution(_ctx(free_model, 1.0, 20.0, sheet=Sheet.SECOND), lam)
-    assert abs(b.value) > abs(a.value)
+    assert abs(b.value * np.exp(b.log_scale)) > abs(a.value * np.exp(a.log_scale))
 
 
 def test_exterior_standoff_guard(free_model):
@@ -137,7 +138,8 @@ def test_exterior_back_propagates_through_pieces(stacked_model):
                                  np.exp(1j * principal_sqrt(lam) * 4.7),
                                  1j * principal_sqrt(lam)
                                  * np.exp(1j * principal_sqrt(lam) * 4.7))
-    assert abs(s.value - complex(u[0] * np.exp(logs[0]))) < 1e-12
+    assert abs(s.value * np.exp(s.log_scale)
+               - complex(u[0] * np.exp(logs[0]))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +213,14 @@ def test_eigenvalues_free_R40(free_model):
 def test_eigenvalues_empty_below_axis(free_model):
     ctx = _ctx(free_model, 1.0, 10.0)
     out = eigenvalues(ctx, Rectangle(0.1, 6.0, -0.95, -0.05))
+    assert out.total_count == 0
+
+
+@pytest.mark.parametrize("R", [696.0, 1500.0])
+def test_eigenvalues_wide_barrier_empty_left_of_axis(free_model, R):
+    # Re <Hu, u> = ||u'||^2 puts every eigenvalue in Re >= 0; at these widths
+    # the interior grows past e^700 and the exterior carrier falls below e^-700
+    out = eigenvalues(_ctx(free_model, 1.0, R), Rectangle(-1.2, -0.8, 0.4, 0.6))
     assert out.total_count == 0
 
 
@@ -462,15 +472,17 @@ def test_reference_argument_validation():
 
 def test_pollution_factor_matches_limit(stacked_model):
     from specbar.enclosures import l1_lambda_limit
-    for lam in (-1.0 + 0.0j, -2.5 + 1.3j, 3.0 - 2.0j):
-        v = pollution_factor(stacked_model, 1.0, 50.0, lam)
-        assert abs(v - l1_lambda_limit(lam, 1.0)) < 1e-3
+    for R in (50.0, 1500.0):
+        for lam in (-1.0 + 0.0j, -2.5 + 1.3j, 3.0 - 2.0j):
+            v = pollution_factor(stacked_model, 1.0, R, lam)
+            assert abs(v - l1_lambda_limit(lam, 1.0)) < 1e-3
 
 
 def test_pollution_zeros_empty_for_stacked(stacked_model):
-    out = floquet.sp_zeros(stacked_model, 1.0, 6.0,
-                           Rectangle(-4.0, 4.0, 0.05, 0.95))
-    assert out.total_count == 0
+    for x0 in (6.0, 1000.0):
+        out = floquet.sp_zeros(stacked_model, 1.0, x0,
+                               Rectangle(-4.0, 4.0, 0.05, 0.95))
+        assert out.total_count == 0
 
 
 def test_pollution_zeros_propagates_at_ode_step(monkeypatch):
