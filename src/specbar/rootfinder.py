@@ -4,13 +4,18 @@ The zero count inside a rectangle is obtained from the argument principle:
 (1/2*pi*i) times the contour integral of f'/f equals the number of zeros
 counted with multiplicity.  The same contour gives the moments
 s_k = sum_j m_j w_j^k, k < 8, of the zeros w_j (multiplicities m_j) in
-coordinates scaled to the rectangle.  One leaf resolver turns the moments
-of every counted rectangle into zeros: the Hankel pencil of Kravanja,
-Sakurai & Van Barel (BIT 39, 1999), which extends the moment method of
-Delves & Lyness (Math. Comp. 21, 1967), gives up to four distinct zeros
-and their multiplicities, and damped Newton with the multiplicity polishes
-each.  A rectangle the pencil cannot account for is bisected, and one still
-unresolved at the maximum depth is reported as an error.
+coordinates scaled to the rectangle.  No derivative enters the contour:
+each edge samples f once per point at nested Clenshaw-Curtis nodes, and
+the integrals of w^k f'/f follow, by parts, from log f with its phase
+unwrapped along the edge, which Clenshaw-Curtis quadrature integrates to
+geometric accuracy (Trefethen, SIAM Rev. 50, 2008).  One leaf resolver
+turns the moments of every counted rectangle into zeros: the Hankel pencil
+of Kravanja, Sakurai & Van Barel (BIT 39, 1999), which extends the moment
+method of Delves & Lyness (Math. Comp. 21, 1967), gives up to four
+distinct zeros and their multiplicities, and damped Newton with the
+multiplicity polishes each.  A rectangle the pencil cannot account for is
+bisected, and one still unresolved at the maximum depth is reported as an
+error.
 
 Function handles must evaluate vectorized over ndarrays of complex points;
 the contour quadrature exploits this heavily.
@@ -18,6 +23,7 @@ the contour quadrature exploits this heavily.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import random
@@ -45,7 +51,7 @@ __all__ = [
 _BOUNDARY_REL = 1e-12        # |f| below this fraction of the edge max flags a boundary zero
 _MOMENTS = 8                 # s_0 .. s_7: the pencil of up to four distinct zeros
 _RANK_REL = 1e-8             # Hankel singular values above this * the largest make its rank
-_MAX_EDGE_POINTS = 1 << 16   # cap on trapezoid refinement per edge
+_MAX_EDGE_POINTS = 1 << 16   # cap on Clenshaw-Curtis node doubling per edge
 _INFLATE_ATTEMPTS = 5
 
 _log = logging.getLogger("specbar.rootfinder")
@@ -129,9 +135,10 @@ class AnalyticFunctionHandle:
     """Evaluatable analytic function with optional derivative and exclusions.
 
     ``eval`` must accept an ndarray of complex points and return an ndarray
-    of values; ``eval_deriv``, when given, has the same contract.  Without a
-    derivative a central difference with a step adapted to the local scale
-    is used.
+    of values; the contour quadrature reads nothing else.  ``eval_deriv``,
+    when given, has the same contract and serves Newton refinement only;
+    without it Newton takes a central difference with a step adapted to the
+    local scale.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -190,32 +197,41 @@ class RootSet:
 # Contour integration
 # ---------------------------------------------------------------------------
 
-def _logderiv(f: AnalyticFunctionHandle, z: np.ndarray, fz: np.ndarray, scale: float):
-    """f'/f at the points z, reusing the already computed values fz."""
-    if f.eval_deriv is not None:
-        dfz = np.asarray(f.eval_deriv(z))
-    else:
-        h = max(1e-12, 1e-5 * scale)
-        dfz = (f.eval(z + h) - f.eval(z - h)) / (2.0 * h)
-    return dfz / fz
+@functools.lru_cache(maxsize=None)
+def _clenshaw_curtis(m: int):
+    """Nodes (1 - cos(pi j/m))/2, j = 0..m (m even), and their Clenshaw-Curtis
+    weights on [0, 1], by Waldvogel's FFT construction (BIT 46, 2006).  The
+    nodes of m are the even-numbered nodes of 2m."""
+    odd = np.arange(1, m, 2)
+    v0 = np.concatenate([2.0 / odd / (odd - 2.0), [1.0 / odd[-1]], np.zeros(m // 2)])
+    g = -np.ones(m)
+    g[m // 2] += 2 * m
+    w = np.fft.ifft(-v0[:-1] - v0[:0:-1] + g / (m * m - 1)).real
+    nodes = 0.5 - 0.5 * np.cos(np.pi * np.arange(m + 1) / m)
+    weights = 0.5 * np.append(w, w[0])
+    nodes.flags.writeable = weights.flags.writeable = False  # every caller shares them
+    return nodes, weights
 
 
 def _edge_moments(f: AnalyticFunctionHandle, za: complex, zb: complex,
                   quad_tol: float, rect: Rectangle, centre: complex, half: float):
     """Integrals of w^k f'/f along za -> zb for k < 8, w = (z - centre)/half.
 
-    Trapezoid sums with interval doubling and one Richardson extrapolation
-    step; converged when two successive extrapolants of the integrals of
-    f'/f and z f'/f = (centre + half w) f'/f agree to quad_tol.  The higher
-    moments ride on the same samples.  Raises BoundaryZeroError when |f|
-    dips below the boundary-zero threshold relative to the edge maximum.
+    f is evaluated once per point, at nested Clenshaw-Curtis nodes whose
+    number doubles from 33, and no derivative is used.  L = log f, its
+    phase unwrapped by the principal increments between adjacent nodes,
+    gives the integral of f'/f as L_b - L_a and, by parts, the others as
+    w_b^k L_b - w_a^k L_a - k (dz/half) * integral of w^(k-1) L dt.  A level
+    counts only if every phase increment is at most pi/2; it has converged
+    when the integrals of f'/f and z f'/f = (centre + half w) f'/f agree
+    with the previous counted level to quad_tol.  Raises BoundaryZeroError
+    when |f| dips below the boundary-zero threshold relative to the edge
+    maximum.
     """
     dz = zb - za
-    scale = abs(dz)
 
-    def sample(ts, weights=1.0):
-        z = za + ts * dz
-        fz = np.asarray(f.eval(z))
+    def sample(ts):
+        fz = np.asarray(f.eval(za + ts * dz))
         fabs = np.abs(fz)
         if not np.all(np.isfinite(fabs)):
             raise QuadratureError(
@@ -223,39 +239,40 @@ def _edge_moments(f: AnalyticFunctionHandle, za: complex, zb: complex,
             )
         if fabs.size and fabs.min() <= _BOUNDARY_REL * max(fabs.max(), 1e-300):
             raise BoundaryZeroError(rect)
-        # a running power keeps the memory at one sample array
-        p = _logderiv(f, z, fz, scale) * weights
-        w = (z - centre) / half
-        sums = np.empty(_MOMENTS, dtype=complex)
-        for k in range(_MOMENTS):
-            sums[k] = p.sum()
-            p *= w
-        return sums
+        return fz
 
     m = 32
-    ts = np.linspace(0.0, 1.0, m + 1)
-    weights = np.ones(m + 1)
-    weights[0] = weights[-1] = 0.5
-    t = sample(ts, weights) / m
+    fz = sample(_clenshaw_curtis(m)[0])
     r_prev = None
-    while m < _MAX_EDGE_POINTS:
-        t_prev = t
+    while True:
+        ts, weights = _clenshaw_curtis(m)
+        step = np.angle(fz[1:] / fz[:-1])
+        if np.all(np.abs(step) <= 0.5 * np.pi):
+            # L - L_a: the parts formula is exact for any constant added to L
+            L = np.log(np.abs(fz / fz[0])) + 1j * np.concatenate([[0.0], np.cumsum(step)])
+            w = (za + ts * dz - centre) / half
+            r = np.empty(_MOMENTS, dtype=complex)
+            r[0] = L[-1]
+            # a running power keeps the memory at one sample array
+            p = weights * L
+            for k in range(1, _MOMENTS):
+                r[k] = w[-1] ** k * L[-1] - k * dz / half * p.sum()
+                p *= w
+            r0, r1 = r[0], centre * r[0] + half * r[1]
+            # Tolerances relative to the edge contribution once it exceeds O(1).
+            if r_prev is not None and (
+                    abs(r0 - r_prev[0]) < quad_tol * max(1.0, abs(r0))
+                    and abs(r1 - r_prev[1]) < quad_tol * max(1.0, abs(r1), abs(za), abs(zb))):
+                return r
+            r_prev = r0, r1
+        else:
+            r_prev = None
+        if m >= _MAX_EDGE_POINTS:
+            raise QuadratureError(
+                f"contour quadrature did not stabilize on edge {za} -> {zb}"
+            )
         m *= 2
-        t = 0.5 * t + sample((np.arange(m // 2) * 2 + 1) / m) / m
-        # Richardson extrapolation of the doubled trapezoid sums
-        r = t + (t - t_prev) / 3.0
-        r0, r1 = r[0], centre * r[0] + half * r[1]
-        if r_prev is not None:
-            # Tolerances on the dz-integral scale, relative to the edge
-            # contribution once it exceeds O(1).
-            tol0 = quad_tol * max(1.0, abs(r0) * scale)
-            tol1 = quad_tol * max(1.0, abs(r1) * scale, abs(za), abs(zb))
-            if abs(r0 - r_prev[0]) * scale < tol0 and abs(r1 - r_prev[1]) * scale < tol1:
-                return r * dz
-        r_prev = r0, r1
-    raise QuadratureError(
-        f"contour quadrature did not stabilize on edge {za} -> {zb}"
-    )
+        fz = np.insert(fz, np.arange(1, fz.size), sample(_clenshaw_curtis(m)[0][1::2]))
 
 
 def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol: float):
