@@ -48,13 +48,13 @@ from .floquet import (
     Monodromy,
     bands,
     embedded_resonances,
+    essential_spectrum,
     floquet_data,
     floquet_solution,
     monodromy,
     sp_zeros,
 )
 from .enclosures import (
-    EssentialSpectrumApprox,
     StripParams,
     gamma_a_contains,
     gamma_b_contains,

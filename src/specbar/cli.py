@@ -23,6 +23,7 @@ from . import enclosures, fdtrunc, floquet, harness, sturm, svgplot
 from .core import (
     BarrierProblem,
     ConstExpr,
+    DomainError,
     PeriodicTail,
     Piece,
     PotentialModel,
@@ -45,9 +46,16 @@ def _parse_complex(text: str) -> complex:
     raise argparse.ArgumentTypeError(f"expected re or re,im, got {text!r}")
 
 
-def _coupling_to_gamma(coupling: complex) -> complex:
-    """Barrier strength gamma from the complex coupling c = i*gamma of the cutoff."""
-    return complex(-1j * coupling)
+def _parse_gamma(text: str) -> float:
+    try:
+        gamma = float(text)
+    except ValueError:
+        gamma = math.nan
+    if not gamma > 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a real barrier strength gamma > 0, got {text!r}"
+        )
+    return gamma
 
 
 def _parse_rect(text: str) -> Rectangle:
@@ -143,9 +151,8 @@ def _scatter_roots(path, rootsets_by_label, title):
 
 def _cmd_roots(args) -> int:
     model = load_model(args.model)
-    gamma = _coupling_to_gamma(args.gamma)
     ctx = sturm.CharacteristicContext(
-        BarrierProblem(model, gamma, args.R), sheet=args.sheet,
+        BarrierProblem(model, args.gamma, args.R), sheet=args.sheet,
         ode_step=args.ode_step, standoff=args.standoff,
     )
     roots = args.search(ctx, args.rect)
@@ -158,8 +165,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_limit(args) -> int:
     model = load_model(args.model)
-    gamma = _coupling_to_gamma(args.gamma)
-    roots = sturm.limit_eigenvalues(model, gamma, args.rect,
+    roots = sturm.limit_eigenvalues(model, args.gamma, args.rect,
                                     ode_step=args.ode_step,
                                     standoff=args.standoff)
     _write_csv(args.out, _ROOT_HEADER, _root_rows(roots, None, Sheet.PRINCIPAL))
@@ -177,36 +183,34 @@ def _cmd_bands(args) -> int:
 
 def _cmd_sp(args) -> int:
     model = load_model(args.model)
-    gamma = _coupling_to_gamma(args.gamma)
     x0 = args.x0
     if x0 is None:
         x0 = (model.tail.start if model.is_periodic
               else max(model.compact_end, 1.0))
-    roots = floquet.sp_zeros(model, gamma, x0, args.rect,
+    roots = floquet.sp_zeros(model, args.gamma, x0, args.rect,
                              standoff=args.standoff, ode_step=args.ode_step)
     _write_csv(args.out, _ROOT_HEADER, _root_rows(roots, None, Sheet.PRINCIPAL))
     return 0
 
 
 def _auto_eigen_target(model, gamma, rect, ode_step, standoff):
-    shift = 1j * complex(gamma)
     if rect is None:
-        rect = Rectangle(-10.0, 10.0, shift.imag + 5 * standoff,
-                         shift.imag + max(4.0, 4.0 * abs(gamma)))
+        rect = Rectangle(-10.0, 10.0, gamma + 5 * standoff,
+                         gamma + max(4.0, 4.0 * gamma))
     roots = sturm.limit_eigenvalues(model, gamma, rect, ode_step=ode_step,
                                     standoff=standoff)
     if not roots.roots:
         raise SpecbarError(
             "no limit-operator eigenvalue found automatically; pass --target"
         )
-    # The eigenvalue nearest the shifted line Im z = Re gamma decays slowest
+    # The eigenvalue nearest the shifted line Im z = gamma decays slowest
     # as R grows, so its sweep errors stay above the floating-point floor.
-    return min(roots.locations, key=lambda z: (abs(z.imag - shift.imag), z.real))
+    return min(roots.locations, key=lambda z: (abs(z.imag - gamma), z.real))
 
 
 def _cmd_converge(args) -> int:
     model = load_model(args.model)
-    gamma = _coupling_to_gamma(args.gamma)
+    gamma = args.gamma
     grid = args.R
     if args.mode == "eigenvalue":
         target = args.target
@@ -215,21 +219,18 @@ def _cmd_converge(args) -> int:
                                         args.ode_step, args.standoff)
         rect = args.rect
         if rect is None:
-            shift = 1j * gamma
-            y_lo = max(shift.imag + 2 * args.standoff, target.imag - 0.5)
+            y_lo = max(gamma + 2 * args.standoff, target.imag - 0.5)
             rect = Rectangle(target.real - 1.0, target.real + 1.0,
                              y_lo, target.imag + 1.0)
         kind = "exponential"
     else:
         if args.mu is None:
             raise SpecbarError("--mode essential requires --mu")
-        shift = 1j * gamma
-        target = complex(args.mu) + shift
+        target = complex(args.mu, gamma)
         rect = args.rect
         if rect is None:
-            rect = Rectangle(args.mu - 1.0, args.mu + 1.0,
-                             0.2 * abs(gamma),
-                             shift.imag - 2 * args.standoff)
+            rect = Rectangle(args.mu - 1.0, args.mu + 1.0, 0.2 * gamma,
+                             gamma - 2 * args.standoff)
         kind = "power"
     records = harness.run_sweep(model, gamma, grid, target, rect,
                                 ode_step=args.ode_step, standoff=args.standoff)
@@ -250,41 +251,51 @@ def _cmd_converge(args) -> int:
 
 def _cmd_fd(args) -> int:
     model = load_model(args.model)
-    lo, hi = args.band_range
-    bs = floquet.bands(model, lo, hi, ode_step=args.ode_step) if \
-        model.is_periodic else floquet.BandStructure(((0.0, math.inf),))
-    gamma = _coupling_to_gamma(args.gamma)
+    bs = floquet.essential_spectrum(model, *args.band_range, args.ode_step)
     rows = []
     for R in args.R:
-        prob = BarrierProblem(model, gamma, R)
+        prob = BarrierProblem(model, args.gamma, R)
         X = R + args.x_offset
         t = fdtrunc.build_matrix(prob, X, args.h)
         eigs = fdtrunc.eigenvalues_dense(t)
-        # the barrier i*gamma shifts spectra upward by Re(gamma)
-        cls = fdtrunc.classify_spectrum(eigs, bs, gamma.real,
+        # the barrier i*gamma shifts spectra upward by gamma
+        cls = fdtrunc.classify_spectrum(eigs, bs, args.gamma,
                                         tol_band=args.tol_band)
         rows += _classified_rows(R, X, args.h, cls)
     _write_csv(args.out, _FD_HEADER, rows)
     return 0
 
 
-def _cmd_enclose(args) -> int:
-    gamma = _coupling_to_gamma(args.gamma)
-    if gamma.imag != 0.0 or not gamma.real > 0.0:
-        raise ValueError(
-            f"enclose needs a dissipative barrier, --gamma 0,<g> with g > 0; "
-            f"got the coupling {args.gamma.real!r},{args.gamma.imag!r}"
+def _check_band_range(model, lo: float, hi: float, lam: complex,
+                      gamma: float) -> None:
+    """The scan [lo, hi] must hold every band the verdicts at lam depend on.
+
+    No band lies below the minimum of the tail potential, so the scan must
+    start there or lower; the lens reaches gamma/2 to the right of Re lam,
+    so the scan must end there or higher.
+    """
+    expr = model.tail.expr
+    q_min = (-abs(expr.amplitude) if isinstance(expr, SinExpr)
+             else complex(expr.value).real)
+    if lo > q_min:
+        raise DomainError(
+            f"--band-range starts at {lo!r}, above the tail potential's minimum "
+            f"{q_min!r}: a band below it would be missed"
         )
-    gamma = gamma.real
+    if lam.real + 0.5 * gamma > hi:
+        raise DomainError(
+            f"--band-range ends at {hi!r}, short of Re lambda + gamma/2 = "
+            f"{lam.real + 0.5 * gamma!r}: a band there would be missed"
+        )
+
+
+def _cmd_enclose(args) -> int:
     model = load_model(args.model)
+    gamma, lam = args.gamma, args.lam
     if model.is_periodic:
-        lo, hi = args.band_range
-        bs = floquet.bands(model, lo, hi, ode_step=args.ode_step)
-        sigma = enclosures.EssentialSpectrumApprox.from_band_structure(bs)
-    else:
-        sigma = enclosures.EssentialSpectrumApprox.half_line()
+        _check_band_range(model, *args.band_range, lam, gamma)
+    sigma = floquet.essential_spectrum(model, *args.band_range, args.ode_step)
     strip = enclosures.StripParams(gamma, args.s_minus, args.s_plus)
-    lam = args.lam
     verdict = {
         "lambda": [lam.real, lam.imag],
         "gamma_a": enclosures.gamma_a_contains(lam, sigma, gamma),
@@ -360,7 +371,7 @@ def _preset_fig3(out_dir: Path) -> None:
     model = _model_sin()
     gamma = 0.25
     h = 0.05
-    bs = floquet.bands(model, -1.0, 1.0)
+    bs = floquet.essential_spectrum(model, -1.0, 1.0, 1e-3)
     rows = []
     series = []
     for R in (20.0, 40.0):
@@ -397,9 +408,6 @@ def _cmd_figure(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p):
-    p.add_argument("--gamma", type=_parse_complex, default=1j,
-                   help="complex coupling of the cutoff term, re,im "
-                        "(default 0,1: dissipative barrier of strength 1)")
     p.add_argument("--rect", type=_parse_rect, required=True,
                    help="search rectangle x_lo,x_hi,y_lo,y_hi")
     p.add_argument("--standoff", type=float, default=1e-3)
@@ -426,13 +434,17 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--model", required=True, help="model JSON file")
     shared.add_argument("--ode-step", type=float, default=1e-3,
                         dest="ode_step")
+    # every verb that attaches the barrier i*gamma
+    barrier = argparse.ArgumentParser(add_help=False)
+    barrier.add_argument("--gamma", type=_parse_gamma, default=1.0,
+                         help="barrier strength gamma > 0 (default 1)")
 
     for verb, help_, sheet, search, label, marker in (
             ("spectrum", "barrier eigenvalues in a rectangle", Sheet.PRINCIPAL,
              sturm.eigenvalues, "eigenvalues", "circle"),
             ("resonances", "second-sheet zeros in a rectangle", Sheet.SECOND,
              sturm.resonances, "resonances", "cross")):
-        p = sub.add_parser(verb, help=help_, parents=[shared])
+        p = sub.add_parser(verb, help=help_, parents=[shared, barrier])
         _add_common(p)
         p.add_argument("--R", type=float, required=True)
         p.add_argument("--out", required=True)
@@ -440,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=_cmd_roots, sheet=sheet, search=search, label=label,
                        marker=marker)
 
-    p = sub.add_parser("limit", parents=[shared],
+    p = sub.add_parser("limit", parents=[shared, barrier],
                        help="limit-operator eigenvalues")
     _add_common(p)
     p.add_argument("--out", required=True)
@@ -454,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_bands)
 
-    p = sub.add_parser("sp", parents=[shared],
+    p = sub.add_parser("sp", parents=[shared, barrier],
                        help="persistent-pollution zero set")
     _add_common(p)
     p.add_argument("--x0", type=float, default=None,
@@ -463,10 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_sp)
 
-    p = sub.add_parser("converge", parents=[shared],
+    p = sub.add_parser("converge", parents=[shared, barrier],
                        help="barrier-width convergence sweep")
-    p.add_argument("--gamma", type=_parse_complex, default=1j,
-                   help="complex coupling of the cutoff term, re,im")
     p.add_argument("--mode", choices=("eigenvalue", "essential"),
                    required=True)
     p.add_argument("--R", type=_parse_grid, required=True,
@@ -481,10 +491,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="per-width record CSV path")
     p.set_defaults(fn=_cmd_converge)
 
-    p = sub.add_parser("fd", parents=[shared],
+    p = sub.add_parser("fd", parents=[shared, barrier],
                        help="finite-difference truncation spectra")
-    p.add_argument("--gamma", type=_parse_complex, default=1j,
-                   help="complex coupling of the cutoff term, re,im")
     p.add_argument("--R", type=_parse_grid, required=True)
     p.add_argument("--x-offset", type=float, default=300.0, dest="x_offset",
                    help="truncation margin X - R")
@@ -495,11 +503,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_fd)
 
-    p = sub.add_parser("enclose", parents=[shared],
+    p = sub.add_parser("enclose", parents=[shared, barrier],
                        help="enclosure membership of a point")
-    p.add_argument("--gamma", type=_parse_complex, required=True,
-                   help="complex coupling of the cutoff term, re,im; enclosures "
-                        "need a dissipative barrier 0,<gamma> with gamma > 0")
     p.add_argument("--lambda", type=_parse_complex, required=True, dest="lam")
     p.add_argument("--s-minus", type=float, default=0.0, dest="s_minus")
     p.add_argument("--s-plus", type=float, default=1.0, dest="s_plus")

@@ -287,15 +287,16 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class BarrierProblem:
-    """A potential model with dissipative barrier i*gamma on [0, R] attached."""
+    """A potential model with dissipative barrier i*gamma, gamma > 0, on [0, R]."""
 
     model: PotentialModel
-    gamma: complex
+    gamma: float
     R: float
 
     def __post_init__(self):
-        if self.gamma == 0:
-            raise ValueError("barrier strength gamma must be nonzero")
+        object.__setattr__(self, "gamma", float(self.gamma))
+        if not self.gamma > 0:
+            raise ValueError("barrier strength gamma must be positive")
         if self.R <= 0:
             raise ValueError("barrier width R must be positive")
 

@@ -4,8 +4,10 @@ Three nested regions confine where approximation can fail: a lens-shaped
 region over the essential spectrum whose height profile is the square root
 sqrt(Im(lam) (gamma - Im(lam))) (projection barriers), the essential
 spectrum times the barrier's numerical-range interval, and the convex-hull
-strip.  A closed-form limit certifies the absence of persistent pollution
-for integrable-tail backgrounds.
+strip.  The essential spectrum is a BandStructure (floquet.essential_spectrum);
+its convex hull is [start of the first band, inf), since every background is
+unbounded above.  A closed-form limit certifies the absence of persistent
+pollution for integrable-tail backgrounds.
 """
 
 from __future__ import annotations
@@ -17,47 +19,12 @@ from .core import principal_sqrt
 from .floquet import BandStructure
 
 __all__ = [
-    "EssentialSpectrumApprox",
     "StripParams",
     "gamma_a_contains",
     "gamma_b_contains",
     "we_strip_contains",
     "l1_lambda_limit",
 ]
-
-
-@dataclass(frozen=True)
-class EssentialSpectrumApprox:
-    """Real interval description of an essential spectrum and its hull.
-
-    Unbounded ends use math.inf sentinels.
-    """
-
-    intervals: tuple[tuple[float, float], ...]
-    convex_hull: tuple[float, float]
-
-    def __post_init__(self):
-        for lo, hi in self.intervals:
-            if not (self.convex_hull[0] <= lo and hi <= self.convex_hull[1]):
-                raise ValueError("convex hull must contain every interval")
-
-    @classmethod
-    def half_line(cls, start: float = 0.0) -> "EssentialSpectrumApprox":
-        """The [start, inf) spectrum of an integrable-tail background."""
-        return cls(((start, math.inf),), (start, math.inf))
-
-    @classmethod
-    def from_band_structure(cls, bs: BandStructure) -> "EssentialSpectrumApprox":
-        """Computed bands, with the hull opened upward.
-
-        Band-gap backgrounds are unbounded above.
-        """
-        if not bs.bands:
-            raise ValueError("band structure is empty")
-        return cls(tuple(bs.bands), (bs.bands[0][0], math.inf))
-
-    def distance(self, x: float) -> float:
-        return BandStructure(self.intervals).distance(x)
 
 
 @dataclass(frozen=True)
@@ -79,7 +46,7 @@ class StripParams:
             raise ValueError("need s_minus <= s_plus")
 
 
-def gamma_a_contains(lam: complex, sigma_e: EssentialSpectrumApprox,
+def gamma_a_contains(lam: complex, sigma_e: BandStructure,
                      gamma: float, tol: float = 0.0) -> bool:
     """Projection-barrier enclosure membership.
 
@@ -94,28 +61,26 @@ def gamma_a_contains(lam: complex, sigma_e: EssentialSpectrumApprox,
     if y < -tol or y > gamma + tol:
         return False
     bound = math.sqrt(max(y * (gamma - y), 0.0))
-    return sigma_e.distance(lam.real) <= bound + tol
+    return bool(sigma_e.distance(lam.real) <= bound + tol)
 
 
-def gamma_b_contains(lam: complex, sigma_e: EssentialSpectrumApprox,
+def gamma_b_contains(lam: complex, sigma_e: BandStructure,
                      strip: StripParams, tol: float = 0.0) -> bool:
     """Rectangle enclosure: Re on the spectrum, Im in gamma [s_minus, s_plus]."""
     y = lam.imag
     lo = strip.gamma * strip.s_minus
     hi = strip.gamma * strip.s_plus
-    return (lo - tol <= y <= hi + tol) and sigma_e.distance(lam.real) <= tol
+    return bool(lo - tol <= y <= hi + tol and sigma_e.distance(lam.real) <= tol)
 
 
-def we_strip_contains(lam: complex, sigma_e: EssentialSpectrumApprox,
+def we_strip_contains(lam: complex, sigma_e: BandStructure,
                       strip: StripParams, tol: float = 0.0) -> bool:
     """Numerical-range strip: Re in the convex hull, Im in gamma [s-, s+]."""
     y = lam.imag
     lo = strip.gamma * strip.s_minus
     hi = strip.gamma * strip.s_plus
-    if not (lo - tol <= y <= hi + tol):
-        return False
-    h_lo, h_hi = sigma_e.convex_hull
-    return h_lo - tol <= lam.real <= h_hi + tol
+    hull_lo = sigma_e.bands[0][0] if sigma_e.bands else math.inf
+    return bool(lo - tol <= y <= hi + tol and hull_lo - tol <= lam.real)
 
 
 def l1_lambda_limit(lam, gamma):
@@ -126,4 +91,4 @@ def l1_lambda_limit(lam, gamma):
     a positive lower bound on a region certifies that persistent pollution
     is absent there for integrable-tail backgrounds.
     """
-    return -1j * (principal_sqrt(lam - 1j * complex(gamma)) + principal_sqrt(lam))
+    return -1j * (principal_sqrt(lam - 1j * gamma) + principal_sqrt(lam))

@@ -116,6 +116,7 @@ def _spot_check(t: TridiagonalOperator, eigs: np.ndarray) -> None:
 
 
 _EPS = np.finfo(float).eps
+_MAX_N = 9000        # largest matrix eigenvalues_dense solves: bounds its O(n²) time
 _ROW_BLOCK = 256     # rows per pass of the Aberth sum: O(256 n) memory
 _MAX_ITER = 100
 _SPOT_CHECKS = 5     # eigenvalues sampled for the inverse-iteration residual check
@@ -205,14 +206,14 @@ def _aberth(t: TridiagonalOperator) -> np.ndarray:
                       f"{_MAX_ITER} Ehrlich–Aberth iterations")
 
 
-def eigenvalues_dense(t: TridiagonalOperator, cap: int = 9000) -> list[complex]:
+def eigenvalues_dense(t: TridiagonalOperator) -> list[complex]:
     """All eigenvalues of the truncated operator, sorted by real then imaginary part.
 
     An Ehrlich–Aberth iteration on det(T - z) finds all n eigenvalues in
-    O(n²) time and O(n) memory; ``cap`` bounds n and so that time.  Start
-    points are the spectra of the blocks where Im diag is constant; each
-    point stops once its step is within 32·eps·‖T‖∞, after at most 100
-    iterations.  The result is certified before it is returned: every
+    O(n²) time and O(n) memory; n may not exceed 9000, which bounds that
+    time.  Start points are the spectra of the blocks where Im diag is
+    constant; each point stops once its step is within 32·eps·‖T‖∞, after
+    at most 100 iterations.  The result is certified before it is returned: every
     value converged and is finite, the power sums match the traces,
 
         |Σλ − tr T| ≤ 1e-12·n·‖T‖∞,   |Σλ² − tr T²| ≤ 1e-12·n·‖T‖∞²,
@@ -220,9 +221,9 @@ def eigenvalues_dense(t: TridiagonalOperator, cap: int = 9000) -> list[complex]:
     and five sampled eigenvalues pass one inverse-iteration step each with
     residual at most 1e-8·‖T‖∞.  Any failure raises SolverError.
     """
-    if t.n > cap:
+    if t.n > _MAX_N:
         raise SolverError(
-            f"matrix size {t.n} exceeds the configured cap {cap}: n = round(X/h) - 1 "
+            f"matrix size {t.n} exceeds the cap {_MAX_N}: n = round(X/h) - 1 "
             f"with X = {t.X:g} and h = {t.h:g}, so coarsen h or shrink X "
             f"(the fd verb's --h and --x-offset)"
         )

@@ -30,7 +30,6 @@ from .core import (
 )
 from .rootfinder import (
     AnalyticFunctionHandle,
-    HorizontalRay,
     HorizontalSegment,
     RootSet,
     find_zeros,
@@ -46,6 +45,7 @@ __all__ = [
     "monodromy",
     "floquet_data",
     "bands",
+    "essential_spectrum",
     "floquet_solution",
     "sp_zeros",
     "embedded_resonances",
@@ -107,7 +107,11 @@ class FloquetData:
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Sorted disjoint real intervals where the discriminant satisfies |D| <= 2."""
+    """Sorted disjoint real intervals: the bands where |D| <= 2, or [0, inf).
+
+    It is the essential spectrum of a background (essential_spectrum); the
+    last interval may be unbounded.
+    """
 
     bands: tuple[tuple[float, float], ...]
 
@@ -322,26 +326,19 @@ def bands(model: PotentialModel, z_min: float, z_max: float, tol: float = 1e-10,
             inside = True
     if inside:
         intervals.append((left, z_max))
-    return BandStructure(tuple(intervals))
+    return BandStructure(tuple((float(a), float(b)) for a, b in intervals))
 
 
-def _essential_exclusions(model: PotentialModel, offsets, rect: Rectangle,
-                          pad: float, ode_step: float):
-    """The background's essential spectrum, shifted by each offset, as exclusions.
+def essential_spectrum(model: PotentialModel, lo: float, hi: float,
+                       ode_step: float) -> BandStructure:
+    """Essential spectrum of the background: [0, inf) or the bands in [lo, hi].
 
-    A zero tail gives the rays offset + [0, inf).  A periodic tail gives
-    its bands shifted by each offset, scanned over the real range that the
-    shifts can move into rect, widened by max |Re offset| + 1.
+    A zero tail gives [0, inf) whatever the range; a periodic tail gives
+    its bands scanned over [lo, hi], clipped there.
     """
-    offsets = [complex(o) for o in offsets]
     if not isinstance(model.tail, PeriodicTail):
-        return tuple(HorizontalRay(o.real, o.imag, pad) for o in offsets)
-    margin = max(abs(o.real) for o in offsets) + 1.0
-    bs = bands(model, min(rect.x_lo - o.real for o in offsets) - margin,
-               max(rect.x_hi - o.real for o in offsets) + margin,
-               ode_step=ode_step)
-    return tuple(HorizontalSegment(lo + o.real, hi + o.real, o.imag, pad)
-                 for o in offsets for lo, hi in bs.bands)
+        return BandStructure(((0.0, math.inf),))
+    return bands(model, lo, hi, ode_step=ode_step)
 
 
 # ---------------------------------------------------------------------------
@@ -430,28 +427,31 @@ def _null_cell_vector(model: PotentialModel, z, sign: str, sheet: Sheet,
     return size <= _NULL_VECTOR_TOL * scale
 
 
-def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, offsets,
+def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, levels,
                    solutions, pad: float, ode_step: float) -> RootSet:
     """Zeros in rect of f, a function built from tail solutions of the background.
 
-    This is the one search of every spectral verb.  It excludes the
-    essential spectrum shifted by each offset, padded by pad, and finds the
-    zeros with the defaults of find_zeros.  solutions lists (offset, sign,
-    sheet), one for each tail solution f is built from, taken at
-    lam - offset.  On a periodic tail that solution is its cell-start
-    eigenvector propagated, so where the vector vanishes f vanishes
-    whatever the spectrum: such zeros are no spectral points and are
-    dropped.  A zero tail keeps every root.
+    This is the one search of every spectral verb.  It excludes every band
+    segment of the essential spectrum lifted to each imaginary level (0 or
+    gamma), padded by pad; a periodic tail's bands are scanned over the
+    real range of rect widened by 1.  It finds the zeros with the defaults
+    of find_zeros.  solutions lists (level, sign, sheet), one for each tail
+    solution f is built from, taken at lam - i level.  On a periodic tail
+    that solution is its cell-start eigenvector propagated, so where the
+    vector vanishes f vanishes whatever the spectrum: such zeros are no
+    spectral points and are dropped.  A zero tail keeps every root.
     """
-    exclusions = _essential_exclusions(model, offsets, rect, pad, ode_step)
+    es = essential_spectrum(model, rect.x_lo - 1.0, rect.x_hi + 1.0, ode_step)
+    exclusions = tuple(HorizontalSegment(lo, hi, y, pad)
+                       for y in levels for lo, hi in es.bands)
     roots = find_zeros(AnalyticFunctionHandle(eval=f, exclusions=exclusions),
                        rect)
     if not isinstance(model.tail, PeriodicTail) or not roots.roots:
         return roots
     lam = np.array(roots.locations)
     null = np.zeros(lam.shape, dtype=bool)
-    for offset, sign, sheet in solutions:
-        null |= _null_cell_vector(model, lam - offset, sign, sheet, ode_step)
+    for level, sign, sheet in solutions:
+        null |= _null_cell_vector(model, lam - 1j * level, sign, sheet, ode_step)
     return RootSet(tuple(r for r, drop in zip(roots.roots, null) if not drop))
 
 
@@ -478,7 +478,7 @@ def floquet_solution(model: PotentialModel, x: float, z, sign: str = "plus",
 # Persistent pollution set and embedded resonances
 # ---------------------------------------------------------------------------
 
-def _cross_wronskian(model: PotentialModel, gamma: complex, x: float, lam,
+def _cross_wronskian(model: PotentialModel, gamma: float, x: float, lam,
                      ode_step: float):
     """W(psi_plus(lam), psi_minus(lam - i gamma)) at x, normalized.
 
@@ -486,7 +486,7 @@ def _cross_wronskian(model: PotentialModel, gamma: complex, x: float, lam,
     which keeps the function of moderate size over large rectangles.
     """
     lam = np.asarray(lam, dtype=complex)
-    z = lam - 1j * complex(gamma)
+    z = lam - 1j * gamma
     vp, dp, lp = _solution_arrays(model, x, lam, "plus", Sheet.PRINCIPAL,
                                   ode_step)
     vm, dm, lm = _solution_arrays(model, x, z, "minus", Sheet.PRINCIPAL,
@@ -497,7 +497,7 @@ def _cross_wronskian(model: PotentialModel, gamma: complex, x: float, lam,
     return (vp * dm - dp * vm) * np.exp(expo)
 
 
-def sp_zeros(model: PotentialModel, gamma: complex, x0: float, rect: Rectangle,
+def sp_zeros(model: PotentialModel, gamma: float, x0: float, rect: Rectangle,
              standoff: float = 1e-3, ode_step: float = 1e-3) -> RootSet:
     """Zeros in rect of the cross-Wronskian that governs persistent pollution.
 
@@ -516,14 +516,13 @@ def sp_zeros(model: PotentialModel, gamma: complex, x0: float, rect: Rectangle,
             raise DomainError("x0 must lie in the fundamental cell of the tail")
     elif x0 < 0:
         raise DomainError("x0 must be nonnegative")
-    shift = 1j * complex(gamma)
 
     def f(lam):
         return _cross_wronskian(model, gamma, x0, lam, ode_step)
 
-    return _spectral_zeros(model, f, rect, (0.0, shift),
+    return _spectral_zeros(model, f, rect, (0.0, gamma),
                            ((0.0, "plus", Sheet.PRINCIPAL),
-                            (shift, "minus", Sheet.PRINCIPAL)),
+                            (gamma, "minus", Sheet.PRINCIPAL)),
                            standoff, ode_step)
 
 
@@ -577,16 +576,13 @@ def embedded_resonances(model: PotentialModel, band: tuple[float, float],
     lo, hi = band
     if not lo < hi:
         raise ValueError("band interval is empty")
-    if isinstance(model.tail, PeriodicTail):
-        bs = bands(model, lo - 1.0, hi + 1.0, ode_step=ode_step)
-        if not any(b_lo + standoff <= lo and hi <= b_hi - standoff
-                   for b_lo, b_hi in bs.bands):
-            raise DomainError(
-                f"[{lo}, {hi}] is not inside a spectral band with standoff "
-                f"{standoff}"
-            )
-    elif lo < standoff:
-        raise DomainError("interval must stay inside (0, inf) with standoff")
+    es = essential_spectrum(model, lo - 1.0, hi + 1.0, ode_step)
+    if not any(b_lo + standoff <= lo and hi <= b_hi - standoff
+               for b_lo, b_hi in es.bands):
+        raise DomainError(
+            f"[{lo}, {hi}] is not inside a spectral band with standoff "
+            f"{standoff}"
+        )
 
     eta = complex(model.eta)
 

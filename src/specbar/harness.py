@@ -64,7 +64,7 @@ def thread_count() -> int:
     return 1
 
 
-def run_sweep(model: PotentialModel, gamma: complex, R_grid: Sequence[float],
+def run_sweep(model: PotentialModel, gamma: float, R_grid: Sequence[float],
               target: complex, rect: Rectangle, ode_step: float = 1e-3,
               standoff: float = 1e-3) -> list[ConvergenceRecord]:
     """Eigenvalue errors against a fixed target across barrier widths.

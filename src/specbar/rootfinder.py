@@ -39,7 +39,6 @@ __all__ = [
     "Root",
     "RootSet",
     "ExclusionRegion",
-    "HorizontalRay",
     "HorizontalSegment",
     "BoundaryZeroError",
     "QuadratureError",
@@ -97,22 +96,8 @@ def _interval_dist(lo: float, hi: float, x: float) -> float:
 
 
 @dataclass(frozen=True)
-class HorizontalRay:
-    """The ray {x + i*y : x >= x_start} inflated by pad."""
-
-    x_start: float
-    y: float
-    pad: float = 0.0
-
-    def clearance(self, rect: Rectangle) -> float:
-        dy = _interval_dist(rect.y_lo, rect.y_hi, self.y)
-        dx = 0.0 if rect.x_hi >= self.x_start else self.x_start - rect.x_hi
-        return math.hypot(dx, dy) - self.pad
-
-
-@dataclass(frozen=True)
 class HorizontalSegment:
-    """The segment {x + i*y : x0 <= x <= x1} inflated by pad."""
+    """The segment {x + i*y : x0 <= x <= x1} inflated by pad; x1 may be inf."""
 
     x0: float
     x1: float
@@ -132,17 +117,15 @@ class HorizontalSegment:
 
 @dataclass(frozen=True)
 class AnalyticFunctionHandle:
-    """Evaluatable analytic function with optional derivative and exclusions.
+    """Evaluatable analytic function with optional exclusions.
 
     ``eval`` must accept an ndarray of complex points and return an ndarray
-    of values; the contour quadrature reads nothing else.  ``eval_deriv``,
-    when given, has the same contract and serves Newton refinement only;
-    without it Newton takes a central difference with a step adapted to the
-    local scale.
+    of values; the contour quadrature reads nothing else.  Newton takes the
+    derivative as a central difference with a step adapted to the local
+    scale.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    eval_deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     exclusions: tuple[ExclusionRegion, ...] = ()
 
     def __call__(self, z):
@@ -153,11 +136,8 @@ class AnalyticFunctionHandle:
     def deriv(self, z, scale: float = 1.0):
         scalar = _is_scalar(z)
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        if self.eval_deriv is not None:
-            out = np.asarray(self.eval_deriv(arr))
-        else:
-            h = max(1e-9, 1e-6 * scale)
-            out = (self.eval(arr + h) - self.eval(arr - h)) / (2.0 * h)
+        h = max(1e-9, 1e-6 * scale)
+        out = (self.eval(arr + h) - self.eval(arr - h)) / (2.0 * h)
         return complex(out[0]) if scalar else out
 
     def check_clearance(self, rect: Rectangle) -> None:

@@ -172,7 +172,7 @@ def _characteristic_zeros(ctx: CharacteristicContext, rect: Rectangle) -> RootSe
             expo = expo - 1j * sheeted_sqrt(lam, ctx.sheet) * xt
         return w * np.exp(expo)
 
-    return floquet._spectral_zeros(model, f, rect, (0.0, 1j * complex(gamma)),
+    return floquet._spectral_zeros(model, f, rect, (0.0, gamma),
                                    ((0.0, "plus", ctx.sheet),), ctx.standoff,
                                    ctx.ode_step)
 
@@ -209,7 +209,7 @@ def resonances(ctx: CharacteristicContext, rect: Rectangle) -> RootSet:
 # Limit operator
 # ---------------------------------------------------------------------------
 
-def _limit_function_arrays(model: PotentialModel, gamma: complex, lam,
+def _limit_function_arrays(model: PotentialModel, gamma: float, lam,
                            ode_step: float, standoff: float):
     """Boundary form of the decaying solution at the shifted parameter.
 
@@ -226,7 +226,7 @@ def _limit_function_arrays(model: PotentialModel, gamma: complex, lam,
     return (np.cos(eta) * val - np.sin(eta) * der) * np.exp(logs)
 
 
-def limit_eigenvalues(model: PotentialModel, gamma: complex, rect: Rectangle,
+def limit_eigenvalues(model: PotentialModel, gamma: float, rect: Rectangle,
                       ode_step: float = 1e-3, standoff: float = 1e-3) -> RootSet:
     """Eigenvalues of the limit operator inside rect.
 
@@ -236,14 +236,11 @@ def limit_eigenvalues(model: PotentialModel, gamma: complex, rect: Rectangle,
     cell-start Floquet eigenvector itself vanishes are dropped: there the
     Dirichlet solution grows, so they are no eigenvalues.
     """
-    gamma = complex(gamma)
-    shift = 1j * gamma
-
     def f(lam):
         return _limit_function_arrays(model, gamma, lam, ode_step, standoff)
 
-    return floquet._spectral_zeros(model, f, rect, (shift,),
-                                   ((shift, "plus", Sheet.PRINCIPAL),),
+    return floquet._spectral_zeros(model, f, rect, (gamma,),
+                                   ((gamma, "plus", Sheet.PRINCIPAL),),
                                    standoff, ode_step)
 
 
@@ -284,7 +281,7 @@ def reference_characteristic(example: str, lam, R: float,
 # Pollution diagnostics for integrable-tail backgrounds
 # ---------------------------------------------------------------------------
 
-def pollution_factor(model: PotentialModel, gamma: complex, R: float, lam):
+def pollution_factor(model: PotentialModel, gamma: float, R: float, lam):
     """Cross-Wronskian of the normalized tail solutions at the barrier edge.
 
     For an integrable (zero-tail) background this converges, as R grows, to

@@ -5,6 +5,7 @@ lines as they complete.  Every tolerance is pinned here; nothing is left to
 later calibration.
 """
 
+import math
 import time
 
 import numpy as np
@@ -14,13 +15,9 @@ from specbar.core import (
     PotentialModel,
     Rectangle,
 )
-from specbar.enclosures import (
-    EssentialSpectrumApprox,
-    gamma_a_contains,
-    l1_lambda_limit,
-)
+from specbar.enclosures import gamma_a_contains, l1_lambda_limit
 from specbar.fdtrunc import build_matrix, classify_spectrum, eigenvalues_dense
-from specbar.floquet import bands, monodromy, floquet_data, sp_zeros
+from specbar.floquet import BandStructure, bands, monodromy, floquet_data, sp_zeros
 from specbar.harness import fit_rate, run_sweep
 from specbar.rootfinder import AnalyticFunctionHandle, find_zeros
 from specbar.sturm import CharacteristicContext, eigenvalues
@@ -101,7 +98,7 @@ def test_criterion_03_essential_inclusion(free_model):
 def test_criterion_04_enclosure_confinement(free_model):
     """Every free-background eigenvalue lies in the projection enclosure."""
     t0 = time.time()
-    sigma = EssentialSpectrumApprox.half_line()
+    sigma = BandStructure(((0.0, math.inf),))
     count = 0
     ok = True
     for R in (10.0, 20.0, 40.0):
@@ -263,7 +260,7 @@ def test_criterion_10_truncation_phenomenology(sin_model):
     for R in (60.0, 120.0):
         prob = BarrierProblem(sin_model, 0.25, R)
         t = build_matrix(prob, R + margin, 0.05)
-        eigs = eigenvalues_dense(t, cap=9000)
+        eigs = eigenvalues_dense(t)
         cls = classify_spectrum(eigs, bs, 0.25, tol_band=5e-3)
         polls.append(len(cls.pollution_real))
         counts.append(len(cls.essential_approx))

@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import os
@@ -18,7 +17,7 @@ from specbar.core import (
     SinExpr,
     save_model,
 )
-from specbar.fdtrunc import eigenvalues_dense
+from specbar import fdtrunc
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +38,7 @@ def test_spectrum_verb(model_paths, tmp_path):
     out = tmp_path / "eigs.csv"
     code = run([
         "spectrum", "--model", str(model_paths / "free.json"),
-        "--gamma", "0,1", "--R", "40", "--rect", "0.1,6,0.05,0.95",
+        "--gamma", "1", "--R", "40", "--rect", "0.1,6,0.05,0.95",
         "--out", str(out),
     ])
     assert code == 0
@@ -51,7 +50,7 @@ def test_spectrum_verb(model_paths, tmp_path):
 def test_csv_determinism(model_paths, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["spectrum", "--model", str(model_paths / "free.json"),
-            "--gamma", "0,1", "--R", "10", "--rect", "0.1,5,0.05,0.95"]
+            "--gamma", "1", "--R", "10", "--rect", "0.1,5,0.05,0.95"]
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -93,7 +92,7 @@ def test_resonances_verb(model_paths, tmp_path):
     out = tmp_path / "res.csv"
     code = run([
         "resonances", "--model", str(model_paths / "free.json"),
-        "--gamma", "0,1", "--R", "10", "--rect", "8.5,14,-0.8,-0.02",
+        "--gamma", "1", "--R", "10", "--rect", "8.5,14,-0.8,-0.02",
         "--out", str(out),
     ])
     assert code == 0
@@ -106,7 +105,7 @@ def test_limit_verb(model_paths, tmp_path):
     out = tmp_path / "limit.csv"
     code = run([
         "limit", "--model", str(model_paths / "stacked.json"),
-        "--gamma", "0,1", "--rect", "0.05,6,1.05,1.95", "--out", str(out),
+        "--gamma", "1", "--rect", "0.05,6,1.05,1.95", "--out", str(out),
     ])
     assert code == 0
     lines = out.read_text().splitlines()
@@ -117,7 +116,7 @@ def test_sp_verb_zero_tail(model_paths, tmp_path):
     out = tmp_path / "sp.csv"
     code = run([
         "sp", "--model", str(model_paths / "stacked.json"),
-        "--gamma", "0,1", "--rect", "-4,4,0.05,0.95", "--out", str(out),
+        "--gamma", "1", "--rect", "-4,4,0.05,0.95", "--out", str(out),
     ])
     assert code == 0
     assert len(out.read_text().splitlines()) == 1  # header only: empty set
@@ -126,7 +125,7 @@ def test_sp_verb_zero_tail(model_paths, tmp_path):
 def test_fd_verb_quick(model_paths, tmp_path):
     out = tmp_path / "fd.csv"
     code = run([
-        "fd", "--model", str(model_paths / "free.json"), "--gamma", "0,1",
+        "fd", "--model", str(model_paths / "free.json"), "--gamma", "1",
         "--R", "2", "--x-offset", "6", "--h", "0.25", "--out", str(out),
     ])
     assert code == 0
@@ -139,33 +138,49 @@ def test_fd_defaults_fit_the_solver_cap():
     # the fd verb's default offset and step must admit R = 120 (n = 8399)
     args = _build_parser().parse_args(["fd", "--model", "m", "--R", "120",
                                        "--out", "o"])
-    cap = inspect.signature(eigenvalues_dense).parameters["cap"].default
-    assert round((max(args.R) + args.x_offset) / args.h) - 1 <= cap
+    assert round((max(args.R) + args.x_offset) / args.h) - 1 <= fdtrunc._MAX_N
 
 
 def test_enclose_verb(model_paths, tmp_path):
     out = tmp_path / "enc.json"
-    code = run([
-        "enclose", "--model", str(model_paths / "free.json"),
-        "--gamma", "0,1", "--lambda", "0.5,0.5", "--out", str(out),
-    ])
-    assert code == 0
-    verdict = json.loads(out.read_text())
-    assert verdict["gamma_a"] is True
-    assert verdict["gamma_b"] is True
-    assert verdict["we_strip"] is True
+    for model, extra, want in (
+            ("free.json", ["--lambda", "0.5,0.5"], (True, True, True)),
+            # 0.1 lies in the gap above the first band of the sin tail
+            ("sin.json", ["--lambda", "0.1,0.5", "--ode-step", "1e-2"],
+             (True, False, True)),
+            ("sin.json", ["--lambda", "-0.35,0.5", "--ode-step", "1e-2",
+                          "--band-range", "-2,1"], (True, True, True))):
+        code = run(["enclose", "--model", str(model_paths / model),
+                    "--gamma", "1", "--out", str(out)] + extra)
+        assert code == 0
+        verdict = json.loads(out.read_text())
+        assert (verdict["gamma_a"], verdict["gamma_b"], verdict["we_strip"]) == want
 
 
 def test_enclose_rejects_a_non_dissipative_coupling(model_paths, tmp_path, capsys):
-    # --gamma is the complex coupling re,im for every verb: 1.0 is the
-    # coupling 1 + 0i, i.e. gamma = -i, which is no dissipative barrier
+    # --gamma is the real barrier strength gamma > 0: the old complex
+    # coupling form 0,1 and a gamma <= 0 are usage errors
     out = tmp_path / "enc.json"
-    code = run([
-        "enclose", "--model", str(model_paths / "free.json"),
-        "--gamma", "1.0", "--lambda", "0.5,0.5", "--out", str(out),
-    ])
-    assert code == 1
-    assert "dissipative barrier" in capsys.readouterr().err
+    for gamma in ("0,1", "0", "-1"):
+        code = run([
+            "enclose", "--model", str(model_paths / "free.json"),
+            "--gamma", gamma, "--lambda", "0.5,0.5", "--out", str(out),
+        ])
+        assert code == 2
+        assert "--gamma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_enclose_band_range_must_hold_the_bands(model_paths, tmp_path, capsys):
+    # the first band of the sin tail, (-0.378, -0.348), lies below -0.3
+    out = tmp_path / "enc.json"
+    base = ["enclose", "--model", str(model_paths / "sin.json"), "--gamma", "1",
+            "--lambda", "-0.35,0.5", "--ode-step", "1e-2", "--out", str(out)]
+    assert run(base + ["--band-range", "-0.3,1"]) == 1
+    assert "tail potential's minimum" in capsys.readouterr().err
+    # the lens at Re lambda = -0.35 reaches gamma/2 = 0.5 to the right
+    assert run(base + ["--band-range", "-2,0.1"]) == 1
+    assert "Re lambda + gamma/2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -178,7 +193,7 @@ def test_exit_code_on_computation_error(model_paths, tmp_path):
     # rectangle overlapping the essential-spectrum ray: domain error
     code = run([
         "spectrum", "--model", str(model_paths / "free.json"),
-        "--gamma", "0,1", "--R", "10", "--rect", "0.1,5,-0.5,0.5",
+        "--gamma", "1", "--R", "10", "--rect", "0.1,5,-0.5,0.5",
         "--out", str(tmp_path / "x.csv"),
     ])
     assert code == 1
@@ -187,7 +202,7 @@ def test_exit_code_on_computation_error(model_paths, tmp_path):
 def test_exit_code_on_missing_model(tmp_path):
     code = run([
         "spectrum", "--model", str(tmp_path / "nope.json"),
-        "--gamma", "0,1", "--R", "10", "--rect", "0.1,5,0.05,0.95",
+        "--gamma", "1", "--R", "10", "--rect", "0.1,5,0.05,0.95",
         "--out", str(tmp_path / "x.csv"),
     ])
     assert code == 1

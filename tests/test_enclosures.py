@@ -5,15 +5,15 @@ import pytest
 
 from specbar.core import principal_sqrt
 from specbar.enclosures import (
-    EssentialSpectrumApprox,
     StripParams,
     gamma_a_contains,
     gamma_b_contains,
     l1_lambda_limit,
     we_strip_contains,
 )
+from specbar.floquet import BandStructure
 
-HALF_LINE = EssentialSpectrumApprox.half_line()
+HALF_LINE = BandStructure(((0.0, math.inf),))
 STRIP = StripParams(gamma=1.0)
 
 
@@ -49,11 +49,13 @@ def test_gamma_b_examples():
 def test_we_strip_examples():
     assert we_strip_contains(7 + 0.9j, HALF_LINE, STRIP)
     assert not we_strip_contains(-0.2 + 0.5j, HALF_LINE, STRIP)
+    # a scan that found no band has an empty hull
+    assert not we_strip_contains(7 + 0.9j, BandStructure(()), STRIP)
 
 
 def test_monotone_nesting():
     # every gamma_b member is a strip member: hull contains the intervals
-    bands = EssentialSpectrumApprox(((0.0, 1.0), (2.0, 3.5)), (0.0, math.inf))
+    bands = BandStructure(((0.0, 1.0), (2.0, 3.5)))
     xs = np.linspace(-1.0, 5.0, 200)
     ys = np.linspace(-0.5, 1.5, 200)
     for x in xs:
@@ -64,15 +66,13 @@ def test_monotone_nesting():
 
 
 def test_band_gap_membership():
-    bands = EssentialSpectrumApprox(((0.0, 1.0), (2.0, 3.5)), (0.0, math.inf))
+    bands = BandStructure(((0.0, 1.0), (2.0, 3.5)))
     assert not gamma_b_contains(1.5 + 0.5j, bands, STRIP)   # in the gap
     assert we_strip_contains(1.5 + 0.5j, bands, STRIP)      # hull covers gaps
     assert gamma_a_contains(1.45 + 0.5j, bands, 1.0)        # lens reaches in
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        EssentialSpectrumApprox(((0.0, 2.0),), (0.5, math.inf))
     with pytest.raises(ValueError):
         StripParams(gamma=-1.0)
     with pytest.raises(ValueError):

@@ -176,9 +176,10 @@ def test_power_sum_certificate_rejects_a_repeated_eigenvalue(monkeypatch, sin_mo
 
 
 def test_cap_and_residual_guards():
-    t = _free_operator(50, 0.01)
-    with pytest.raises(SolverError):
-        eigenvalues_dense(t, cap=10)
+    # one row above the cap is refused before any solving starts
+    t = _free_operator(fdtrunc._MAX_N + 1, 0.01)
+    with pytest.raises(SolverError, match="exceeds the cap"):
+        eigenvalues_dense(t)
 
 
 def test_classify_spectrum_examples():

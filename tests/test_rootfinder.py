@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from specbar.core import DomainError, Rectangle
 from specbar.rootfinder import (
     AnalyticFunctionHandle,
     ClusterUnresolvedError,
-    HorizontalRay,
+    HorizontalSegment,
     QuadratureError,
     find_zeros,
     winding_number,
@@ -63,8 +64,9 @@ def test_winding_no_zero():
 
 
 def test_winding_uses_supplied_derivative():
-    f = AnalyticFunctionHandle(eval=lambda z: z**2 - 0.25,
-                               eval_deriv=lambda z: 2 * z)
+    # The handle carries no derivative: the contour edges integrate log f,
+    # so the supplied function alone fixes the count.
+    f = AnalyticFunctionHandle(eval=lambda z: z**2 - 0.25)
     assert winding_number(f, UNIT) == 2
 
 
@@ -341,14 +343,6 @@ def test_unresolved_phase_raises_quadrature_error():
         winding_number(f, Rectangle(-1.0, 1.0, -1e-3, 1e-3))
 
 
-def test_winding_never_calls_the_derivative():
-    def deriv(z):
-        raise AssertionError("the contour evaluated eval_deriv")
-
-    f = AnalyticFunctionHandle(eval=lambda z: (z - 0.3) * (z + 0.2j), eval_deriv=deriv)
-    assert winding_number(f, UNIT) == 2
-
-
 def test_cluster_unresolved_at_max_depth():
     # five distinct roots 2e-4 apart: a pencil of size four cannot show
     # them, and three levels of bisection do not separate them, so the
@@ -364,7 +358,7 @@ def test_cluster_unresolved_at_max_depth():
 def test_exclusion_regions_block_search():
     f = AnalyticFunctionHandle(
         eval=lambda z: z - 0.5,
-        exclusions=(HorizontalRay(0.0, 0.0, 1e-3),),
+        exclusions=(HorizontalSegment(0.0, math.inf, 0.0, 1e-3),),
     )
     with pytest.raises(DomainError):
         winding_number(f, Rectangle(-1.0, 1.0, -0.5, 0.5))

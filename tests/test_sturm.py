@@ -18,7 +18,7 @@ from specbar.core import (
     SinExpr,
     principal_sqrt,
 )
-from specbar.enclosures import EssentialSpectrumApprox, gamma_a_contains
+from specbar.enclosures import gamma_a_contains
 from specbar.sturm import (
     CharacteristicContext,
     characteristic,
@@ -263,7 +263,7 @@ def test_eigenvalue_oracle_equivalence_stacked(stacked_model):
 
 
 def test_eigenvalues_confined_to_strip(free_model):
-    sigma = EssentialSpectrumApprox.half_line()
+    sigma = floquet.BandStructure(((0.0, math.inf),))
     for R in (10.0, 20.0, 40.0):
         out = eigenvalues(_ctx(free_model, 1.0, R),
                           Rectangle(0.1, 6.0, 0.05, 0.95))
