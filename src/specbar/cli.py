@@ -175,7 +175,7 @@ def _cmd_limit(args) -> int:
 def _cmd_bands(args) -> int:
     model = load_model(args.model)
     lo, hi = args.range
-    bs = floquet.bands(model, lo, hi, tol=args.tol, ode_step=args.ode_step)
+    bs = floquet.bands(model, lo, hi, ode_step=args.ode_step)
     rows = [[i, float(b[0]), float(b[1])] for i, b in enumerate(bs.bands)]
     _write_csv(args.out, ["band_index", "z_left", "z_right"], rows)
     return 0
@@ -461,8 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bands", parents=[shared],
                        help="real spectral bands of the periodic tail")
     p.add_argument("--range", type=_parse_pair, required=True,
-                   help="scan interval lo,hi")
-    p.add_argument("--tol", type=float, default=1e-10)
+                   help="interval lo,hi")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_bands)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .core import BarrierProblem, SpecbarError, eval_potential
 from .floquet import BandStructure
@@ -89,6 +88,8 @@ def build_matrix(p: BarrierProblem, X: float, h: float) -> TridiagonalOperator:
 
 def _spot_check(t: TridiagonalOperator, eigs: np.ndarray) -> None:
     """Residual check by one inverse-iteration step per sampled eigenvalue."""
+    from scipy import linalg
+
     n = t.n
     scale = t.norm_inf()
     rng = np.random.default_rng(12345)
@@ -117,7 +118,7 @@ def _spot_check(t: TridiagonalOperator, eigs: np.ndarray) -> None:
 
 _EPS = np.finfo(float).eps
 _MAX_N = 9000        # largest matrix eigenvalues_dense solves: bounds its O(n²) time
-_ROW_BLOCK = 256     # rows per pass of the Aberth sum: O(256 n) memory
+_ROW_BLOCK = 32      # rows per pass of the Aberth sum: O(32 n) memory
 _MAX_ITER = 100
 _SPOT_CHECKS = 5     # eigenvalues sampled for the inverse-iteration residual check
 _STOP = 32.0         # a point stops once |step| <= _STOP * eps * ||T||
@@ -130,6 +131,8 @@ def _start_points(t: TridiagonalOperator) -> np.ndarray:
     so each block is a real symmetric tridiagonal matrix (off-diagonal
     sqrt|sub * super|) shifted by i times its imaginary part.
     """
+    from scipy import linalg
+
     im = t.diag.imag
     cuts = np.flatnonzero(np.diff(im)) + 1
     off = np.sqrt(np.abs(t.sub * t.super))

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 
 from . import _ode
 from .core import (
@@ -54,6 +55,10 @@ __all__ = [
 _DET_TOL = 1e-8
 _BRANCH_TOL = 1e-12
 _NULL_VECTOR_TOL = 1e-8
+_CHOP = 1e-12            # trailing share of the largest Chebyshev coefficient
+_DEGREES = (32, 64, 128, 256, 512, 1024, 2048, 4096)   # tried by bands in turn
+_NEWTON_ROUNDS = 3       # polishing the band ends on D itself
+_RESONANCE_GRID = 2000   # scan points of embedded_resonances on its band
 
 
 class IntegrationError(SpecbarError):
@@ -65,7 +70,7 @@ class BranchPointError(SpecbarError):
 
 
 class BandResolutionError(SpecbarError):
-    """The band scan grid could not resolve all band ends."""
+    """The discriminant interpolant did not converge within its degree cap."""
 
 
 @dataclass(frozen=True)
@@ -275,58 +280,50 @@ def _scan_crossings(g, grid_z, gv, bits: int):
     return 0.5 * (a + b)
 
 
-def bands(model: PotentialModel, z_min: float, z_max: float, tol: float = 1e-10,
-          grid: int = 2000, ode_step: float = 1e-3) -> BandStructure:
-    """Real intervals of [z_min, z_max] where |D| <= 2, ends located to tol.
+def bands(model: PotentialModel, z_min: float, z_max: float,
+          ode_step: float = 1e-3) -> BandStructure:
+    """Real intervals of [z_min, z_max] where |D| <= 2, ends polished to rounding.
 
-    The discriminant is evaluated once on a grid of 2 grid - 1 points; its
-    even points form the coarse scan.  The scan doubles its grid when the
-    fine scan finds a different number of sign changes than the coarse one
-    (a band squeezed inside one cell); after three retries it raises
-    BandResolutionError.  Each sign change of the fine scan is refined by
-    16-section, all brackets in one discriminant call per round.  Intervals
-    reaching the scan boundary are clipped there.
+    D is entire, so its Chebyshev interpolant p on the range converges
+    geometrically: the degree doubles from 32 until the last eight
+    coefficients fall below 1e-12 of the largest (Chebfun's chop); past
+    degree 4096 it raises BandResolutionError.  The real roots in the range
+    of p - 2 and p + 2, from the colleague matrix, are polished by Newton
+    rounds on D itself with p' as the slope.  A piece between consecutive
+    ends is a band when |D| <= 2 at its middle, by the exact sign, so a
+    closed gap (a double root) joins its neighbours.  A gap whose height
+    |D| - 2 is below the interpolant's error, about 1e-12 max |D| on the
+    range, is not seen.  Intervals reaching the range boundary are clipped
+    there.
     """
     _require_periodic(model)
     if not z_min < z_max:
         raise ValueError("need z_min < z_max")
 
-    def g(z):
-        return np.abs(_discriminant_real(model, z, ode_step)) - 2.0
+    def D(z):
+        return _discriminant_real(model, z, ode_step)
 
-    n = grid
-    for _ in range(4):
-        zg2 = np.linspace(z_min, z_max, 2 * n - 1)
-        g2 = g(zg2)
-        gc = g2[::2]
-        n_cross = int(np.sum(np.sign(gc[:-1]) * np.sign(gc[1:]) < 0))
-        n_cross2 = int(np.sum(np.sign(g2[:-1]) * np.sign(g2[1:]) < 0))
-        if n_cross == n_cross2:
-            zg, gv = zg2, g2
+    for degree in _DEGREES:
+        p = Chebyshev.interpolate(D, degree, domain=(z_min, z_max))
+        c = np.abs(p.coef)
+        if np.max(c[-8:]) <= _CHOP * np.max(c):
             break
-        n *= 2
     else:
-        raise BandResolutionError(
-            f"band ends still unresolved at grid size {n}; range [{z_min}, {z_max}]"
-        )
-    # three decades beyond tol keeps the residual |g| below ~10 tol even
-    # where the discriminant crosses steeply
-    span = float(zg[1] - zg[0])
-    bits = min(60, max(1, math.ceil(math.log2(max(span / (1e-3 * tol), 2.0)))))
-    points = sorted(_scan_crossings(g, zg, gv, bits))
-    intervals: list[tuple[float, float]] = []
-    inside = gv[0] <= 0.0
-    left = z_min if inside else None
-    for p in points:
-        if inside:
-            intervals.append((left, p))
-            inside = False
-        else:
-            left = p
-            inside = True
-    if inside:
-        intervals.append((left, z_max))
-    return BandStructure(tuple((float(a), float(b)) for a, b in intervals))
+        raise BandResolutionError(f"discriminant not resolved at degree {degree} "
+                                  f"on [{z_min}, {z_max}]")
+    z = np.concatenate([(p - 2.0).roots(), (p + 2.0).roots()])
+    z = z.real[(z.imag == 0) & (z_min < z.real) & (z.real < z_max)]
+    target = 2.0 * np.sign(p(z))
+    dp = p.deriv()
+    for _ in range(_NEWTON_ROUNDS if len(z) else 0):
+        slope = dp(z)
+        slope[slope == 0] = np.inf          # a flat end stays put
+        z = np.clip(z - (D(z) - target) / slope, z_min, z_max)
+    cuts = np.unique(np.concatenate([[z_min, z_max], z]))
+    inside = np.abs(D(0.5 * (cuts[:-1] + cuts[1:]))) <= 2.0
+    # a cut is a band end where the pieces on its two sides differ
+    ends = cuts[np.diff(np.concatenate([[False], inside, [False]]))].tolist()
+    return BandStructure(tuple(zip(ends[::2], ends[1::2])))
 
 
 def essential_spectrum(model: PotentialModel, lo: float, hi: float,
@@ -334,7 +331,7 @@ def essential_spectrum(model: PotentialModel, lo: float, hi: float,
     """Essential spectrum of the background: [0, inf) or the bands in [lo, hi].
 
     A zero tail gives [0, inf) whatever the range; a periodic tail gives
-    its bands scanned over [lo, hi], clipped there.
+    its bands in [lo, hi], clipped there.
     """
     if not isinstance(model.tail, PeriodicTail):
         return BandStructure(((0.0, math.inf),))
@@ -433,7 +430,7 @@ def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, levels,
 
     This is the one search of every spectral verb.  It excludes every band
     segment of the essential spectrum lifted to each imaginary level (0 or
-    gamma), padded by pad; a periodic tail's bands are scanned over the
+    gamma), padded by pad; a periodic tail's bands are found over the
     real range of rect widened by 1.  It finds the zeros with the defaults
     of find_zeros.  solutions lists (level, sign, sheet), one for each tail
     solution f is built from, taken at lam - i level.  On a periodic tail
@@ -562,14 +559,14 @@ def _upper_solution_at_zero(model: PotentialModel, z, ode_step: float):
 
 
 def embedded_resonances(model: PotentialModel, band: tuple[float, float],
-                        tol: float = 1e-8, grid: int = 2000,
-                        ode_step: float = 1e-3,
+                        tol: float = 1e-8, ode_step: float = 1e-3,
                         standoff: float = 1e-3) -> list[float]:
     """Real zeros of the boundary form of the upper-continued tail solution.
 
-    Scans Re BC[phi_u(., z)] for sign changes on the band, refines each
-    bracket to 60 bits, and keeps points whose full residual |BC[phi_u]| is
-    below tol.
+    Scans Re BC[phi_u(., z)] for sign changes on 2000 points of the band
+    (the form has square-root branch points, so an interpolant would
+    converge slowly), refines each bracket to 60 bits, and keeps points
+    whose full residual |BC[phi_u]| is below tol.
     The interval must stay inside a band (periodic tail) or inside (0, inf)
     (zero tail), away from the ends by the standoff.
     """
@@ -590,7 +587,7 @@ def embedded_resonances(model: PotentialModel, band: tuple[float, float],
         val, der = _upper_solution_at_zero(model, z, ode_step)
         return np.cos(eta) * val - np.sin(eta) * der
 
-    zg = np.linspace(lo, hi, grid)
+    zg = np.linspace(lo, hi, _RESONANCE_GRID)
     mu = _scan_crossings(lambda z: h(z).real, zg, h(zg).real, 60)
     if not len(mu):
         return []

@@ -39,7 +39,7 @@ def _report(num: int, ok: bool, elapsed: float, detail: str) -> None:
 def test_criterion_01_mathieu_band(sin_model):
     """First spectral band of the sinusoidal tail to 1e-3, under 60 s."""
     t0 = time.time()
-    bs = bands(sin_model, -1.0, 0.0, tol=1e-10)
+    bs = bands(sin_model, -1.0, 0.0)
     elapsed = time.time() - t0
     lo, hi = bs.bands[0]
     ok = (len(bs.bands) == 1 and abs(lo - (-0.3785)) < 1e-3

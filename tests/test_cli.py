@@ -149,7 +149,10 @@ def test_enclose_verb(model_paths, tmp_path):
             ("sin.json", ["--lambda", "0.1,0.5", "--ode-step", "1e-2"],
              (True, False, True)),
             ("sin.json", ["--lambda", "-0.35,0.5", "--ode-step", "1e-2",
-                          "--band-range", "-2,1"], (True, True, True))):
+                          "--band-range", "-2,1"], (True, True, True)),
+            # 6.27089 lies in the gap (6.270837, 6.270944), narrower than
+            # 1e-4, of the default band range [-2, 10]
+            ("sin.json", ["--lambda", "6.27089,0.5"], (True, False, True))):
         code = run(["enclose", "--model", str(model_paths / model),
                     "--gamma", "1", "--out", str(out)] + extra)
         assert code == 0
@@ -187,6 +190,9 @@ def test_enclose_band_range_must_hold_the_bands(model_paths, tmp_path, capsys):
 def test_exit_code_on_usage_error(model_paths):
     assert run(["spectrum", "--model"]) == 2
     assert run([]) == 2
+    # band ends are polished to rounding: bands has no --tol
+    assert run(["bands", "--model", str(model_paths / "sin.json"),
+                "--range", "-1,0", "--tol", "1e-10", "--out", "x.csv"]) == 2
 
 
 def test_exit_code_on_computation_error(model_paths, tmp_path):
@@ -219,12 +225,26 @@ def test_figure_preset_fig1(tmp_path):
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
 
-@pytest.mark.parametrize("module", ["specbar", "specbar.cli"])
-def test_python_m_help(module):
+def _python(*args):
+    """Run a fresh interpreter that imports specbar from this source tree."""
     src = str(Path(specbar.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run([sys.executable, "-m", module, "--help"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["specbar", "specbar.cli"])
+def test_python_m_help(module):
+    proc = _python("-m", module, "--help")
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # only the truncation solver needs scipy.linalg, and it imports it when
+    # it runs, so no verb pays for it at start-up
+    code = "import sys, specbar, specbar.cli; print('scipy.linalg' in sys.modules)"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,20 @@ def test_power_sum_certificate_rejects_a_repeated_eigenvalue(monkeypatch, sin_mo
     monkeypatch.setattr(fdtrunc, "_aberth", lambda _: eigs.copy())
     with pytest.raises(SolverError, match="power sum"):
         eigenvalues_dense(t)
+
+
+def test_aberth_memory_is_a_row_block(sin_model):
+    # The repulsion sum runs _ROW_BLOCK rows at a time: at n = 2399 its
+    # scratch is 32 x 2399 complex (1.2 MiB), where an n x n one is 88 MiB.
+    t = build_matrix(BarrierProblem(sin_model, 0.25, 20.0), 120.0, 0.05)
+    assert t.n == 2399
+    tracemalloc.start()
+    try:
+        eigenvalues_dense(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_cap_and_residual_guards():

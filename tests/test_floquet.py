@@ -98,15 +98,19 @@ def test_branch_point_guard(free_periodic_model):
 
 
 def test_bands_free_half_line(free_periodic_model):
-    bs = bands(free_periodic_model, -1.0, 5.0, tol=1e-10)
-    assert len(bs.bands) == 1
-    lo, hi = bs.bands[0]
-    assert abs(lo) < 1e-8
-    assert hi == 5.0
+    # with period 2 pi the free cell's D = 2 cos(2 pi sqrt z) touches +-2 at
+    # z = 1/4, 1, 9/4, 4: closed gaps, double roots that must not split the band
+    free_2pi = PotentialModel(tail=PeriodicTail(2 * math.pi, 0.0, ConstExpr(0.0)))
+    for model in (free_periodic_model, free_2pi):
+        bs = bands(model, -1.0, 5.0)
+        assert len(bs.bands) == 1
+        lo, hi = bs.bands[0]
+        assert abs(lo) < 1e-8
+        assert hi == 5.0
 
 
 def test_bands_sin_first_interval(sin_model):
-    bs = bands(sin_model, -1.0, 0.0, tol=1e-10)
+    bs = bands(sin_model, -1.0, 0.0)
     assert len(bs.bands) == 1
     lo, hi = bs.bands[0]
     # paper values, quoted to 4 decimals
@@ -118,20 +122,33 @@ def test_bands_sin_first_interval(sin_model):
 
 
 def test_bands_sorted_disjoint_with_end_residuals(sin_model):
-    tol = 1e-8
-    bs = bands(sin_model, -1.0, 1.5, tol=tol)
+    bs = bands(sin_model, -1.0, 1.5)
     assert list(bs.bands) == sorted(bs.bands)
     for (a, b), (c, d) in zip(bs.bands, bs.bands[1:]):
         assert b < c
     for e in bs.band_ends:
         if -1.0 < e < 1.5:  # interior ends are genuine |D| = 2 points
             m = monodromy(sin_model, e)
-            assert abs(abs(m.discriminant.real) - 2.0) < 10 * tol
+            assert abs(abs(m.discriminant.real) - 2.0) < 1e-9
+
+
+def test_bands_find_the_narrow_gaps(sin_model):
+    # [-2, 10] holds seven Mathieu bands; the gaps (6.270837, 6.270944) and
+    # (9.014302, 9.014304) are narrower than any practical grid cell
+    want = []
+    m = 0
+    while (lo := mathieu_a(m, 2) / 4.0) < 10.0:
+        want.append((lo, min(mathieu_b(m + 1, 2) / 4.0, 10.0)))
+        m += 1
+    bs = bands(sin_model, -2.0, 10.0)
+    assert len(bs.bands) == len(want) == 7
+    for got, ref in zip(bs.band_ends, (e for band in want for e in band)):
+        assert abs(got - ref) < 1e-6
 
 
 def test_bands_stable_under_step_halving(sin_model):
-    a = bands(sin_model, -1.0, 0.0, tol=1e-10, ode_step=2e-3, grid=600)
-    b = bands(sin_model, -1.0, 0.0, tol=1e-10, ode_step=1e-3, grid=600)
+    a = bands(sin_model, -1.0, 0.0, ode_step=2e-3)
+    b = bands(sin_model, -1.0, 0.0, ode_step=1e-3)
     for (x, y), (u, v) in zip(a.bands, b.bands):
         assert abs(x - u) < 1e-6
         assert abs(y - v) < 1e-6
@@ -263,7 +280,7 @@ def test_embedded_resonances_band_validation(sin_model):
                             ode_step=4e-3)  # in a gap
     assert embedded_resonances(
         sin_model, (SIN_BAND_1[0] + 5e-3, SIN_BAND_1[1] - 5e-3), tol=1e-6,
-        grid=400, ode_step=4e-3,
+        ode_step=4e-3,
     ) == []
 
 

@@ -151,5 +151,6 @@ def test_limit_function_propagation_count(sin_model, monkeypatch):
 def test_bands_discriminant_call_count(sin_model, monkeypatch):
     calls = _count_calls(monkeypatch, floquet, "_discriminant_real")
     floquet.bands(sin_model, -1.0, 1.0, ode_step=1e-2)
-    # one grid scan, then nine 16-section rounds for all four band ends
+    # one call per interpolant degree tried, one per Newton round on all
+    # four band ends, and one for the piece middles
     assert len(calls) <= 10
