@@ -274,9 +274,7 @@ def _check_band_range(model, lo: float, hi: float, lam: complex,
     start there or lower; the lens reaches gamma/2 to the right of Re lam,
     so the scan must end there or higher.
     """
-    expr = model.tail.expr
-    q_min = (-abs(expr.amplitude) if isinstance(expr, SinExpr)
-             else complex(expr.value).real)
+    q_min = floquet._tail_minimum(model)
     if lo > q_min:
         raise DomainError(
             f"--band-range starts at {lo!r}, above the tail potential's minimum "

@@ -23,6 +23,7 @@ from .core import (
     PotentialModel,
     Rectangle,
     Sheet,
+    SinExpr,
     SpecbarError,
     _is_scalar,
     _sample,
@@ -57,7 +58,8 @@ _BRANCH_TOL = 1e-12
 _NULL_VECTOR_TOL = 1e-8
 _CHOP = 1e-12            # trailing share of the largest Chebyshev coefficient
 _DEGREES = (32, 64, 128, 256, 512, 1024, 2048, 4096)   # tried by bands in turn
-_NEWTON_ROUNDS = 3       # polishing the band ends on D itself
+_NEAR_AXIS = 1e-3        # largest |Im| of a root of p -+ 2, as a share of the range
+_NEWTON_ROUNDS = 12      # at most, polishing the band ends on D itself
 _RESONANCE_GRID = 2000   # scan points of embedded_resonances on its band
 
 
@@ -184,14 +186,6 @@ def monodromy(model: PotentialModel, z, ode_step: float = 1e-3) -> Monodromy:
                      tail.start, tail.period)
 
 
-def _split_multipliers(D):
-    """Both multiplier candidates (D +- i sqrt(4 - D^2)) / 2."""
-    w = principal_sqrt(np.asarray(D, dtype=complex) ** 2 * (-1) + 4.0)
-    ra = 0.5 * (D + 1j * w)
-    rb = 0.5 * (D - 1j * w)
-    return ra, rb
-
-
 def _select_rho(D, sheet: Sheet):
     """Multiplier with |rho| < 1 off the bands (principal) or its swap (second).
 
@@ -201,7 +195,9 @@ def _select_rho(D, sheet: Sheet):
     candidates are unimodular; the principal choice then takes the + sign,
     matching Im sqrt(4 - D^2) >= 0.
     """
-    ra, rb = _split_multipliers(D)
+    w = principal_sqrt(np.asarray(D, dtype=complex) ** 2 * (-1) + 4.0)
+    ra = 0.5 * (D + 1j * w)     # the candidates (D +- i sqrt(4 - D^2)) / 2
+    rb = 0.5 * (D - 1j * w)
     abs_a = np.abs(ra)
     abs_b = np.abs(rb)
     tie = np.abs(abs_a - abs_b) <= 1e-8 * (abs_a + abs_b)
@@ -249,8 +245,7 @@ def floquet_data(model: PotentialModel, z, sheet: Sheet = Sheet.PRINCIPAL,
 
 def _discriminant_real(model: PotentialModel, z: np.ndarray, ode_step: float):
     p1, p1p, p2, p2p = _monodromy_arrays(model, z.astype(complex), ode_step)
-    D = p1 + p2p
-    return D.real
+    return (p1 + p2p).real
 
 
 def _scan_crossings(g, grid_z, gv, bits: int):
@@ -280,46 +275,61 @@ def _scan_crossings(g, grid_z, gv, bits: int):
     return 0.5 * (a + b)
 
 
+def _tail_minimum(model: PotentialModel) -> float:
+    """Minimum of the periodic tail's potential: no band lies below it."""
+    expr = model.tail.expr
+    return -abs(expr.amplitude) if isinstance(expr, SinExpr) else expr.value.real
+
+
 def bands(model: PotentialModel, z_min: float, z_max: float,
           ode_step: float = 1e-3) -> BandStructure:
     """Real intervals of [z_min, z_max] where |D| <= 2, ends polished to rounding.
 
-    D is entire, so its Chebyshev interpolant p on the range converges
-    geometrically: the degree doubles from 32 until the last eight
-    coefficients fall below 1e-12 of the largest (Chebfun's chop); past
-    degree 4096 it raises BandResolutionError.  The real roots in the range
-    of p - 2 and p + 2, from the colleague matrix, are polished by Newton
-    rounds on D itself with p' as the slope.  A piece between consecutive
+    D is interpolated from max(z_min, q_min) up: no band lies below the tail
+    potential's minimum q_min, and there D grows like exp(T sqrt(q_min - z)),
+    which would swamp the interpolant's accuracy near the bands.  D is
+    entire, so its Chebyshev interpolant p converges geometrically: the
+    degree doubles from 32 until the last eight coefficients fall below
+    1e-12 of the largest (Chebfun's chop); past degree 4096 it raises
+    BandResolutionError.  Each root of p - 2 and p + 2 within 1e-3 of the
+    range from the real axis gives the Newton starts Re z +- |Im z| on D
+    itself, with p' as the slope, so D, not the interpolant's rounding,
+    decides a gap lower than that rounding.  A piece between consecutive
     ends is a band when |D| <= 2 at its middle, by the exact sign, so a
-    closed gap (a double root) joins its neighbours.  A gap whose height
-    |D| - 2 is below the interpolant's error, about 1e-12 max |D| on the
-    range, is not seen.  Intervals reaching the range boundary are clipped
-    there.
+    closed gap (a double root) and a start that found no end join their
+    neighbours.  Intervals reaching the range boundary are clipped there.
     """
     _require_periodic(model)
     if not z_min < z_max:
         raise ValueError("need z_min < z_max")
+    q_min = _tail_minimum(model)
+    # a range wholly below q_min holds no band and is searched as given
+    lo = max(z_min, q_min) if q_min < z_max else z_min
 
     def D(z):
         return _discriminant_real(model, z, ode_step)
 
     for degree in _DEGREES:
-        p = Chebyshev.interpolate(D, degree, domain=(z_min, z_max))
+        p = Chebyshev.interpolate(D, degree, domain=(lo, z_max))
         c = np.abs(p.coef)
         if np.max(c[-8:]) <= _CHOP * np.max(c):
             break
     else:
         raise BandResolutionError(f"discriminant not resolved at degree {degree} "
-                                  f"on [{z_min}, {z_max}]")
-    z = np.concatenate([(p - 2.0).roots(), (p + 2.0).roots()])
-    z = z.real[(z.imag == 0) & (z_min < z.real) & (z.real < z_max)]
+                                  f"on [{lo}, {z_max}]")
+    r = np.concatenate([(p - 2.0).roots(), (p + 2.0).roots()])
+    r = r[np.abs(r.imag) <= _NEAR_AXIS * (z_max - lo)]
+    z = np.unique(np.concatenate([r.real - np.abs(r.imag), r.real + np.abs(r.imag)]))
+    z = z[(lo < z) & (z < z_max)]
     target = 2.0 * np.sign(p(z))
     dp = p.deriv()
     for _ in range(_NEWTON_ROUNDS if len(z) else 0):
         slope = dp(z)
         slope[slope == 0] = np.inf          # a flat end stays put
-        z = np.clip(z - (D(z) - target) / slope, z_min, z_max)
-    cuts = np.unique(np.concatenate([[z_min, z_max], z]))
+        z, prev = np.clip(z - (D(z) - target) / slope, lo, z_max), z
+        if np.max(np.abs(z - prev)) <= 1e-15 * (z_max - lo):
+            break
+    cuts = np.unique(np.concatenate([[lo, z_max], z]))
     inside = np.abs(D(0.5 * (cuts[:-1] + cuts[1:]))) <= 2.0
     # a cut is a band end where the pieces on its two sides differ
     ends = cuts[np.diff(np.concatenate([[False], inside, [False]]))].tolist()

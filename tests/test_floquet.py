@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
 from scipy.special import mathieu_a, mathieu_b
 
 from specbar import floquet
@@ -132,18 +133,46 @@ def test_bands_sorted_disjoint_with_end_residuals(sin_model):
             assert abs(abs(m.discriminant.real) - 2.0) < 1e-9
 
 
+def _mathieu_ends(hi):
+    # band ends of -u'' + sin(x) u below hi, from the Mathieu characteristic values
+    want = []
+    m = 0
+    while (lo := mathieu_a(m, 2) / 4.0) < hi:
+        want += [lo, min(mathieu_b(m + 1, 2) / 4.0, hi)]
+        m += 1
+    return want
+
+
 def test_bands_find_the_narrow_gaps(sin_model):
     # [-2, 10] holds seven Mathieu bands; the gaps (6.270837, 6.270944) and
     # (9.014302, 9.014304) are narrower than any practical grid cell
-    want = []
-    m = 0
-    while (lo := mathieu_a(m, 2) / 4.0) < 10.0:
-        want.append((lo, min(mathieu_b(m + 1, 2) / 4.0, 10.0)))
-        m += 1
     bs = bands(sin_model, -2.0, 10.0)
-    assert len(bs.bands) == len(want) == 7
-    for got, ref in zip(bs.band_ends, (e for band in want for e in band)):
-        assert abs(got - ref) < 1e-6
+    want = _mathieu_ends(10.0)
+    assert len(bs.bands) == len(want) // 2 == 7
+    assert np.max(np.abs(np.subtract(bs.band_ends, want))) < 1e-6
+
+
+def test_bands_ignore_the_range_below_the_tail_minimum(sin_model):
+    # no band lies below min q = -1, where D grows like exp(2 pi sqrt(-z));
+    # interpolating D down to -20 would bury the ~1e-12 high 9.0143 gap
+    bs = bands(sin_model, -20.0, 10.0)
+    assert len(bs.bands) == 7
+    assert bs == bands(sin_model, -1.0, 10.0)
+
+
+def test_bands_find_ends_the_interpolant_pushes_off_the_axis(sin_model, monkeypatch):
+    # an interpolant 1e-10 low turns the ends of the ~1e-12 high 9.0143 gap
+    # into a complex pair of roots of p - 2; Newton on D must still find them
+    class Low(Chebyshev):
+        @classmethod
+        def interpolate(cls, func, deg, domain=None):
+            return super().interpolate(func, deg, domain=domain) - 1e-10
+
+    monkeypatch.setattr(floquet, "Chebyshev", Low)
+    bs = bands(sin_model, -1.0, 10.0)
+    want = _mathieu_ends(10.0)
+    assert len(bs.bands) == 7
+    assert np.max(np.abs(np.subtract(bs.band_ends, want))) < 1e-6
 
 
 def test_bands_stable_under_step_halving(sin_model):
