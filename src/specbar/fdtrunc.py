@@ -7,10 +7,11 @@ and truncation-induced pollution on the real bands.
 
 All n eigenvalues come from an Ehrlich–Aberth iteration on det(T − z) in
 O(n²) time and O(n) memory (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal.
-Appl. 27, 2005).  The Newton correction is the ratio recurrence of the
-leading principal minors, never a dense matrix.  Each returned spectrum is
-certified: its first two power sums must match tr T and tr T², and sampled
-eigenvalues must pass an inverse-iteration residual check.
+Appl. 27, 2005).  Its Newton correction p/p' comes from the three-term
+recurrence of the leading principal minors, rescaled by powers of two, never
+from a dense matrix.  Each returned spectrum is certified: its first two
+power sums must match tr T and tr T², and sampled eigenvalues must pass an
+inverse-iteration residual check.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _spot_check(t: TridiagonalOperator, eigs: np.ndarray) -> None:
         ab[0, 1:] = t.super
         ab[1, :] = t.diag - shift
         ab[2, :-1] = t.sub
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        b = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         try:
             v = linalg.solve_banded((1, 1), ab, b)
         except linalg.LinAlgError as exc:  # pragma: no cover
@@ -148,49 +149,59 @@ def _start_points(t: TridiagonalOperator) -> np.ndarray:
     return z
 
 
-def _newton(t: TridiagonalOperator, z: np.ndarray, pivmin: float) -> np.ndarray:
+def _newton(t: TridiagonalOperator, z: np.ndarray) -> np.ndarray:
     """Newton corrections p(z)/p'(z) for p = det(T - z), one per point of z.
 
-    The pivots r_k = p_k/p_{k-1} of the leading principal minors obey
-    r_k = (d_k - z) - s_{k-1}/r_{k-1} with s = sub * super, and v_k = r_k'/r_k
-    obeys v_k = (v_{k-1} s_{k-1}/r_{k-1} - 1)/r_k, so p'/p is the sum of the
-    v_k.  A pivot smaller than pivmin is replaced by pivmin, as dstebz does:
-    a start point can be an exact zero of a leading minor.
+    The leading principal minors and their derivatives obey the three-term
+    recurrence, with s = sub * super,
+
+        p_k = (d_k - z) p_{k-1} - s_{k-1} p_{k-2},
+        p'_k = (d_k - z) p'_{k-1} - p_{k-1} - s_{k-1} p'_{k-2},
+
+    from p_{-1} = 1 and p_{-2} = 0.  Nothing is divided until p_n/p'_n, so an
+    exact zero of a leading minor is harmless.  T and z are first divided by
+    a power of two above ||T|| + max|z|, and every few steps the four current
+    values of each point are rescaled together by a power of two.  Both are
+    exact: the first multiplies p/p' by a known power, the second leaves it.
     """
-    s_prev = np.concatenate(([0.0], t.sub * t.super)).tolist()
-    q = np.zeros_like(z)                 # 1/r_{k-1}
-    v = np.zeros_like(z)
-    total = np.zeros_like(z)
-    g = np.empty_like(z)
-    r = np.empty_like(z)
-    size = np.empty(len(z))
-    small = np.empty(len(z), dtype=bool)
-    for dk, sk in zip(t.diag.tolist(), s_prev):
-        np.multiply(q, sk, out=g)
-        np.add(z, g, out=r)
-        np.subtract(dk, r, out=r)
-        np.less(np.abs(r, out=size), pivmin, out=small)
-        if small.any():
-            r[small] = pivmin
-        np.divide(1.0, r, out=q)
-        v *= g
-        v -= 1.0
-        v *= q
-        total += v
-    return 1.0 / total
+    # In these units |d_k - z| < 1 and |s_k| < 1/4.  One step then grows a
+    # point's four moduli by less than 2.25, and shrinks them by less than
+    # 3/|s_k|, since (p, p')_{k-2} follow from the step's inverse; a zero s_k
+    # decouples the rows.  So `every` steps stay within 2^±1000.
+    unit = 2.0 ** -np.frexp(t.norm_inf() + np.abs(z).max())[1]
+    s = t.sub * unit * (t.super * unit)
+    every = max(1, int(1000 // (1.6 - np.log2(np.abs(s[s != 0]).min(initial=1.0)))))
+    d = (t.diag * unit).tolist()
+    s = [0.0] + s.tolist()
+    buf = np.zeros((2, 2, len(z)), dtype=complex)   # rows (p, p') of two steps
+    buf[0, 0] = 1.0
+    parts = buf.view(float).reshape(4, -1)          # point j owns columns 2j, 2j+1
+    cur, prev = buf
+    zz = np.stack([z, z]) * unit
+    a = np.empty_like(zz)
+    for lo in range(0, t.n, every):
+        for dk, sk in zip(d[lo:lo + every], s[lo:lo + every]):
+            np.subtract(dk, zz, out=a)
+            a *= cur                            # (d_k - z) (p, p')_{k-1}
+            prev *= sk
+            np.subtract(a, prev, out=prev)      # - s_{k-1} (p, p')_{k-2}
+            prev[1] -= cur[0]                   # - p_{k-1} in p'_k
+            cur, prev = prev, cur
+        big = np.abs(parts).max(axis=0)
+        shift = np.frexp(np.maximum(big[::2], big[1::2]))[1]
+        np.ldexp(parts, np.repeat(-shift, 2), out=parts)
+    return cur[0] / cur[1] / unit
 
 
 def _aberth(t: TridiagonalOperator) -> np.ndarray:
     """All eigenvalues of t by the Ehrlich–Aberth iteration on det(T - z)."""
-    scale = t.norm_inf()
-    pivmin = _EPS * scale
-    stop = _STOP * _EPS * scale
+    stop = _STOP * _EPS * t.norm_inf()
     z = _start_points(t)
     active = np.arange(t.n)
     block = np.empty((min(_ROW_BLOCK, t.n), t.n), dtype=complex)
     for _ in range(_MAX_ITER):
         za = z[active]
-        newton = _newton(t, za, pivmin)
+        newton = _newton(t, za)
         # sum over j != k of 1/(z_k - z_j), row block by row block
         repulsion = np.empty_like(za)
         for lo in range(0, len(active), _ROW_BLOCK):
@@ -214,10 +225,13 @@ def eigenvalues_dense(t: TridiagonalOperator) -> list[complex]:
 
     An Ehrlich–Aberth iteration on det(T - z) finds all n eigenvalues in
     O(n²) time and O(n) memory; n may not exceed 9000, which bounds that
-    time.  Start points are the spectra of the blocks where Im diag is
-    constant; each point stops once its step is within 32·eps·‖T‖∞, after
-    at most 100 iterations.  The result is certified before it is returned: every
-    value converged and is finite, the power sums match the traces,
+    time.  Each Newton correction runs the three-term recurrence of the
+    leading principal minors of T - z, with no division and exact
+    power-of-two rescaling.  Start points are the spectra of the blocks
+    where Im diag is constant; each point stops once its step is within
+    32·eps·‖T‖∞, after at most 100 iterations.  The result is certified
+    before it is returned: every value converged and is finite, the power
+    sums match the traces,
 
         |Σλ − tr T| ≤ 1e-12·n·‖T‖∞,   |Σλ² − tr T²| ≤ 1e-12·n·‖T‖∞²,
 

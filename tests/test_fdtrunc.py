@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,63 @@ def test_mathieu_truncation_vs_recurrence_oracle(sin_model):
             if abs(step) < 1e-14 * (1 + abs(z)):
                 break
         assert abs(z - lam) < 1e-6
+
+
+def _exact_newton(t: TridiagonalOperator, z: complex) -> complex:
+    # p/p' for p = det(T - z) by the three-term recurrence in exact
+    # Gaussian-rational arithmetic: (re, im) pairs of Fractions
+    def mul(u, v):
+        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    def sub(u, v):
+        return (u[0] - v[0], u[1] - v[1])
+
+    def exact(w):
+        return (Fraction(w.real), Fraction(w.imag))
+
+    zq = exact(complex(z))
+    s = [(Fraction(0), Fraction(0))] + [mul(exact(a), exact(b))
+                                        for a, b in zip(t.sub, t.super)]
+    p, p_prev = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
+    dp, dp_prev = p_prev, p_prev
+    for dk, sk in zip(t.diag, s):
+        a = sub(exact(dk), zq)
+        p, p_prev, dp, dp_prev = (
+            sub(mul(a, p), mul(sk, p_prev)), p,
+            sub(sub(mul(a, dp), p), mul(sk, dp_prev)), dp,
+        )
+    num = mul(p, (dp[0], -dp[1]))
+    den = dp[0] ** 2 + dp[1] ** 2
+    return complex(float(num[0] / den), float(num[1] / den))
+
+
+def test_newton_matches_exact_recurrence(sin_model):
+    # the float recurrence, rescaled by powers of two, against the same
+    # recurrence in exact arithmetic, 1e-3 off sampled eigenvalues
+    t = build_matrix(BarrierProblem(sin_model, gamma=0.25, R=4.0), X=10.05, h=0.05)
+    assert t.n == 200
+    eigs = np.array(eigenvalues_dense(t))
+    z = eigs[np.linspace(0, t.n - 1, 5).astype(int)] + 1e-3
+    got = fdtrunc._newton(t, z)
+    want = np.array([_exact_newton(t, zk) for zk in z])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+
+
+@pytest.mark.parametrize("c", [1e150, 1e-150])
+def test_eigenvalues_scale_with_the_matrix(c):
+    # c * T has eigenvalues c * lambda: unscaled, det(c T - z) over- or
+    # underflows within a few rows
+    n, h, R = 200, 0.5, 50.0
+    x = h * np.arange(1, n + 1)
+    off = np.full(n - 1, -1.0 / h**2, dtype=complex)
+    diag = 2.0 / h**2 + np.sin(x) + 1j * (x <= R)
+    t = TridiagonalOperator(n=n, sub=off, diag=diag, super=off.copy(), h=h,
+                            X=(n + 1) * h)
+    ct = TridiagonalOperator(n=n, sub=c * t.sub, diag=c * t.diag, super=c * t.super,
+                             h=h, X=t.X)
+    base = np.array(eigenvalues_dense(t))
+    got = np.array(eigenvalues_dense(ct)) / c
+    assert _matched_distance(got, base) <= 1e-12 * np.abs(base).max()
 
 
 @pytest.mark.parametrize("name, gamma, R, X, h, n", [

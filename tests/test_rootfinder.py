@@ -63,7 +63,7 @@ def test_winding_no_zero():
     assert winding_number(AnalyticFunctionHandle(eval=lambda z: z - 5), UNIT) == 0
 
 
-def test_winding_uses_supplied_derivative():
+def test_winding_from_the_function_alone():
     # The handle carries no derivative: the contour edges integrate log f,
     # so the supplied function alone fixes the count.
     f = AnalyticFunctionHandle(eval=lambda z: z**2 - 0.25)
