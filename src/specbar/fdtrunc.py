@@ -164,18 +164,19 @@ def _newton(t: TridiagonalOperator, z: np.ndarray) -> np.ndarray:
     values of each point are rescaled together by a power of two.  Both are
     exact: the first multiplies p/p' by a known power, the second leaves it.
     """
-    # In these units |d_k - z| < 1 and |s_k| < 1/4.  One step then grows a
-    # point's four moduli by less than 2.25, and shrinks them by less than
-    # 3/|s_k|, since (p, p')_{k-2} follow from the step's inverse; a zero s_k
-    # decouples the rows.  So `every` steps stay within 2^±1000.
+    # unit = 2^-e with 2^e > ||T|| + max|z|, so |d_k - z| < 1 and |s_k| < 1/4
+    # in these units.  One step then grows a point's four moduli by less than
+    # 2.25 and shrinks them by less than 3/|s_k|, since (p, p')_{k-2} follow
+    # from the step's inverse (a zero s_k decouples the rows): `every` steps
+    # stay within 2^±1000.
     unit = 2.0 ** -np.frexp(t.norm_inf() + np.abs(z).max())[1]
     s = t.sub * unit * (t.super * unit)
-    every = max(1, int(1000 // (1.6 - np.log2(np.abs(s[s != 0]).min(initial=1.0)))))
+    weakest = np.abs(s[s != 0]).min(initial=1.0)
+    every = max(1, int(1000 // (1.6 - np.log2(weakest))))
     d = (t.diag * unit).tolist()
     s = [0.0] + s.tolist()
     buf = np.zeros((2, 2, len(z)), dtype=complex)   # rows (p, p') of two steps
     buf[0, 0] = 1.0
-    parts = buf.view(float).reshape(4, -1)          # point j owns columns 2j, 2j+1
     cur, prev = buf
     zz = np.stack([z, z]) * unit
     a = np.empty_like(zz)
@@ -187,9 +188,8 @@ def _newton(t: TridiagonalOperator, z: np.ndarray) -> np.ndarray:
             np.subtract(a, prev, out=prev)      # - s_{k-1} (p, p')_{k-2}
             prev[1] -= cur[0]                   # - p_{k-1} in p'_k
             cur, prev = prev, cur
-        big = np.abs(parts).max(axis=0)
-        shift = np.frexp(np.maximum(big[::2], big[1::2]))[1]
-        np.ldexp(parts, np.repeat(-shift, 2), out=parts)
+        shift = np.frexp(np.abs(buf).max(axis=(0, 1)))[1]   # moduli < 2^shift
+        buf *= np.ldexp(1.0, -shift)                        # exact
     return cur[0] / cur[1] / unit
 
 
