@@ -178,7 +178,7 @@ def _newton(t: TridiagonalOperator, z: np.ndarray) -> np.ndarray:
     buf = np.zeros((2, 2, len(z)), dtype=complex)   # rows (p, p') of two steps
     buf[0, 0] = 1.0
     cur, prev = buf
-    zz = np.stack([z, z]) * unit
+    zz = np.stack([z, z]) * unit        # same shape as cur: no broadcast in a *= cur
     a = np.empty_like(zz)
     for lo in range(0, t.n, every):
         for dk, sk in zip(d[lo:lo + every], s[lo:lo + every]):
