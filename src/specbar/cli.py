@@ -23,7 +23,6 @@ from . import enclosures, fdtrunc, floquet, harness, sturm, svgplot
 from .core import (
     BarrierProblem,
     ConstExpr,
-    DomainError,
     PeriodicTail,
     Piece,
     PotentialModel,
@@ -266,33 +265,14 @@ def _cmd_fd(args) -> int:
     return 0
 
 
-def _check_band_range(model, lo: float, hi: float, lam: complex,
-                      gamma: float) -> None:
-    """The scan [lo, hi] must hold every band the verdicts at lam depend on.
-
-    No band lies below the minimum of the tail potential, so the scan must
-    start there or lower; the lens reaches gamma/2 to the right of Re lam,
-    so the scan must end there or higher.
-    """
-    q_min = floquet._tail_minimum(model)
-    if lo > q_min:
-        raise DomainError(
-            f"--band-range starts at {lo!r}, above the tail potential's minimum "
-            f"{q_min!r}: a band below it would be missed"
-        )
-    if lam.real + 0.5 * gamma > hi:
-        raise DomainError(
-            f"--band-range ends at {hi!r}, short of Re lambda + gamma/2 = "
-            f"{lam.real + 0.5 * gamma!r}: a band there would be missed"
-        )
-
-
 def _cmd_enclose(args) -> int:
     model = load_model(args.model)
     gamma, lam = args.gamma, args.lam
-    if model.is_periodic:
-        _check_band_range(model, *args.band_range, lam, gamma)
-    sigma = floquet.essential_spectrum(model, *args.band_range, args.ode_step)
+    # the verdicts read the bands from the tail potential's minimum, below
+    # which none lies, to Re lambda + gamma, past the lens's reach gamma/2
+    lo = floquet._tail_minimum(model) if model.is_periodic else 0.0
+    sigma = floquet.essential_spectrum(model, lo, max(lam.real, lo) + gamma,
+                                       args.ode_step)
     strip = enclosures.StripParams(gamma, args.s_minus, args.s_plus)
     verdict = {
         "lambda": [lam.real, lam.imag],
@@ -505,8 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", type=_parse_complex, required=True, dest="lam")
     p.add_argument("--s-minus", type=float, default=0.0, dest="s_minus")
     p.add_argument("--s-plus", type=float, default=1.0, dest="s_plus")
-    p.add_argument("--band-range", type=_parse_pair, default=(-2.0, 10.0),
-                   dest="band_range")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_enclose)
 

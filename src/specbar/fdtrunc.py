@@ -136,7 +136,9 @@ def _start_points(t: TridiagonalOperator) -> np.ndarray:
 
     im = t.diag.imag
     cuts = np.flatnonzero(np.diff(im)) + 1
-    off = np.sqrt(np.abs(t.sub * t.super))
+    # sqrt|sub * super| of T / 2^e, 2^e > ||T||, times 2^e: exact, and no overflow
+    unit = 2.0 ** -np.frexp(t.norm_inf())[1]
+    off = np.sqrt(np.abs(t.sub * unit * (t.super * unit))) / unit
     z = np.concatenate([
         linalg.eigvalsh_tridiagonal(t.diag.real[lo:hi], off[lo:hi - 1]) + 1j * im[lo]
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, t.n])
@@ -231,7 +233,7 @@ def eigenvalues_dense(t: TridiagonalOperator) -> list[complex]:
     where Im diag is constant; each point stops once its step is within
     32·eps·‖T‖∞, after at most 100 iterations.  The result is certified
     before it is returned: every value converged and is finite, the power
-    sums match the traces,
+    sums match the traces, taken of T/‖T‖∞ so that no square overflows,
 
         |Σλ − tr T| ≤ 1e-12·n·‖T‖∞,   |Σλ² − tr T²| ≤ 1e-12·n·‖T‖∞²,
 
@@ -247,13 +249,14 @@ def eigenvalues_dense(t: TridiagonalOperator) -> list[complex]:
     eigs = _aberth(t)
     if not np.all(np.isfinite(eigs)):
         raise SolverError("eigensolver returned non-finite values")
+    # the power sums of T / ||T||, so that squares neither over- nor underflow
     scale = t.norm_inf()
-    traces = (t.diag.sum(), (t.diag**2).sum() + 2.0 * (t.sub * t.super).sum())
-    for power, trace in enumerate(traces, start=1):
-        miss = abs((eigs**power).sum() - trace)
-        bound = 1e-12 * t.n * scale**power
+    d, s = t.diag / scale, (t.sub / scale) * (t.super / scale)
+    for power, trace in enumerate((d.sum(), (d**2).sum() + 2.0 * s.sum()), start=1):
+        miss = abs(((eigs / scale)**power).sum() - trace)
+        bound = 1e-12 * t.n
         if not miss <= bound:
-            raise SolverError(f"power sum {power} misses tr T^{power} by "
+            raise SolverError(f"power sum {power} misses tr (T/||T||)^{power} by "
                               f"{miss:.3e} > {bound:.3e}")
     eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
     _spot_check(t, eigs)

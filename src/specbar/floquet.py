@@ -6,6 +6,13 @@ of either tail, and embedded resonances on the bands.  Every spectral verb,
 whatever the tail, is built from the tail solution here (a plane wave on a
 zero tail, the quasi-periodic solution on a periodic one) and searched by
 the one search here, which excludes the essential spectrum and its shifts.
+
+Real points on an interval are found by one root step: a Chebyshev
+interpolant whose degree doubles from 32 up to 4096 (past which
+BandResolutionError is raised), its roots near the real axis, and Newton on
+the function itself.  The bands are where the discriminant D meets +-2; the
+embedded resonances are where the real part of the boundary form of the
+upper-continued solution crosses 0, sampled in k = sqrt(z) on a zero tail.
 """
 
 from __future__ import annotations
@@ -57,10 +64,9 @@ _DET_TOL = 1e-8
 _BRANCH_TOL = 1e-12
 _NULL_VECTOR_TOL = 1e-8
 _CHOP = 1e-12            # trailing share of the largest Chebyshev coefficient
-_DEGREES = (32, 64, 128, 256, 512, 1024, 2048, 4096)   # tried by bands in turn
-_NEAR_AXIS = 1e-3        # largest |Im| of a root of p -+ 2, as a share of the range
-_NEWTON_ROUNDS = 12      # at most, polishing the band ends on D itself
-_RESONANCE_GRID = 2000   # scan points of embedded_resonances on its band
+_DEGREES = (32, 64, 128, 256, 512, 1024, 2048, 4096)   # tried by _crossings in turn
+_NEAR_AXIS = 1e-3        # largest |Im| of a root of p - level, as a share of the range
+_NEWTON_ROUNDS = 12      # at most, polishing the crossings on the function itself
 
 
 class IntegrationError(SpecbarError):
@@ -72,7 +78,7 @@ class BranchPointError(SpecbarError):
 
 
 class BandResolutionError(SpecbarError):
-    """The discriminant interpolant did not converge within its degree cap."""
+    """A Chebyshev interpolant (of D, or of a boundary form) passed degree 4096."""
 
 
 @dataclass(frozen=True)
@@ -248,31 +254,47 @@ def _discriminant_real(model: PotentialModel, z: np.ndarray, ode_step: float):
     return (p1 + p2p).real
 
 
-def _scan_crossings(g, grid_z, gv, bits: int):
-    """Refine every sign change of g on the grid to bits bits by 16-section.
+def _crossings(f, lo: float, hi: float, levels):
+    """Newton-polished points of (lo, hi) where the real function f meets a level.
 
-    g maps a real array to real values, gv holds its values on the grid.
-    Each round evaluates 15 interior points of every bracket in one call and
-    keeps the sixteenth that holds the first sign change: four bisections.
+    f maps a real array to real values.  Its Chebyshev interpolant p on
+    [lo, hi] doubles its degree from 32 until the last eight coefficients
+    fall below 1e-12 of the largest (Chebfun's chop); past degree 4096 it
+    raises BandResolutionError.  Each root of p - v, for v in levels, within
+    1e-3 of the range from the real axis gives the starts Re z +- |Im z|
+    inside (lo, hi).  Newton then runs on f itself, with p' as the slope and
+    the level nearest p(z) as the target, so f, not the interpolant's
+    rounding, decides.  Returns the polished points, clipped to [lo, hi], and
+    the crossings among them: the sorted points strictly inside (lo, hi)
+    whose last step fell below 1e-12 of the range, one for each run of such
+    points that coincide to that resolution.
     """
-    lo_idx = np.nonzero(np.sign(gv[:-1]) * np.sign(gv[1:]) < 0)[0]
-    if len(lo_idx) == 0:
-        return np.array([])
-    a = grid_z[lo_idx]
-    b = grid_z[lo_idx + 1]
-    ga = gv[lo_idx]
-    frac = np.arange(1, 16) / 16.0
-    rows = np.arange(len(a))
-    for _ in range(math.ceil(bits / 4)):
-        inner = a[:, None] + (b - a)[:, None] * frac
-        gi = g(inner.ravel()).reshape(inner.shape)
-        change = np.sign(ga)[:, None] * np.sign(gi) < 0
-        # the sixteenth [x_j, x_j+1] with x_0 = a, x_16 = b
-        j = np.where(change.any(axis=1), np.argmax(change, axis=1), 15)
-        xs = np.column_stack([a, inner, b])
-        gs = np.column_stack([ga, gi])
-        a, b, ga = xs[rows, j], xs[rows, j + 1], gs[rows, j]
-    return 0.5 * (a + b)
+    for degree in _DEGREES:
+        p = Chebyshev.interpolate(f, degree, domain=(lo, hi))
+        c = np.abs(p.coef)
+        if np.max(c[-8:]) <= _CHOP * np.max(c):
+            break
+    else:
+        raise BandResolutionError(f"interpolant not resolved at degree {degree} "
+                                  f"on [{lo}, {hi}]")
+    r = np.concatenate([(p - v).roots() for v in levels])
+    r = r[np.abs(r.imag) <= _NEAR_AXIS * (hi - lo)]
+    z = np.unique(np.concatenate([r.real - np.abs(r.imag), r.real + np.abs(r.imag)]))
+    z = z[(lo < z) & (z < hi)]
+    levels = np.asarray(levels, dtype=float)
+    target = levels[np.argmin(np.abs(p(z)[:, None] - levels), axis=1)]
+    dp = p.deriv()
+    step = np.full(len(z), np.inf)
+    for _ in range(_NEWTON_ROUNDS if len(z) else 0):
+        slope = dp(z)
+        slope[slope == 0] = np.inf          # a flat point stays put
+        z, prev = np.clip(z - (f(z) - target) / slope, lo, hi), z
+        step = np.abs(z - prev)
+        if np.max(step) <= 1e-15 * (hi - lo):
+            break
+    near = 1e-12 * (hi - lo)
+    x = np.sort(z[(lo < z) & (z < hi) & (step <= near)])
+    return z, x[np.diff(x, prepend=-np.inf) > near]
 
 
 def _tail_minimum(model: PotentialModel) -> float:
@@ -288,16 +310,14 @@ def bands(model: PotentialModel, z_min: float, z_max: float,
     D is interpolated from max(z_min, q_min) up: no band lies below the tail
     potential's minimum q_min, and there D grows like exp(T sqrt(q_min - z)),
     which would swamp the interpolant's accuracy near the bands.  D is
-    entire, so its Chebyshev interpolant p converges geometrically: the
-    degree doubles from 32 until the last eight coefficients fall below
-    1e-12 of the largest (Chebfun's chop); past degree 4096 it raises
-    BandResolutionError.  Each root of p - 2 and p + 2 within 1e-3 of the
-    range from the real axis gives the Newton starts Re z +- |Im z| on D
-    itself, with p' as the slope, so D, not the interpolant's rounding,
-    decides a gap lower than that rounding.  A piece between consecutive
-    ends is a band when |D| <= 2 at its middle, by the exact sign, so a
-    closed gap (a double root) and a start that found no end join their
-    neighbours.  Intervals reaching the range boundary are clipped there.
+    entire, so its Chebyshev interpolant p converges geometrically; past
+    degree 4096 it raises BandResolutionError.  Each root of p - 2 and
+    p + 2 within 1e-3 of the range from the real axis starts Newton on D
+    itself, so D, not the interpolant's rounding, decides a gap lower than
+    that rounding (_crossings).  A piece between consecutive ends is a band
+    when |D| <= 2 at its middle, by the exact sign, so a closed gap (a double
+    root) and a start that found no end join their neighbours.  Intervals
+    reaching the range boundary are clipped there.
     """
     _require_periodic(model)
     if not z_min < z_max:
@@ -309,26 +329,7 @@ def bands(model: PotentialModel, z_min: float, z_max: float,
     def D(z):
         return _discriminant_real(model, z, ode_step)
 
-    for degree in _DEGREES:
-        p = Chebyshev.interpolate(D, degree, domain=(lo, z_max))
-        c = np.abs(p.coef)
-        if np.max(c[-8:]) <= _CHOP * np.max(c):
-            break
-    else:
-        raise BandResolutionError(f"discriminant not resolved at degree {degree} "
-                                  f"on [{lo}, {z_max}]")
-    r = np.concatenate([(p - 2.0).roots(), (p + 2.0).roots()])
-    r = r[np.abs(r.imag) <= _NEAR_AXIS * (z_max - lo)]
-    z = np.unique(np.concatenate([r.real - np.abs(r.imag), r.real + np.abs(r.imag)]))
-    z = z[(lo < z) & (z < z_max)]
-    target = 2.0 * np.sign(p(z))
-    dp = p.deriv()
-    for _ in range(_NEWTON_ROUNDS if len(z) else 0):
-        slope = dp(z)
-        slope[slope == 0] = np.inf          # a flat end stays put
-        z, prev = np.clip(z - (D(z) - target) / slope, lo, z_max), z
-        if np.max(np.abs(z - prev)) <= 1e-15 * (z_max - lo):
-            break
+    z, _ = _crossings(D, lo, z_max, (2.0, -2.0))
     cuts = np.unique(np.concatenate([[lo, z_max], z]))
     inside = np.abs(D(0.5 * (cuts[:-1] + cuts[1:]))) <= 2.0
     # a cut is a band end where the pieces on its two sides differ
@@ -573,12 +574,18 @@ def embedded_resonances(model: PotentialModel, band: tuple[float, float],
                         standoff: float = 1e-3) -> list[float]:
     """Real zeros of the boundary form of the upper-continued tail solution.
 
-    Scans Re BC[phi_u(., z)] for sign changes on 2000 points of the band
-    (the form has square-root branch points, so an interpolant would
-    converge slowly), refines each bracket to 60 bits, and keeps points
-    whose full residual |BC[phi_u]| is below tol.
-    The interval must stay inside a band (periodic tail) or inside (0, inf)
-    (zero tail), away from the ends by the standoff.
+    The crossings of Re BC[phi_u(., z)] with 0 come from one Chebyshev
+    interpolant on the interval, its roots near the axis polished by Newton
+    on the form itself (the root step of bands).  On a periodic tail it is
+    sampled in z: Re BC is entire for a real background, and a complex one
+    has its branch points at the band ends, outside the interval.  On a
+    zero tail it is sampled in k = sqrt(z) on [sqrt(lo), sqrt(hi)], where
+    the form is entire: in z, sqrt(z) puts a branch point at 0.  Past degree
+    4096 the interpolant raises BandResolutionError.  The crossings that
+    converged strictly inside the interval, those that coincide merged, are
+    kept where the full residual |BC[phi_u]| is below tol.  The interval
+    must stay inside a band (periodic tail) or inside (0, inf) (zero tail),
+    away from the ends by the standoff.
     """
     lo, hi = band
     if not lo < hi:
@@ -597,8 +604,14 @@ def embedded_resonances(model: PotentialModel, band: tuple[float, float],
         val, der = _upper_solution_at_zero(model, z, ode_step)
         return np.cos(eta) * val - np.sin(eta) * der
 
-    zg = np.linspace(lo, hi, _RESONANCE_GRID)
-    mu = _scan_crossings(lambda z: h(z).real, zg, h(zg).real, 60)
+    if isinstance(model.tail, PeriodicTail):
+        _, mu = _crossings(lambda z: h(z).real, lo, hi, (0.0,))
+    else:
+        # h(k^2) is entire in k: sampling in k = sqrt(z) removes the branch
+        # point of sqrt(z) at 0
+        _, k = _crossings(lambda k: h(k * k).real, math.sqrt(lo), math.sqrt(hi),
+                          (0.0,))
+        mu = k * k
     if not len(mu):
         return []
     return [float(m) for m in mu[np.abs(h(mu)) < tol]]

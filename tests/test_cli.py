@@ -148,10 +148,10 @@ def test_enclose_verb(model_paths, tmp_path):
             # 0.1 lies in the gap above the first band of the sin tail
             ("sin.json", ["--lambda", "0.1,0.5", "--ode-step", "1e-2"],
              (True, False, True)),
-            ("sin.json", ["--lambda", "-0.35,0.5", "--ode-step", "1e-2",
-                          "--band-range", "-2,1"], (True, True, True)),
+            ("sin.json", ["--lambda", "-0.35,0.5", "--ode-step", "1e-2"],
+             (True, True, True)),
             # 6.27089 lies in the gap (6.270837, 6.270944), narrower than
-            # 1e-4, of the default band range [-2, 10]
+            # 1e-4, which the bands up to Re lambda + gamma must show
             ("sin.json", ["--lambda", "6.27089,0.5"], (True, False, True))):
         code = run(["enclose", "--model", str(model_paths / model),
                     "--gamma", "1", "--out", str(out)] + extra)
@@ -174,17 +174,19 @@ def test_enclose_rejects_a_non_dissipative_coupling(model_paths, tmp_path, capsy
     assert not out.exists()
 
 
-def test_enclose_band_range_must_hold_the_bands(model_paths, tmp_path, capsys):
-    # the first band of the sin tail, (-0.378, -0.348), lies below -0.3
+def test_enclose_finds_its_own_band_range(model_paths, tmp_path):
+    # the bands run from the tail potential's minimum -1 to Re lambda + gamma,
+    # so a point right of any fixed range gets a verdict, and a point below
+    # every band lies outside all three sets
     out = tmp_path / "enc.json"
     base = ["enclose", "--model", str(model_paths / "sin.json"), "--gamma", "1",
-            "--lambda", "-0.35,0.5", "--ode-step", "1e-2", "--out", str(out)]
-    assert run(base + ["--band-range", "-0.3,1"]) == 1
-    assert "tail potential's minimum" in capsys.readouterr().err
-    # the lens at Re lambda = -0.35 reaches gamma/2 = 0.5 to the right
-    assert run(base + ["--band-range", "-2,0.1"]) == 1
-    assert "Re lambda + gamma/2" in capsys.readouterr().err
-    assert not out.exists()
+            "--out", str(out)]
+    for lam, want in (("12,0.5", True), ("-5,0.5", False)):
+        assert run(base + ["--lambda", lam]) == 0
+        verdict = json.loads(out.read_text())
+        assert [verdict["gamma_a"], verdict["gamma_b"], verdict["we_strip"]] == [want] * 3
+    # the range is no longer an option
+    assert run(base + ["--lambda", "0.1,0.5", "--band-range", "-2,10"]) == 2
 
 
 def test_exit_code_on_usage_error(model_paths):

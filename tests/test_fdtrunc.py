@@ -179,11 +179,18 @@ def test_newton_matches_exact_recurrence(sin_model):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
 
 
-@pytest.mark.parametrize("c", [1e150, 1e-150])
-def test_eigenvalues_scale_with_the_matrix(c):
+@pytest.mark.parametrize("c, h", [
+    pytest.param(1e150, 0.5, id="1e+150"),
+    pytest.param(1e-150, 0.5, id="1e-150"),
+    # ||c T|| ~ 1.6e153: tr (c T)^2 and sub * super overflow
+    pytest.param(1e150, 0.05, id="1e+150-h0.05"),
+    pytest.param(1e152, 0.05, id="1e+152-h0.05"),
+])
+def test_eigenvalues_scale_with_the_matrix(c, h):
     # c * T has eigenvalues c * lambda: unscaled, det(c T - z) over- or
     # underflows within a few rows
-    n, h, R = 200, 0.5, 50.0
+    n = 200
+    R = n * h / 2
     x = h * np.arange(1, n + 1)
     off = np.full(n - 1, -1.0 / h**2, dtype=complex)
     diag = 2.0 / h**2 + np.sin(x) + 1j * (x <= R)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev
+from scipy.optimize import brentq
 from scipy.special import mathieu_a, mathieu_b
 
 from specbar import floquet
@@ -311,6 +312,67 @@ def test_embedded_resonances_band_validation(sin_model):
         sin_model, (SIN_BAND_1[0] + 5e-3, SIN_BAND_1[1] - 5e-3), tol=1e-6,
         ode_step=4e-3,
     ) == []
+
+
+def _stacked_boundary_form(z):
+    """u(0) of the solution that is exp(i sqrt(z) x) beyond the piece i on [0, 4.7)."""
+    k, w, r0 = np.sqrt(z), np.sqrt(z - 1j), 4.7
+    return np.exp(1j * k * r0) * (np.cos(w * r0) - 1j * k * np.sin(w * r0) / w)
+
+
+_STACKED_MODEL = PotentialModel(pieces=(Piece(0.0, 4.7, ConstExpr(1j)),))
+_COMPLEX_PIECE_MODEL = PotentialModel(
+    pieces=(Piece(0.0, 2.0, ConstExpr(0.5j)),),
+    tail=PeriodicTail(2 * math.pi, 2.0, SinExpr(1.0, 1.0)))
+
+
+def _library_boundary_form(z):
+    val, _ = floquet._upper_solution_at_zero(_COMPLEX_PIECE_MODEL, z, 1e-3)
+    return val
+
+
+def _bracketed_crossings(form, lo, hi):
+    """Sign changes of Re form on a 2000-point grid, each refined by Brent's method."""
+    def re_h(z):
+        return np.real(form(np.asarray(z, dtype=complex)))
+
+    grid = np.linspace(lo, hi, 2000)
+    g = re_h(grid)
+    return [brentq(re_h, a, b, xtol=1e-15)
+            for a, b, ga, gb in zip(grid[:-1], grid[1:], g[:-1], g[1:])
+            if ga * gb < 0]
+
+
+@pytest.mark.parametrize("model, form, band, standoff", [
+    (_STACKED_MODEL, _stacked_boundary_form, (2.5, 4.0), 1e-3),
+    (_STACKED_MODEL, _stacked_boundary_form, (0.001, 40.0), 1e-3),
+    (_STACKED_MODEL, _stacked_boundary_form, (0.0002, 10.0), 1e-4),
+    (_STACKED_MODEL, _stacked_boundary_form, (0.01, 10.0), 1e-3),
+    # bands 0 and 2 of the piece 0.5i on [0, 2] before the sin tail, 1e-3 in
+    (_COMPLEX_PIECE_MODEL, _library_boundary_form, (-0.37748, -0.34867), 1e-3),
+    (_COMPLEX_PIECE_MODEL, _library_boundary_form, (1.29417, 2.28415), 1e-3),
+], ids=["stacked-2.5-4", "stacked-0.001-40", "stacked-0.0002-10",
+        "stacked-0.01-10", "complex-band0", "complex-band2"])
+def test_embedded_resonances_match_a_bracketing_oracle(model, form, band,
+                                                       standoff):
+    # every real crossing of Re h (tol = inf keeps them all); on band 2 Newton
+    # leaves two starts clipped at the interval's ends, which are no crossings
+    want = _bracketed_crossings(form, *band)
+    got = embedded_resonances(model, band, tol=math.inf, standoff=standoff)
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-10
+
+
+def test_crossings_merge_the_starts_that_meet():
+    # sampled in z, the stacked form on (0.01, 10) sends two Newton starts to
+    # the crossing at 0.1004: it is returned once
+    def re_h(z):
+        return _stacked_boundary_form(z.astype(complex)).real
+
+    polished, got = floquet._crossings(re_h, 0.01, 10.0, (0.0,))
+    want = _bracketed_crossings(_stacked_boundary_form, 0.01, 10.0)
+    assert len(polished) > len(got) == len(want) == 5
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 @pytest.mark.parametrize("model", [
