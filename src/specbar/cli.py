@@ -4,7 +4,9 @@ Verbs: spectrum, resonances, limit, bands, sp, converge, fd, enclose, and
 figure (canned reproductions).  Complex scalars are written re,im; ranges
 start:step:stop.  Numeric output goes to CSV/JSON files; figures are
 static SVG scatter plots.  Identical invocations produce byte-identical
-CSV files.
+CSV files.  fd and enclose find the bands they compare with themselves,
+from the tail potential's minimum past the largest real part they read;
+figure fig3 is the fd verb at fixed arguments, plotted.
 """
 
 from __future__ import annotations
@@ -123,15 +125,6 @@ _ROOT_HEADER = ["re_lambda", "im_lambda", "multiplicity", "residual", "R", "shee
 _FD_HEADER = ["R", "X", "h", "re_lambda", "im_lambda", "class"]
 
 
-def _classified_rows(R, X, h, cls) -> list[list]:
-    """CSV rows of a classified truncation spectrum, one per eigenvalue."""
-    return [[R, X, h, lam.real, lam.imag, tag]
-            for group, tag in ((cls.pollution_real, "pollution"),
-                               (cls.essential_approx, "essential"),
-                               (cls.discrete_candidates, "discrete"))
-            for lam in group]
-
-
 def _scatter_roots(path, rootsets_by_label, title):
     series = []
     for i, (label, rootset, marker) in enumerate(rootsets_by_label):
@@ -248,31 +241,49 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _cmd_fd(args) -> int:
-    model = load_model(args.model)
-    bs = floquet.essential_spectrum(model, *args.band_range, args.ode_step)
+def _bands_up_to(model, x, reach, ode_step):
+    """The essential spectrum from the tail potential's minimum q_min, below
+    which no band lies, to max(x, q_min) + reach (q_min = 0 on a zero tail)."""
+    lo = floquet._tail_minimum(model) if model.is_periodic else 0.0
+    return floquet.essential_spectrum(model, lo, max(x, lo) + reach, ode_step)
+
+
+def _write_fd(model, gamma, widths, x_offset, h, tol_band, ode_step, out):
+    """Write the classified truncation spectrum of every width to the CSV out.
+
+    The bands reach tol_band past the largest Re lambda of all widths, so
+    every eigenvalue is classified against all the bands near it.  Returns
+    the bands and, per width, (R, eigenvalues).
+    """
+    spectra = [(R, fdtrunc.eigenvalues_dense(fdtrunc.build_matrix(
+        BarrierProblem(model, gamma, R), R + x_offset, h))) for R in widths]
+    bs = _bands_up_to(model, max(z.real for _, eigs in spectra for z in eigs),
+                      tol_band, ode_step)
     rows = []
-    for R in args.R:
-        prob = BarrierProblem(model, args.gamma, R)
-        X = R + args.x_offset
-        t = fdtrunc.build_matrix(prob, X, args.h)
-        eigs = fdtrunc.eigenvalues_dense(t)
+    for R, eigs in spectra:
         # the barrier i*gamma shifts spectra upward by gamma
-        cls = fdtrunc.classify_spectrum(eigs, bs, args.gamma,
-                                        tol_band=args.tol_band)
-        rows += _classified_rows(R, X, args.h, cls)
-    _write_csv(args.out, _FD_HEADER, rows)
+        cls = fdtrunc.classify_spectrum(eigs, bs, gamma, tol_band=tol_band)
+        rows += [[R, R + x_offset, h, lam.real, lam.imag, tag]
+                 for group, tag in ((cls.pollution_real, "pollution"),
+                                    (cls.essential_approx, "essential"),
+                                    (cls.discrete_candidates, "discrete"))
+                 for lam in group]
+    _write_csv(out, _FD_HEADER, rows)
+    return bs, spectra
+
+
+def _cmd_fd(args) -> int:
+    _write_fd(load_model(args.model), args.gamma, args.R, args.x_offset,
+              args.h, args.tol_band, args.ode_step, args.out)
     return 0
 
 
 def _cmd_enclose(args) -> int:
     model = load_model(args.model)
     gamma, lam = args.gamma, args.lam
-    # the verdicts read the bands from the tail potential's minimum, below
-    # which none lies, to Re lambda + gamma, past the lens's reach gamma/2
-    lo = floquet._tail_minimum(model) if model.is_periodic else 0.0
-    sigma = floquet.essential_spectrum(model, lo, max(lam.real, lo) + gamma,
-                                       args.ode_step)
+    # the verdicts need the bands to Re lambda + gamma, past the lens's
+    # reach gamma/2
+    sigma = _bands_up_to(model, lam.real, gamma, args.ode_step)
     strip = enclosures.StripParams(gamma, args.s_minus, args.s_plus)
     verdict = {
         "lambda": [lam.real, lam.imag],
@@ -346,25 +357,18 @@ def _preset_fig2(out_dir: Path) -> None:
 
 
 def _preset_fig3(out_dir: Path) -> None:
-    model = _model_sin()
     gamma = 0.25
-    h = 0.05
-    bs = floquet.essential_spectrum(model, -1.0, 1.0, 1e-3)
-    rows = []
+    # the fd verb at --R 20,40 --x-offset 100 --h 0.05 on sin_tail.json
+    bs, spectra = _write_fd(_model_sin(), gamma, (20.0, 40.0), 100.0, 0.05,
+                            5e-3, 1e-3, out_dir / "fig3.csv")
     series = []
-    for R in (20.0, 40.0):
-        X = R + 100.0
-        t = fdtrunc.build_matrix(BarrierProblem(model, gamma, R), X, h)
-        eigs = fdtrunc.eigenvalues_dense(t)
-        rows += _classified_rows(R, X, h,
-                                 fdtrunc.classify_spectrum(eigs, bs, gamma))
+    for R, eigs in spectra:
         keep = [z for z in eigs if -0.6 <= z.real <= 1.2 and
                 -0.1 <= z.imag <= gamma + 0.1]
         series.append(svgplot.Series(
             x=tuple(z.real for z in keep), y=tuple(z.imag for z in keep),
             label=f"R={R:g}", marker="circle" if R == 20.0 else "cross",
         ))
-    _write_csv(out_dir / "fig3.csv", _FD_HEADER, rows)
     svgplot.scatter_svg(out_dir / "fig3.svg", series,
                         title="finite-difference truncation spectrum",
                         xlabel="Re", ylabel="Im",
@@ -475,8 +479,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="truncation margin X - R")
     p.add_argument("--h", type=float, default=0.05)
     p.add_argument("--tol-band", type=float, default=5e-3, dest="tol_band")
-    p.add_argument("--band-range", type=_parse_pair, default=(-1.0, 1.0),
-                   dest="band_range")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_fd)
 

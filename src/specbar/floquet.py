@@ -310,8 +310,10 @@ def bands(model: PotentialModel, z_min: float, z_max: float,
     D is interpolated from max(z_min, q_min) up: no band lies below the tail
     potential's minimum q_min, and there D grows like exp(T sqrt(q_min - z)),
     which would swamp the interpolant's accuracy near the bands.  D is
-    entire, so its Chebyshev interpolant p converges geometrically; past
-    degree 4096 it raises BandResolutionError.  Each root of p - 2 and
+    entire, so its Chebyshev interpolant p converges geometrically.  A range
+    whose interpolant is unresolved at degree 4096 is halved, down to pieces
+    1/16 as wide; an unresolved piece of that width raises
+    BandResolutionError.  Each root of p - 2 and
     p + 2 within 1e-3 of the range from the real axis starts Newton on D
     itself, so D, not the interpolant's rounding, decides a gap lower than
     that rounding (_crossings).  A piece between consecutive ends is a band
@@ -329,8 +331,19 @@ def bands(model: PotentialModel, z_min: float, z_max: float,
     def D(z):
         return _discriminant_real(model, z, ode_step)
 
-    z, _ = _crossings(D, lo, z_max, (2.0, -2.0))
-    cuts = np.unique(np.concatenate([[lo, z_max], z]))
+    # on a wide range from q_min (the sin tail's to 2500, say) the noise of
+    # the sampled D exceeds 1e-12 of its largest coefficient at every
+    # degree; narrower pieces chop, so such a range is halved until they do
+    pieces, z = [(lo, z_max)], [np.array([lo, z_max])]
+    while pieces:
+        a, b = pieces.pop()
+        try:
+            z.append(_crossings(D, a, b, (2.0, -2.0))[0])
+        except BandResolutionError:
+            if b - a <= (z_max - lo) / 16:
+                raise
+            pieces += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
+    cuts = np.unique(np.concatenate(z))
     inside = np.abs(D(0.5 * (cuts[:-1] + cuts[1:]))) <= 2.0
     # a cut is a band end where the pieces on its two sides differ
     ends = cuts[np.diff(np.concatenate([[False], inside, [False]]))].tolist()
@@ -590,8 +603,10 @@ def embedded_resonances(model: PotentialModel, band: tuple[float, float],
     lo, hi = band
     if not lo < hi:
         raise ValueError("band interval is empty")
-    es = essential_spectrum(model, lo - 1.0, hi + 1.0, ode_step)
-    if not any(b_lo + standoff <= lo and hi <= b_hi - standoff
+    # bands clips its ends to the range, so an interval exactly the standoff
+    # inside a band meets the clipped ends exactly
+    es = essential_spectrum(model, lo - standoff, hi + standoff, ode_step)
+    if not any(b_lo <= lo - standoff and hi + standoff <= b_hi
                for b_lo, b_hi in es.bands):
         raise DomainError(
             f"[{lo}, {hi}] is not inside a spectral band with standoff "

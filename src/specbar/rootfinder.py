@@ -52,6 +52,8 @@ _MOMENTS = 8                 # s_0 .. s_7: the pencil of up to four distinct zer
 _RANK_REL = 1e-8             # Hankel singular values above this * the largest make its rank
 _MAX_EDGE_POINTS = 1 << 16   # cap on Clenshaw-Curtis node doubling per edge
 _INFLATE_ATTEMPTS = 5
+_QUAD_TOL = 1e-10            # edge integrals converged: successive levels agree to this
+_REFINE_TOL = 1e-12          # a polished zero has |f| below this
 
 _log = logging.getLogger("specbar.rootfinder")
 
@@ -194,7 +196,7 @@ def _clenshaw_curtis(m: int):
 
 
 def _edge_moments(f: AnalyticFunctionHandle, za: complex, zb: complex,
-                  quad_tol: float, rect: Rectangle, centre: complex, half: float):
+                  rect: Rectangle, centre: complex, half: float):
     """Integrals of w^k f'/f along za -> zb for k < 8, w = (z - centre)/half.
 
     f is evaluated once per point, at nested Clenshaw-Curtis nodes whose
@@ -204,7 +206,7 @@ def _edge_moments(f: AnalyticFunctionHandle, za: complex, zb: complex,
     w_b^k L_b - w_a^k L_a - k (dz/half) * integral of w^(k-1) L dt.  A level
     counts only if every phase increment is at most pi/2; it has converged
     when the integrals of f'/f and z f'/f = (centre + half w) f'/f agree
-    with the previous counted level to quad_tol.  Raises BoundaryZeroError
+    with the previous counted level to _QUAD_TOL.  Raises BoundaryZeroError
     when |f| dips below the boundary-zero threshold relative to the edge
     maximum.
     """
@@ -241,8 +243,8 @@ def _edge_moments(f: AnalyticFunctionHandle, za: complex, zb: complex,
             r0, r1 = r[0], centre * r[0] + half * r[1]
             # Tolerances relative to the edge contribution once it exceeds O(1).
             if r_prev is not None and (
-                    abs(r0 - r_prev[0]) < quad_tol * max(1.0, abs(r0))
-                    and abs(r1 - r_prev[1]) < quad_tol * max(1.0, abs(r1), abs(za), abs(zb))):
+                    abs(r0 - r_prev[0]) < _QUAD_TOL * max(1.0, abs(r0))
+                    and abs(r1 - r_prev[1]) < _QUAD_TOL * max(1.0, abs(r1), abs(za), abs(zb))):
                 return r
             r_prev = r0, r1
         else:
@@ -255,7 +257,7 @@ def _edge_moments(f: AnalyticFunctionHandle, za: complex, zb: complex,
         fz = np.insert(fz, np.arange(1, fz.size), sample(_clenshaw_curtis(m)[0][1::2]))
 
 
-def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol: float):
+def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle):
     """Zero count and scaled moments from the boundary contour of rect.
 
     Returns (count, s) with s[k] = sum_j m_j w_j^k for k < 8, the zeros z_j
@@ -265,7 +267,7 @@ def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol: float
     centre = rect.center
     half = 0.5 * max(rect.width, rect.height)
     corners = rect.corners
-    s = sum(_edge_moments(f, a, b, quad_tol, rect, centre, half)
+    s = sum(_edge_moments(f, a, b, rect, centre, half)
             for a, b in zip(corners, corners[1:] + corners[:1])) / (2.0j * math.pi)
     n = round(s[0].real)
     if abs(s[0] - n) > 0.25:
@@ -282,7 +284,7 @@ def _inflate_rng(rect: Rectangle, attempt: int) -> float:
     return random.Random(seed).uniform(1.01, 1.05)
 
 
-def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol: float):
+def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle):
     """Contour counts, inflating the rectangle on boundary-zero suspicion.
 
     A quadrature that refuses to stabilize is treated the same way: it is
@@ -292,7 +294,7 @@ def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol:
     current = rect
     for attempt in range(_INFLATE_ATTEMPTS + 1):
         try:
-            n, s = _contour_moments(f, current, quad_tol)
+            n, s = _contour_moments(f, current)
             return n, s, current
         except (BoundaryZeroError, QuadratureError) as exc:
             if attempt == _INFLATE_ATTEMPTS:
@@ -305,8 +307,7 @@ def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle, quad_tol:
     raise AssertionError("unreachable")
 
 
-def winding_number(f: AnalyticFunctionHandle, rect: Rectangle,
-                   quad_tol: float = 1e-10) -> int:
+def winding_number(f: AnalyticFunctionHandle, rect: Rectangle) -> int:
     """Number of zeros of f inside rect, counted with multiplicity.
 
     Suspected boundary zeros trigger up to five retries on a rectangle
@@ -314,7 +315,7 @@ def winding_number(f: AnalyticFunctionHandle, rect: Rectangle,
     from an integer raises QuadratureError.
     """
     f.check_clearance(rect)
-    n, _, _ = _counts_with_inflation(f, rect, quad_tol)
+    n, _, _ = _counts_with_inflation(f, rect)
     return n
 
 
@@ -331,12 +332,11 @@ def _cabs(z: complex) -> float:
     return v if math.isfinite(v) else math.inf
 
 
-def _newton(f: AnalyticFunctionHandle, z0: complex, refine_tol: float,
-            scale: float, multiplicity: int = 1, max_iter: int = 60,
-            region: Optional[Rectangle] = None):
+def _newton(f: AnalyticFunctionHandle, z0: complex, scale: float, multiplicity: int = 1,
+            max_iter: int = 60, region: Optional[Rectangle] = None):
     """Damped Newton iteration; the multiplicity-m variant takes steps m*f/f'.
 
-    Iterates past refine_tol until the residual stagnates, so locations are
+    Iterates past _REFINE_TOL until the residual stagnates, so locations are
     polished to the precision the arithmetic supports rather than stopping
     at the first sub-tolerance value.  Steps leaving the confinement region
     are treated as uphill and damped.
@@ -369,9 +369,9 @@ def _newton(f: AnalyticFunctionHandle, z0: complex, refine_tol: float,
         z, fz = z_new, f_new
         if _cabs(fz) < best_res:
             best_z, best_res = z, _cabs(fz)
-        if best_res < refine_tol and abs(t * step) < 1e-14 * (1.0 + abs(z)):
+        if best_res < _REFINE_TOL and abs(t * step) < 1e-14 * (1.0 + abs(z)):
             break
-    return (best_z, best_res) if best_res < refine_tol else (None, best_res)
+    return (best_z, best_res) if best_res < _REFINE_TOL else (None, best_res)
 
 
 def _clean_split(f: AnalyticFunctionHandle, rect: Rectangle):
@@ -410,13 +410,13 @@ def _clean_split(f: AnalyticFunctionHandle, rect: Rectangle):
 
 
 def _multiple_zero_confirmed(f: AnalyticFunctionHandle, z: complex,
-                             multiplicity: int, quad_tol: float) -> bool:
+                             multiplicity: int) -> bool:
     """Winding check on a small box about z: it must count the multiplicity."""
     side = 1e-5 * max(1.0, abs(z))
     for _ in range(3):
         box = Rectangle(z.real - side, z.real + side, z.imag - side, z.imag + side)
         try:
-            n_box, _, _ = _counts_with_inflation(f, box, quad_tol)
+            n_box, _, _ = _counts_with_inflation(f, box)
         except (BoundaryZeroError, QuadratureError):
             side *= 1.37
             continue
@@ -424,8 +424,7 @@ def _multiple_zero_confirmed(f: AnalyticFunctionHandle, z: complex,
     return False
 
 
-def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int,
-                  s: np.ndarray, quad_tol: float, refine_tol: float):
+def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int, s: np.ndarray):
     """The zeros of a counted rectangle from its moment pencil, or None.
 
     The Hankel matrix [s_(i+j)] of size min(count, 4) has the number of
@@ -455,10 +454,10 @@ def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int,
     estimates = rect.center + 0.5 * scale * w
     roots = []
     for z0, m in zip(estimates, whole):
-        z, res = _newton(f, complex(z0), refine_tol, scale, multiplicity=int(m),
+        z, res = _newton(f, complex(z0), scale, multiplicity=int(m),
                          region=rect.scaled(2.0))
         if z is None or not rect.contains(z) or (
-                m > 1 and not _multiple_zero_confirmed(f, z, m, quad_tol)):
+                m > 1 and not _multiple_zero_confirmed(f, z, m)):
             return None
         roots.append(Root(z, int(m), res))
     zs = np.array([r.location for r in roots])
@@ -469,18 +468,17 @@ def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int,
 
 
 def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
-               quad_tol: float = 1e-10, refine_tol: float = 1e-12,
                max_depth: int = 40) -> RootSet:
     """All zeros of f in rect with multiplicities, via the moment pencil.
 
     Every rectangle with a nonzero winding count goes to one leaf resolver:
     the Hankel pencil of its contour moments gives the distinct zeros and
     their multiplicities, and each zero is polished by damped Newton to
-    |f| < refine_tol.  A rectangle the resolver cannot account for (more
-    than four distinct zeros, non-integer multiplicities, a failed
-    polish or winding check) is bisected; at max_depth it raises
-    ClusterUnresolvedError.  The spectral verbs search with the default
-    quad_tol, refine_tol and max_depth.
+    |f| < _REFINE_TOL, its edge integrals converged to _QUAD_TOL.  A
+    rectangle the resolver cannot account for (more than four distinct
+    zeros, non-integer multiplicities, a failed polish or winding check) is
+    bisected; at max_depth it raises ClusterUnresolvedError.  The spectral
+    verbs search with the default max_depth.
     """
     f.check_clearance(rect)
     roots: list[Root] = []
@@ -489,10 +487,10 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
         # Inflation on boundary-zero suspicion can make sibling rectangles
         # overlap slightly; the duplicate-merge pass below undoes the
         # resulting double counts.
-        count, s, r = _counts_with_inflation(f, r, quad_tol)
+        count, s, r = _counts_with_inflation(f, r)
         if count == 0:
             return
-        found = _resolve_leaf(f, r, count, s, quad_tol, refine_tol)
+        found = _resolve_leaf(f, r, count, s)
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("count %d in %s: %s", count, r, "bisected" if found is None
                        else f"resolved, multiplicities {[z.multiplicity for z in found]}")

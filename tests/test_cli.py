@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -132,6 +133,22 @@ def test_fd_verb_quick(model_paths, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "R,X,h,re_lambda,im_lambda,class"
     assert len(lines) - 1 == 31  # n = round(8/0.25) - 1
+
+
+def test_fd_classifies_against_the_bands_over_its_whole_spectrum(model_paths,
+                                                                  tmp_path):
+    # fd reads the bands up past its largest Re lambda, so eigenvalues over
+    # the bands above 1 are pollution or essential, not discrete
+    out = tmp_path / "fd.csv"
+    base = ["fd", "--model", str(model_paths / "sin.json"), "--gamma", "0.25",
+            "--R", "10", "--x-offset", "30", "--h", "0.1", "--out", str(out)]
+    assert run(base) == 0
+    with open(out, newline="") as fh:
+        high = [row["class"] for row in csv.DictReader(fh)
+                if float(row["re_lambda"]) > 1.0]
+    assert "pollution" in high and "essential" in high
+    # the range is no longer an option
+    assert run(base + ["--band-range", "-1,1"]) == 2
 
 
 def test_fd_defaults_fit_the_solver_cap():

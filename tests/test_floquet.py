@@ -314,6 +314,38 @@ def test_embedded_resonances_band_validation(sin_model):
     ) == []
 
 
+def test_bands_halve_a_range_one_interpolant_cannot_resolve(sin_model):
+    # to 2501 (fd's range at h = 0.04) the noise of D stops the chop at every
+    # degree; the halves chop, and give the band ends of a short range below
+    # 10 (the 9.0143 gap, 2e-6 wide, is set by D near its noise)
+    got = bands(sin_model, -1.0, 2501.0).bands
+    want = bands(sin_model, -1.0, 10.0).bands
+    assert len(got) == len(want) and got[-1][1] == 2501.0
+    assert np.max(np.abs(np.ravel(got)[:-1] - np.ravel(want)[:-1])) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def sin_bands_to_3(sin_model):
+    return bands(sin_model, -1.0, 3.0).bands
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_embedded_resonances_take_an_interval_exactly_the_standoff_inside(
+        sin_model, sin_bands_to_3, index):
+    # band ends move with the range at the rounding level; the band check
+    # reads the bands over the interval widened by the standoff, which
+    # clips them exactly at its ends
+    standoff = 1e-3
+    b_lo, b_hi = sin_bands_to_3[index]
+    lo, hi = b_lo + standoff, b_hi - standoff
+    embedded_resonances(sin_model, (lo, hi), standoff=standoff)
+    with pytest.raises(DomainError):
+        embedded_resonances(sin_model, (lo - 1e-6, hi), standoff=standoff)
+    if b_hi < 3.0:  # the last band is clipped at 3, not ended there
+        with pytest.raises(DomainError):
+            embedded_resonances(sin_model, (lo, hi + 1e-6), standoff=standoff)
+
+
 def _stacked_boundary_form(z):
     """u(0) of the solution that is exp(i sqrt(z) x) beyond the piece i on [0, 4.7)."""
     k, w, r0 = np.sqrt(z), np.sqrt(z - 1j), 4.7

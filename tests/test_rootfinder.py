@@ -317,7 +317,7 @@ def test_no_invented_roots():
     for _ in range(20):
         deg = int(rng.integers(1, 7))
         roots = rng.uniform(-0.8, 0.8, deg) + 1j * rng.uniform(-0.8, 0.8, deg)
-        out = find_zeros(_poly_handle(np.poly(roots)), UNIT, refine_tol=1e-12)
+        out = find_zeros(_poly_handle(np.poly(roots)), UNIT)
         assert all(r.residual < 1e-12 for r in out.roots)
 
 
