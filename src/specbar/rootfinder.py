@@ -8,17 +8,24 @@ coordinates scaled to the rectangle.  No derivative enters the contour:
 each edge samples f once per point at nested Clenshaw-Curtis nodes, and
 the integrals of w^k f'/f follow, by parts, from log f with its phase
 unwrapped along the edge, which Clenshaw-Curtis quadrature integrates to
-geometric accuracy (Trefethen, SIAM Rev. 50, 2008).  One leaf resolver
-turns the moments of every counted rectangle into zeros: the Hankel pencil
-of Kravanja, Sakurai & Van Barel (BIT 39, 1999), which extends the moment
+geometric accuracy (Trefethen, SIAM Rev. 50, 2008).  An edge the nested
+rule has not resolved at 129 nodes, such as one passing close to a zero or
+across a jump, goes on as adaptive dyadic panels of 33 nodes (Kravanja &
+Van Barel, Computing the Zeros of Analytic Functions, LNM 1727, 2000), so
+that only the part near the feature is refined.  One leaf resolver turns
+the moments of every counted rectangle into zeros: the Hankel pencil of
+Kravanja, Sakurai & Van Barel (BIT 39, 1999), which extends the moment
 method of Delves & Lyness (Math. Comp. 21, 1967), gives up to four
 distinct zeros and their multiplicities, and damped Newton with the
 multiplicity polishes each.  A rectangle the pencil cannot account for is
 bisected, and one still unresolved at the maximum depth is reported as an
 error.
 
-Function handles must evaluate vectorized over ndarrays of complex points;
-the contour quadrature exploits this heavily.
+Function handles must evaluate vectorized over ndarrays of complex points,
+and each call has a fixed cost, so the search calls its handle once per
+step: one call per contour level samples all four edges of a rectangle,
+one call per Newton step serves all zeros of a leaf, and a panel sampled
+once is read again by every later contour of the same search through it.
 """
 
 from __future__ import annotations
@@ -50,7 +57,10 @@ __all__ = [
 _BOUNDARY_REL = 1e-12        # |f| below this fraction of the edge max flags a boundary zero
 _MOMENTS = 8                 # s_0 .. s_7: the pencil of up to four distinct zeros
 _RANK_REL = 1e-8             # Hankel singular values above this * the largest make its rank
-_MAX_EDGE_POINTS = 1 << 16   # cap on Clenshaw-Curtis node doubling per edge
+_MAX_EDGE_POINTS = 1 << 16   # cap on the samples of one edge
+_GLOBAL_NODES = 128          # nested doubling on a whole edge up to 129 nodes,
+_PANEL_NODES = 32            # then dyadic panels of 33 Clenshaw-Curtis nodes
+_PANEL_DEPTH = 30            # no panel is halved below 2^-30 of its edge
 _INFLATE_ATTEMPTS = 5
 _QUAD_TOL = 1e-10            # edge integrals converged: successive levels agree to this
 _REFINE_TOL = 1e-12          # a polished zero has |f| below this
@@ -124,7 +134,7 @@ class AnalyticFunctionHandle:
     ``eval`` must accept an ndarray of complex points and return an ndarray
     of values; the contour quadrature reads nothing else.  Newton takes the
     derivative as a central difference with a step adapted to the local
-    scale.
+    scale, both sides of the stencil in one call.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -139,7 +149,8 @@ class AnalyticFunctionHandle:
         scalar = _is_scalar(z)
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
         h = max(1e-9, 1e-6 * scale)
-        out = (self.eval(arr + h) - self.eval(arr - h)) / (2.0 * h)
+        both = self.eval(np.concatenate([arr + h, arr - h]))
+        out = (both[:arr.size] - both[arr.size:]) / (2.0 * h)
         return complex(out[0]) if scalar else out
 
     def check_clearance(self, rect: Rectangle) -> None:
@@ -195,80 +206,288 @@ def _clenshaw_curtis(m: int):
     return nodes, weights
 
 
-def _edge_moments(f: AnalyticFunctionHandle, za: complex, zb: complex,
-                  rect: Rectangle, centre: complex, half: float):
-    """Integrals of w^k f'/f along za -> zb for k < 8, w = (z - centre)/half.
+@functools.lru_cache(maxsize=None)
+def _panel_nodes():
+    """The 33 Clenshaw-Curtis nodes of a panel on [0, 1], its middle exactly
+    1/2, so that a panel's halves start and end at nodes of the panel."""
+    s = _clenshaw_curtis(_PANEL_NODES)[0].copy()
+    s[_PANEL_NODES // 2] = 0.5
+    s.flags.writeable = False
+    return s
 
-    f is evaluated once per point, at nested Clenshaw-Curtis nodes whose
-    number doubles from 33, and no derivative is used.  L = log f, its
-    phase unwrapped by the principal increments between adjacent nodes,
-    gives the integral of f'/f as L_b - L_a and, by parts, the others as
-    w_b^k L_b - w_a^k L_a - k (dz/half) * integral of w^(k-1) L dt.  A level
-    counts only if every phase increment is at most pi/2; it has converged
-    when the integrals of f'/f and z f'/f = (centre + half w) f'/f agree
-    with the previous counted level to _QUAD_TOL.  Raises BoundaryZeroError
-    when |f| dips below the boundary-zero threshold relative to the edge
-    maximum.
+
+def _edge_moments(fz: np.ndarray, za: complex, zb: complex, m: int,
+                  centre: complex, half: float):
+    """Integrals of w^k f'/f along za -> zb for k < 8, w = (z - centre)/half,
+    from the samples fz of f at the m + 1 Clenshaw-Curtis nodes of the edge.
+
+    L = log f, its phase unwrapped by the principal increments between
+    adjacent nodes, gives the integral of f'/f as L_b - L_a and, by parts,
+    the others as w_b^k L_b - w_a^k L_a - k (dz/half) * integral of
+    w^(k-1) L dt.  Returns None when a phase increment exceeds pi/2, as L
+    is then not resolved.
     """
+    ts, weights = _clenshaw_curtis(m)
     dz = zb - za
+    step = np.angle(fz[1:] / fz[:-1])
+    if not np.all(np.abs(step) <= 0.5 * np.pi):
+        return None
+    # L - L_a: the parts formula is exact for any constant added to L
+    L = np.log(np.abs(fz / fz[0])) + 1j * np.concatenate([[0.0], np.cumsum(step)])
+    w = (za + ts * dz - centre) / half
+    r = np.empty(_MOMENTS, dtype=complex)
+    r[0] = L[-1]
+    # a running power keeps the memory at one sample array
+    p = weights * L
+    for k in range(1, _MOMENTS):
+        r[k] = w[-1] ** k * L[-1] - k * dz / half * p.sum()
+        p *= w
+    return r
 
-    def sample(ts):
-        fz = np.asarray(f.eval(za + ts * dz))
+
+def _panel_moments(F: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   centre: complex, half: float):
+    """_edge_moments of many panels lo -> hi at once, one row of 33 samples each.
+
+    Returns the moments (one row per panel), the difference between the
+    33- and the 17-node integral of L over each panel, and whether each
+    panel kept every phase increment within pi/2.  The two rules share the
+    unwrapped L, so their integrals of f'/f agree exactly; the integral of
+    L is what tells them apart.  The nested rule keeps _edge_moments, whose
+    one-edge sums are those of the sequential rule bit for bit.
+    """
+    s = _panel_nodes()
+    w33 = _clenshaw_curtis(_PANEL_NODES)[1]
+    w17 = _clenshaw_curtis(_PANEL_NODES // 2)[1]
+    step = np.angle(F[:, 1:] / F[:, :-1])
+    ok = np.all(np.abs(step) <= 0.5 * np.pi, axis=1)
+    L = np.log(np.abs(F / F[:, :1])).astype(complex)
+    L[:, 1:] += 1j * np.cumsum(step, axis=1)
+    dz = hi - lo
+    powers = ((lo[:, None] + s * dz[:, None] - centre) / half)[:, :, None] ** np.arange(_MOMENTS)
+    wL = w33 * L
+    # integrals of w^(k-1) L for k = 1 .. 7
+    integrals = np.matmul(wL[:, None, :], powers[:, :, :-1])[:, 0]
+    r = np.empty((len(F), _MOMENTS), dtype=complex)
+    r[:, 0] = L[:, -1]
+    r[:, 1:] = (powers[:, -1, 1:] * L[:, -1:]
+                - np.arange(1, _MOMENTS) * (dz / half)[:, None] * integrals)
+    diff = integrals[:, 0] - (w17 * L[:, ::2]).sum(axis=1)
+    return r, diff, ok
+
+
+def _mid(a: complex, b: complex) -> complex:
+    """Midpoint of a panel, computed as _clean_split computes a cut at 0.5."""
+    return complex(a.real + 0.5 * (b.real - a.real), a.imag + 0.5 * (b.imag - a.imag))
+
+
+class _Samples:
+    """The samples of f that one search keeps: each panel's 33, keyed by its
+    end points (lo, hi), and the values at the points panels share, ends,
+    middles and rectangle corners, keyed by the point."""
+
+    __slots__ = ("panels", "points")
+
+    def __init__(self):
+        self.panels: dict = {}
+        self.points: dict = {}
+
+
+class _Edge:
+    """Quadrature state of one contour edge za -> zb within _contour_moments."""
+
+    __slots__ = ("za", "zb", "m", "fz", "r_prev", "lo", "hi", "sign", "panels",
+                 "new", "ends", "depth", "acc", "points", "result", "error")
+
+    def __init__(self, za: complex, zb: complex):
+        self.za, self.zb = za, zb
+        self.m = 32                 # Clenshaw-Curtis level of the whole edge
+        self.fz = None
+        self.r_prev = None
+        # panels are kept lo -> hi in (real, imag) order, whatever the
+        # direction of the edge, so that every edge through them finds them
+        forward = (za.real, za.imag) < (zb.real, zb.imag)
+        self.lo, self.hi = (za, zb) if forward else (zb, za)
+        self.sign = 1.0 if forward else -1.0
+        self.panels = None          # pending panels once the edge is split
+        self.new = []               # those of them not yet sampled
+        self.ends = []              # and their end points with no value yet
+        self.depth = 0
+        self.acc = 0.0
+        self.points = 0
+        self.result = None
+        self.error = None
+
+    def request(self, cache: _Samples):
+        """Points this edge needs sampled at the next level."""
+        if self.panels is None:
+            ts = _clenshaw_curtis(self.m)[0]
+            return self.za + (ts if self.fz is None else ts[1::2]) * (self.zb - self.za)
+        self.new = [p for p in self.panels if p not in cache.panels]
+        if not self.new:
+            return np.empty(0, dtype=complex)
+        a, b = np.array(self.new).T
+        z = a[:, None] + _panel_nodes() * (b - a)[:, None]
+        z[:, _PANEL_NODES // 2] = [_mid(*p) for p in self.new]
+        self.ends = [e for e in dict.fromkeys(a.tolist() + b.tolist())
+                     if e not in cache.points]
+        return np.concatenate([z[:, 1:-1].ravel(), self.ends])
+
+    def take(self, fz: np.ndarray, rect: Rectangle, cache: _Samples) -> None:
+        """Check this edge's new samples and file them."""
         fabs = np.abs(fz)
         if not np.all(np.isfinite(fabs)):
-            raise QuadratureError(
-                f"function not finite on contour edge {za} -> {zb}"
-            )
+            raise QuadratureError(f"function not finite on contour edge {self.za} -> {self.zb}")
         if fabs.size and fabs.min() <= _BOUNDARY_REL * max(fabs.max(), 1e-300):
             raise BoundaryZeroError(rect)
-        return fz
+        self.points += fz.size
+        if self.panels is None:
+            if self.fz is None:
+                self.fz = fz
+                cache.points[self.za] = fz[0]
+            else:
+                both = np.empty(2 * self.fz.size - 1, dtype=complex)
+                both[::2], both[1::2] = self.fz, fz
+                self.fz = both
+            return
+        if not self.new:
+            return
+        n = len(self.new) * (_PANEL_NODES - 1)
+        inner = fz[:n].reshape(len(self.new), _PANEL_NODES - 1)
+        cache.points.update(zip(self.ends, fz[n:]))
+        for (a, b), row in zip(self.new, inner):
+            cache.points[_mid(a, b)] = row[_PANEL_NODES // 2 - 1]
+            cache.panels[a, b] = np.concatenate([[cache.points[a]], row, [cache.points[b]]])
 
-    m = 32
-    fz = sample(_clenshaw_curtis(m)[0])
-    r_prev = None
-    while True:
-        ts, weights = _clenshaw_curtis(m)
-        step = np.angle(fz[1:] / fz[:-1])
-        if np.all(np.abs(step) <= 0.5 * np.pi):
-            # L - L_a: the parts formula is exact for any constant added to L
-            L = np.log(np.abs(fz / fz[0])) + 1j * np.concatenate([[0.0], np.cumsum(step)])
-            w = (za + ts * dz - centre) / half
-            r = np.empty(_MOMENTS, dtype=complex)
-            r[0] = L[-1]
-            # a running power keeps the memory at one sample array
-            p = weights * L
-            for k in range(1, _MOMENTS):
-                r[k] = w[-1] ** k * L[-1] - k * dz / half * p.sum()
-                p *= w
+    def advance(self, centre: complex, half: float) -> None:
+        """One level of nested doubling on the whole edge: converged when the
+        integrals of f'/f and z f'/f agree with the previous counted level to
+        _QUAD_TOL; past _GLOBAL_NODES the edge goes on in halves as panels."""
+        za, zb = self.za, self.zb
+        r = _edge_moments(self.fz, za, zb, self.m, centre, half)
+        if r is not None:
             r0, r1 = r[0], centre * r[0] + half * r[1]
+            r_prev = self.r_prev
             # Tolerances relative to the edge contribution once it exceeds O(1).
             if r_prev is not None and (
                     abs(r0 - r_prev[0]) < _QUAD_TOL * max(1.0, abs(r0))
                     and abs(r1 - r_prev[1]) < _QUAD_TOL * max(1.0, abs(r1), abs(za), abs(zb))):
-                return r
-            r_prev = r0, r1
+                self.result = r
+                return
+            self.r_prev = r0, r1
         else:
-            r_prev = None
-        if m >= _MAX_EDGE_POINTS:
-            raise QuadratureError(
-                f"contour quadrature did not stabilize on edge {za} -> {zb}"
-            )
-        m *= 2
-        fz = np.insert(fz, np.arange(1, fz.size), sample(_clenshaw_curtis(m)[0][1::2]))
+            self.r_prev = None
+        if self.m < _GLOBAL_NODES:
+            self.m *= 2
+            return
+        self.fz = None
+        mid = _mid(self.lo, self.hi)
+        self.panels = [(self.lo, mid), (mid, self.hi)]
+        self.depth = 1
 
 
-def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle):
+def _advance_panels(edges: list, cache: _Samples, centre: complex, half: float) -> None:
+    """One level of the panels of every edge at once.
+
+    A panel is accepted when its phase increments are within pi/2 and its
+    17- and 33-node integrals of z f'/f agree to _QUAD_TOL times its share
+    of the edge's scale max(1, |za|, |zb|), or relative to the panel's own
+    integral once that is larger, as the global rule is relative to the
+    edge's; otherwise it is halved.  A panel still rejected at
+    2^-_PANEL_DEPTH of its edge raises QuadratureError, naming it.
+    """
+    panels = [p for e in edges for p in e.panels]
+    F = np.array([cache.panels[p] for p in panels])
+    lo, hi = np.array(panels).T
+    r, diff, ok = _panel_moments(F, lo, hi, centre, half)
+    # |hi - lo| * diff is the 17/33 difference of the integral of z f'/f
+    scale = np.repeat([max(1.0, abs(e.za), abs(e.zb)) / abs(e.zb - e.za) for e in edges],
+                      [len(e.panels) for e in edges])
+    own = np.abs(centre * r[:, 0] + half * r[:, 1]) / np.abs(hi - lo)
+    accept = ok & (np.abs(diff) < _QUAD_TOL * np.maximum(scale, own))
+    i = 0
+    for e in edges:
+        n = len(e.panels)
+        took = accept[i:i + n]
+        if took.any():
+            e.acc = e.acc + e.sign * r[i:i + n][took].sum(axis=0)
+        rejected = [p for p, t in zip(e.panels, took) if not t]
+        i += n
+        if not rejected:
+            e.result, e.panels = e.acc, None
+        elif e.depth >= _PANEL_DEPTH:
+            a, b = rejected[0]
+            e.error = QuadratureError(
+                f"contour quadrature did not stabilize on edge {e.za} -> {e.zb}: "
+                f"panel {a} -> {b} unresolved at 2^-{_PANEL_DEPTH} of the edge")
+        else:
+            e.panels = [q for a, b in rejected for q in ((a, _mid(a, b)), (_mid(a, b), b))]
+            e.depth += 1
+
+
+def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle, cache: _Samples):
     """Zero count and scaled moments from the boundary contour of rect.
 
     Returns (count, s) with s[k] = sum_j m_j w_j^k for k < 8, the zeros z_j
     of multiplicity m_j taken as w_j = (z_j - c)/h, c the centre of rect and
     h half its longer side.
+
+    The four edges advance in lockstep: each level samples the new points
+    of every unfinished edge in one call of f.  An edge doubles its nested
+    Clenshaw-Curtis nodes from 33 to _GLOBAL_NODES + 1 (_edge_moments);
+    past that it goes on as dyadic panels of 33 nodes, whose samples are
+    kept in cache under their end points so that any later contour of the
+    same search through a panel, in either direction, reads them again.
+    Errors come out as from edges taken one at a time: the first failing
+    edge in edge order decides, so the edges after a failed one are
+    dropped.  A sample that is not finite, or an edge past
+    _MAX_EDGE_POINTS samples, raises QuadratureError; |f| below
+    _BOUNDARY_REL of the largest new sample of an edge raises
+    BoundaryZeroError.
     """
     centre = rect.center
     half = 0.5 * max(rect.width, rect.height)
     corners = rect.corners
-    s = sum(_edge_moments(f, a, b, rect, centre, half)
-            for a, b in zip(corners, corners[1:] + corners[:1])) / (2.0j * math.pi)
+    edges = [_Edge(a, b) for a, b in zip(corners, corners[1:] + corners[:1])]
+    while True:
+        live = []
+        for e in edges:
+            if e.error is not None:
+                break
+            if e.result is None:
+                live.append(e)
+        if not live:
+            break
+        asked = []
+        for e in live:
+            pts = e.request(cache)
+            if e.points + pts.size > _MAX_EDGE_POINTS:
+                e.error = QuadratureError(
+                    f"contour quadrature did not stabilize on edge {e.za} -> {e.zb}")
+                break
+            asked.append(pts)
+        pts = np.concatenate(asked) if asked else np.empty(0, dtype=complex)
+        values = np.asarray(f.eval(pts)) if pts.size else pts
+        at = 0
+        sampled = []
+        for e, pts in zip(live, asked):
+            try:
+                e.take(values[at:at + pts.size], rect, cache)
+            except (QuadratureError, BoundaryZeroError) as exc:
+                e.error = exc
+                break
+            at += pts.size
+            sampled.append(e)
+        on_panels = [e for e in sampled if e.panels is not None]
+        for e in sampled:
+            if e.panels is None:
+                e.advance(centre, half)
+        if on_panels:
+            _advance_panels(on_panels, cache, centre, half)
+    for e in edges:
+        if e.error is not None:
+            raise e.error
+    s = sum(e.result for e in edges) / (2.0j * math.pi)
     n = round(s[0].real)
     if abs(s[0] - n) > 0.25:
         raise QuadratureError(
@@ -284,7 +503,7 @@ def _inflate_rng(rect: Rectangle, attempt: int) -> float:
     return random.Random(seed).uniform(1.01, 1.05)
 
 
-def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle):
+def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle, cache: _Samples):
     """Contour counts, inflating the rectangle on boundary-zero suspicion.
 
     A quadrature that refuses to stabilize is treated the same way: it is
@@ -294,7 +513,7 @@ def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle):
     current = rect
     for attempt in range(_INFLATE_ATTEMPTS + 1):
         try:
-            n, s = _contour_moments(f, current)
+            n, s = _contour_moments(f, current, cache)
             return n, s, current
         except (BoundaryZeroError, QuadratureError) as exc:
             if attempt == _INFLATE_ATTEMPTS:
@@ -310,12 +529,15 @@ def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle):
 def winding_number(f: AnalyticFunctionHandle, rect: Rectangle) -> int:
     """Number of zeros of f inside rect, counted with multiplicity.
 
-    Suspected boundary zeros trigger up to five retries on a rectangle
-    inflated by a factor in [1.01, 1.05]; a contour value further than 0.25
-    from an integer raises QuadratureError.
+    Each contour level is one call of f, and an edge not converged at 129
+    nodes goes on in panels.  A suspected boundary zero or an unresolved
+    edge triggers up to five retries on a rectangle inflated by a factor in
+    [1.01, 1.05], whose count is then returned.  A jump of f across an
+    edge raises QuadratureError after about 30 panel levels per attempt,
+    as does a contour value further than 0.25 from an integer.
     """
     f.check_clearance(rect)
-    n, _, _ = _counts_with_inflation(f, rect)
+    n, _, _ = _counts_with_inflation(f, rect, _Samples())
     return n
 
 
@@ -332,46 +554,67 @@ def _cabs(z: complex) -> float:
     return v if math.isfinite(v) else math.inf
 
 
-def _newton(f: AnalyticFunctionHandle, z0: complex, scale: float, multiplicity: int = 1,
-            max_iter: int = 60, region: Optional[Rectangle] = None):
-    """Damped Newton iteration; the multiplicity-m variant takes steps m*f/f'.
+def _newton(f: AnalyticFunctionHandle, starts, scale: float, multiplicities,
+            region: Rectangle, max_iter: int = 60):
+    """Damped Newton from every start at once; the multiplicity-m variant
+    takes steps m*f/f'.
 
-    Iterates past _REFINE_TOL until the residual stagnates, so locations are
-    polished to the precision the arithmetic supports rather than stopping
-    at the first sub-tolerance value.  Steps leaving the confinement region
-    are treated as uphill and damped.
+    Each start iterates past _REFINE_TOL until its residual stagnates, so
+    locations are polished to the precision the arithmetic supports rather
+    than stopping at the first sub-tolerance value.  Steps leaving the
+    confinement region are treated as uphill and damped.  The starts share
+    the handle's calls, one for the derivative stencils of all iterating
+    starts and one per line-search step, and each start's arithmetic is
+    that of a lone iteration.  Returns (z, residual) per start, z None when
+    the residual never fell below _REFINE_TOL.
     """
-    z = z0
-    fz = f(z)
-    best_z, best_res = z, _cabs(fz)
+    z = [complex(v) for v in starts]
+    fz = [complex(v) for v in f.eval(np.array(z, dtype=complex))]
+    best = [(zi, _cabs(fi)) for zi, fi in zip(z, fz)]
+    active = list(range(len(z)))
     for _ in range(max_iter):
-        if _cabs(fz) == 0.0:
+        active = [i for i in active if _cabs(fz[i]) != 0.0]
+        if not active:
             break
-        df = f.deriv(z, scale)
-        if df == 0 or not math.isfinite(_cabs(df)):
-            break
-        step = multiplicity * fz / df
-        t = 1.0
-        descended = False
+        steps = {}
+        for i, df in zip(active, f.deriv(np.array([z[i] for i in active]), scale)):
+            df = complex(df)
+            if df != 0 and math.isfinite(_cabs(df)):
+                steps[i] = multiplicities[i] * fz[i] / df
+        t = dict.fromkeys(steps, 1.0)
+        searching = list(steps)
+        descended = {}
         for _ in range(30):
-            z_new = z - t * step
-            if z_new == z:
-                # the step is below the float spacing at z
+            trial, halved = [], []
+            for i in searching:
+                z_new = z[i] - t[i] * steps[i]
+                if z_new == z[i]:
+                    continue  # the step is below the float spacing at z
+                if region.contains(z_new):
+                    trial.append((i, z_new))
+                else:
+                    t[i] *= 0.5
+                    halved.append(i)
+            if trial:
+                values = f.eval(np.array([z_new for _, z_new in trial]))
+                for (i, z_new), f_new in zip(trial, values):
+                    f_new = complex(f_new)
+                    if _cabs(f_new) < _cabs(fz[i]):
+                        descended[i] = z_new, f_new
+                    else:
+                        t[i] *= 0.5
+                        halved.append(i)
+            searching = sorted(halved)
+            if not searching:
                 break
-            if region is None or region.contains(z_new):
-                f_new = f(z_new)
-                if _cabs(f_new) < _cabs(fz):
-                    descended = True
-                    break
-            t *= 0.5
-        if not descended:
-            break
-        z, fz = z_new, f_new
-        if _cabs(fz) < best_res:
-            best_z, best_res = z, _cabs(fz)
-        if best_res < _REFINE_TOL and abs(t * step) < 1e-14 * (1.0 + abs(z)):
-            break
-    return (best_z, best_res) if best_res < _REFINE_TOL else (None, best_res)
+        active = []
+        for i in sorted(descended):
+            z[i], fz[i] = descended[i]
+            if _cabs(fz[i]) < best[i][1]:
+                best[i] = z[i], _cabs(fz[i])
+            if not (best[i][1] < _REFINE_TOL and abs(t[i] * steps[i]) < 1e-14 * (1.0 + abs(z[i]))):
+                active.append(i)
+    return [(bz, res) if res < _REFINE_TOL else (None, res) for bz, res in best]
 
 
 def _clean_split(f: AnalyticFunctionHandle, rect: Rectangle):
@@ -410,13 +653,13 @@ def _clean_split(f: AnalyticFunctionHandle, rect: Rectangle):
 
 
 def _multiple_zero_confirmed(f: AnalyticFunctionHandle, z: complex,
-                             multiplicity: int) -> bool:
+                             multiplicity: int, cache: _Samples) -> bool:
     """Winding check on a small box about z: it must count the multiplicity."""
     side = 1e-5 * max(1.0, abs(z))
     for _ in range(3):
         box = Rectangle(z.real - side, z.real + side, z.imag - side, z.imag + side)
         try:
-            n_box, _, _ = _counts_with_inflation(f, box)
+            n_box, _, _ = _counts_with_inflation(f, box, cache)
         except (BoundaryZeroError, QuadratureError):
             side *= 1.37
             continue
@@ -424,7 +667,8 @@ def _multiple_zero_confirmed(f: AnalyticFunctionHandle, z: complex,
     return False
 
 
-def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int, s: np.ndarray):
+def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int, s: np.ndarray,
+                  cache: _Samples):
     """The zeros of a counted rectangle from its moment pencil, or None.
 
     The Hankel matrix [s_(i+j)] of size min(count, 4) has the number of
@@ -433,8 +677,9 @@ def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int, s: np.
     zeros, and a Vandermonde solve gives their multiplicities, which must
     be positive integers summing to count (Kravanja, Sakurai & Van Barel,
     BIT 39, 1999).
-    Each zero is Newton-polished with its multiplicity and must stay in
-    rect, a multiple one must pass a winding check on a small box, and no
+    The zeros are Newton-polished together, each with its multiplicity;
+    each must stay in rect, a multiple one must pass a winding check on a
+    small box, and no
     two polished zeros may draw closer than half the distance between
     their pencil estimates.  None means the rectangle must be bisected.
     """
@@ -452,14 +697,13 @@ def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int, s: np.
         return None
     scale = max(rect.width, rect.height)
     estimates = rect.center + 0.5 * scale * w
+    whole = [int(m) for m in whole]
     roots = []
-    for z0, m in zip(estimates, whole):
-        z, res = _newton(f, complex(z0), scale, multiplicity=int(m),
-                         region=rect.scaled(2.0))
+    for (z, res), m in zip(_newton(f, estimates, scale, whole, rect.scaled(2.0)), whole):
         if z is None or not rect.contains(z) or (
-                m > 1 and not _multiple_zero_confirmed(f, z, m)):
+                m > 1 and not _multiple_zero_confirmed(f, z, m, cache)):
             return None
-        roots.append(Root(z, int(m), res))
+        roots.append(Root(z, m, res))
     zs = np.array([r.location for r in roots])
     apart = np.abs(zs[:, None] - zs) > 0.5 * np.abs(estimates[:, None] - estimates)
     if not np.all(apart | np.eye(rank, dtype=bool)):
@@ -473,24 +717,30 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
 
     Every rectangle with a nonzero winding count goes to one leaf resolver:
     the Hankel pencil of its contour moments gives the distinct zeros and
-    their multiplicities, and each zero is polished by damped Newton to
-    |f| < _REFINE_TOL, its edge integrals converged to _QUAD_TOL.  A
+    their multiplicities, and damped Newton polishes all of them together
+    to |f| < _REFINE_TOL, its edge integrals converged to _QUAD_TOL.  A
     rectangle the resolver cannot account for (more than four distinct
     zeros, non-integer multiplicities, a failed polish or winding check) is
     bisected; at max_depth it raises ClusterUnresolvedError.  The spectral
     verbs search with the default max_depth.
+
+    The panel samples of one search are kept until it returns, so a child
+    rectangle reads its parent's panels and a sibling the split edge.
+    Zeros farther outside rect than 1e-12 of its longer side, which an
+    inflated rectangle can hold, are dropped.
     """
     f.check_clearance(rect)
     roots: list[Root] = []
+    cache = _Samples()
 
     def recurse(r: Rectangle, depth: int) -> None:
         # Inflation on boundary-zero suspicion can make sibling rectangles
         # overlap slightly; the duplicate-merge pass below undoes the
         # resulting double counts.
-        count, s, r = _counts_with_inflation(f, r)
+        count, s, r = _counts_with_inflation(f, r, cache)
         if count == 0:
             return
-        found = _resolve_leaf(f, r, count, s)
+        found = _resolve_leaf(f, r, count, s, cache)
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("count %d in %s: %s", count, r, "bisected" if found is None
                        else f"resolved, multiplicities {[z.multiplicity for z in found]}")
@@ -515,4 +765,6 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
             merged[-1] = keep
         else:
             merged.append(root)
-    return RootSet(tuple(merged))
+    # an inflated rectangle can hold zeros just outside the requested one
+    margin = -1e-12 * max(rect.width, rect.height)
+    return RootSet(tuple(r for r in merged if rect.contains(r.location, margin)))

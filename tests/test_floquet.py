@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -281,6 +282,19 @@ def test_sp_zeros_drop_null_cell_vector_zero():
     out = sp_zeros(model, 1.0, 0.0, Rectangle(-0.3, -0.05, 0.9, 1.1),
                    ode_step=1e-2)
     assert out.total_count == 0
+
+
+def test_sp_zeros_zero_just_outside_an_edge():
+    # On -sin at x0 = 0.3 a zero lies 1.1e-5 left of this rectangle.  The
+    # left edge resolves it in panels, so the search needs no inflation,
+    # which would reach the 1e-3 pad of the band exclusion at Im 0 and
+    # raise DomainError (after 65.8 s when the whole edge was refined).
+    model = PotentialModel(tail=PeriodicTail(
+        period=2 * math.pi, start=0.0, expr=SinExpr(1.0, 1.0, math.pi)))
+    start = time.perf_counter()
+    out = sp_zeros(model, 1.0, 0.3, Rectangle(-0.33, 0.90, 0.02, 0.98))
+    assert out.total_count == 0
+    assert time.perf_counter() - start < 10.0
 
 
 def test_sp_zeros_validates_cell_offset(sin_model, stacked_model):

@@ -1,10 +1,12 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specbar import rootfinder
 from specbar.core import DomainError, Rectangle
 from specbar.rootfinder import (
     AnalyticFunctionHandle,
@@ -90,22 +92,35 @@ def test_find_zeros_constructed_pair():
     assert all(r.multiplicity == 1 for r in out.roots)
 
 
-def test_newton_evaluates_no_point_repeatedly():
+def test_newton_evaluates_no_point_repeatedly(monkeypatch):
     # Once a Newton step falls below the float spacing at z, z - t*step
     # equals z and |f| cannot fall; the line search must stop there
-    # instead of halving t at one and the same point.
+    # instead of halving t at one and the same point.  Newton shares its
+    # calls among the zeros of a leaf, so its points are those of every
+    # call made outside the contour quadrature.
     zeros = [1 / 3 + 1j / 7, 0.9 - 0.2j, -0.4 + 0.1j]
     coeffs = np.poly(zeros)
-    scalar_points = []
+    on_contour = [False]
+    newton_points = []
+
+    def contour(*args):
+        on_contour[0] = True
+        try:
+            return contour_moments(*args)
+        finally:
+            on_contour[0] = False
 
     def f(z):
-        if z.size == 1:
-            scalar_points.append(complex(z[0]))
+        if not on_contour[0]:
+            newton_points.extend(complex(v) for v in z)
         return np.polyval(coeffs, z)
 
+    contour_moments = rootfinder._contour_moments
+    monkeypatch.setattr(rootfinder, "_contour_moments", contour)
     out = find_zeros(AnalyticFunctionHandle(eval=f),
                      Rectangle(-1.0, 1.2, -0.5, 0.5))
-    assert max(scalar_points.count(z) for z in scalar_points) <= 2
+    assert newton_points
+    assert max(newton_points.count(z) for z in newton_points) <= 2
     got = sorted(out.locations, key=lambda z: z.real)
     want = sorted(zeros, key=lambda z: z.real)
     assert [r.multiplicity for r in out.roots] == [1, 1, 1]
@@ -333,6 +348,137 @@ def test_boundary_zero_inflates_and_recovers(caplog):
     out = find_zeros(f, Rectangle(0.0, 1.0, -0.5, 0.5))
     assert out.total_count == 1
     assert abs(out.roots[0].location - 1.0) < 1e-10
+
+
+def _sequential_moments(f, rect):
+    """The contour moments of rect by the global rule, one edge after another.
+
+    A copy of the quadrature before edges ran in lockstep: nested
+    Clenshaw-Curtis doubling over each whole edge in turn, one call of f
+    per edge and level.  It refuses edges that would need more than 129
+    nodes, where the root finder goes on in panels instead.
+    """
+    centre = rect.center
+    half = 0.5 * max(rect.width, rect.height)
+    corners = rect.corners
+    total = 0
+    for za, zb in zip(corners, corners[1:] + corners[:1]):
+        dz = zb - za
+        m = 32
+        fz = np.asarray(f.eval(za + rootfinder._clenshaw_curtis(m)[0] * dz))
+        r_prev = None
+        while True:
+            ts, weights = rootfinder._clenshaw_curtis(m)
+            step = np.angle(fz[1:] / fz[:-1])
+            if np.all(np.abs(step) <= 0.5 * np.pi):
+                L = np.log(np.abs(fz / fz[0])) + 1j * np.concatenate([[0.0], np.cumsum(step)])
+                w = (za + ts * dz - centre) / half
+                r = np.empty(8, dtype=complex)
+                r[0] = L[-1]
+                p = weights * L
+                for k in range(1, 8):
+                    r[k] = w[-1] ** k * L[-1] - k * dz / half * p.sum()
+                    p *= w
+                r0, r1 = r[0], centre * r[0] + half * r[1]
+                if r_prev is not None and (
+                        abs(r0 - r_prev[0]) < 1e-10 * max(1.0, abs(r0))
+                        and abs(r1 - r_prev[1]) < 1e-10 * max(1.0, abs(r1), abs(za), abs(zb))):
+                    break
+                r_prev = r0, r1
+            else:
+                r_prev = None
+            assert m < 128, f"edge {za} -> {zb} needs more than 129 nodes"
+            m *= 2
+            new = np.asarray(f.eval(za + rootfinder._clenshaw_curtis(m)[0][1::2] * dz))
+            fz = np.insert(fz, np.arange(1, fz.size), new)
+        total = total + r
+    return total / (2.0j * math.pi)
+
+
+@pytest.mark.parametrize("fn, rect", [
+    (lambda z: np.polyval(np.poly([0.3, -0.2 + 0.4j, 0.5 - 0.6j]), z), UNIT),
+    (lambda z: np.polyval(np.poly([0.3, 0.4, 0.5, 0.3 + 0.1j, 0.3 - 0.1j]), z), UNIT),
+    (lambda z: oracle_f_free(z, 10.0), Rectangle(1.2, 1.6, 0.7, 0.85)),
+    (lambda z: oracle_f_free(z, 10.0), Rectangle(2.0, 2.5, 0.6, 0.75)),
+    (lambda z: oracle_f_free(z, 10.0), Rectangle(0.2, 3.0, 0.1, 0.45)),
+    (lambda z: oracle_f_free(z, 40.0), Rectangle(0.1, 3.0, 0.05, 0.7)),
+])
+def test_lockstep_moments_equal_the_sequential_global_rule(fn, rect):
+    # every edge of these rectangles converges within 129 nodes, so the
+    # lockstep levels run the global rule's arithmetic on the same samples
+    f = AnalyticFunctionHandle(eval=fn)
+    _, s = rootfinder._contour_moments(f, rect, rootfinder._Samples())
+    assert np.array_equal(s, _sequential_moments(f, rect))
+
+
+def test_panel_moments_equal_the_one_edge_rule_per_panel():
+    # the panels' arrays hold _edge_moments' arithmetic for each panel; their
+    # middle node is 1/2 exactly, where Clenshaw-Curtis puts 1/2 - 6e-17,
+    # and their sums run in another order, so they agree to rounding
+    fn = lambda z: oracle_f_free(z, 40.0)  # noqa: E731
+    lo = np.array([1.3 + 0.95j, 1.35 + 0.95j, 0.1 + 0.05j])
+    hi = np.array([1.35 + 0.95j, 1.4 + 0.95j, 0.1 + 0.95j])
+    nodes = rootfinder._panel_nodes()
+    F = fn(lo[:, None] + nodes * (hi - lo)[:, None])
+    centre, half = 3.05 + 0.5j, 2.95
+    r, _, ok = rootfinder._panel_moments(F, lo, hi, centre, half)
+    assert ok.all()
+    for row, a, b, samples in zip(r, lo, hi, F):
+        want = rootfinder._edge_moments(samples, a, b, 32, centre, half)
+        assert np.max(np.abs(row - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_smooth_rectangle_takes_one_call_per_contour_level():
+    # every edge of UNIT converges at 65 nodes: one call samples the 33
+    # nodes of all four edges, the next their 32 new ones
+    f, sizes = _counted(lambda z: z**2 - 0.25)
+    assert winding_number(f, UNIT) == 2
+    assert sizes == [4 * 33, 4 * 32]
+
+
+def test_zeros_outside_the_requested_rectangle_are_dropped():
+    # 1.0 on the right edge makes the search inflate the rectangle, which
+    # then holds 1.004 as well; only the zeros of the requested rectangle,
+    # its boundary included, come back
+    f = AnalyticFunctionHandle(eval=lambda z: (z - 1.0) * (z - 1.004) * (z - 0.3 - 0.1j))
+    out = find_zeros(f, Rectangle(0.0, 1.0, -0.5, 0.5))
+    got = sorted(out.locations, key=lambda z: z.real)
+    assert [r.multiplicity for r in out.roots] == [1, 1]
+    assert abs(got[0] - (0.3 + 0.1j)) < 1e-10
+    assert abs(got[1] - 1.0) < 1e-10
+
+
+# Regression guard on the near-edge searches below, not a tolerance to
+# loosen: panels on the top edge resolve the planted zero in at most 1,639
+# points, where refining the whole edge took 66,899 from 1e-4 on.
+NEAR_EDGE_POINT_BOUND = 2_500
+
+
+@pytest.mark.parametrize("side", ["inside", "outside"])
+@pytest.mark.parametrize("distance", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_zero_near_an_edge(distance, side):
+    others = [-0.4 - 0.3j, 0.5 + 0.2j]
+    planted = 0.2 + (1.0 - distance if side == "inside" else 1.0 + distance) * 1j
+    zeros = others + [planted]
+    f, sizes = _counted(lambda z: np.prod([z - a for a in zeros], axis=0))
+    out = find_zeros(f, UNIT)
+    want = others + ([planted] if side == "inside" else [])
+    assert out.total_count == len(want)
+    assert all(r.multiplicity == 1 for r in out.roots)
+    assert max(abs(out.nearest(z).location - z) for z in want) < 1e-10
+    assert sum(sizes) <= NEAR_EDGE_POINT_BOUND
+
+
+def test_jump_raises_quadrature_error_naming_the_panel():
+    # sqrt jumps across its cut on the negative axis, which crosses the
+    # left and right edges at Im z = 0: panels there halve until 2^-30 of
+    # the edge, on the rectangle and on each inflated one
+    f, sizes = _counted(np.sqrt)
+    with pytest.raises(QuadratureError) as exc:
+        winding_number(f, Rectangle(-1.0, -0.5, -0.5, 0.5))
+    assert sum(sizes) <= 60_000
+    ends = re.search(r"panel (\S+) -> (\S+) unresolved", str(exc.value)).groups()
+    assert all(abs(complex(e).imag) < 1e-8 for e in ends)
 
 
 def test_unresolved_phase_raises_quadrature_error():
