@@ -205,7 +205,10 @@ def propagate(model: PotentialModel, lam, x_from: float, x_to: float,
     axis beyond lam's shape holds independent columns, which share every
     transfer.  Returns (u, up, logs) where exp(logs) is a magnitude factor
     split off to avoid overflow; the true solution is (u, up) * exp(logs).
+    The RK4 step must be positive and finite; otherwise ValueError.
     """
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"ode_step must be positive and finite, got {step}")
     lam = np.asarray(lam, dtype=complex)
     u = np.asarray(u, dtype=complex)
     up = np.asarray(up, dtype=complex)

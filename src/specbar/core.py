@@ -319,18 +319,41 @@ def _expr_to_dict(expr: Expression) -> dict:
     }
 
 
-def _expr_from_dict(d: dict) -> Expression:
+def _obj(d, where: str) -> dict:
+    """d, which the model file must hold as a JSON object at where."""
+    if not isinstance(d, dict):
+        raise ValueError(f"model field {where} must be an object, got {d!r}")
+    return d
+
+
+def _number(v, where: str) -> float:
+    """v, which the model file must hold as a number at where."""
+    if v is None:
+        raise ValueError(f"model field {where} is missing")
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ValueError(f"model field {where} must be a number, got {v!r}") from None
+
+
+def _field(d: dict, key: str, where: str, default=None) -> float:
+    return _number(d.get(key, default), f"{where}.{key}")
+
+
+def _expr_from_dict(d, where: str) -> Expression:
+    d = _obj(d, where)
     kind = d.get("kind")
-    params = d.get("params", {})
+    params = _obj(d.get("params", {}), f"{where}.params")
     if kind == "const":
-        return ConstExpr(complex(params.get("re", 0.0), params.get("im", 0.0)))
+        return ConstExpr(complex(_field(params, "re", f"{where}.params", 0.0),
+                                 _field(params, "im", f"{where}.params", 0.0)))
     if kind == "sin":
         return SinExpr(
-            amplitude=float(params["amplitude"]),
-            frequency=float(params["frequency"]),
-            phase=float(params.get("phase", 0.0)),
+            amplitude=_field(params, "amplitude", f"{where}.params"),
+            frequency=_field(params, "frequency", f"{where}.params"),
+            phase=_field(params, "phase", f"{where}.params", 0.0),
         )
-    raise ValueError(f"unknown expression kind: {kind!r}")
+    raise ValueError(f"unknown expression kind at {where}: {kind!r}")
 
 
 def model_to_dict(model: PotentialModel) -> dict:
@@ -351,23 +374,35 @@ def model_to_dict(model: PotentialModel) -> dict:
 
 
 def model_from_dict(d: dict) -> PotentialModel:
-    pieces = tuple(
-        Piece(float(p["x_lo"]), float(p["x_hi"]), _expr_from_dict(p))
-        for p in d.get("pieces", [])
-    )
-    td = d.get("tail", {"kind": "zero"})
+    """The model a model file holds; ValueError names a missing or
+    malformed field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a model must be a JSON object, got {d!r}")
+    raw = d.get("pieces", [])
+    if not isinstance(raw, list):
+        raise ValueError(f"model field pieces must be a list, got {raw!r}")
+    pieces = []
+    for i, p in enumerate(raw):
+        where = f"pieces[{i}]"
+        p = _obj(p, where)
+        pieces.append(Piece(_field(p, "x_lo", where), _field(p, "x_hi", where),
+                            _expr_from_dict(p, where)))
+    td = _obj(d.get("tail", {"kind": "zero"}), "tail")
     if td.get("kind") == "periodic":
         tail: Tail = PeriodicTail(
-            period=float(td["period"]),
-            start=float(td.get("X", 0.0)),
-            expr=_expr_from_dict(td["expr"]),
+            period=_field(td, "period", "tail"),
+            start=_field(td, "X", "tail", 0.0),
+            expr=_expr_from_dict(td.get("expr"), "tail.expr"),
         )
     elif td.get("kind") == "zero":
         tail = ZeroTail()
     else:
         raise ValueError(f"unknown tail kind: {td.get('kind')!r}")
     eta = d.get("eta", [0.0, 0.0])
-    return PotentialModel(pieces=pieces, tail=tail, eta=complex(eta[0], eta[1]))
+    if not (isinstance(eta, list) and len(eta) == 2):
+        raise ValueError(f"model field eta must be [re, im], got {eta!r}")
+    return PotentialModel(pieces=tuple(pieces), tail=tail,
+                          eta=complex(_number(eta[0], "eta[0]"), _number(eta[1], "eta[1]")))
 
 
 def load_model(path) -> PotentialModel:

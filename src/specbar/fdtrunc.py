@@ -16,6 +16,7 @@ inverse-iteration residual check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +71,15 @@ class TridiagonalOperator:
 def build_matrix(p: BarrierProblem, X: float, h: float) -> TridiagonalOperator:
     """Discretize the barrier problem on [0, X] with step h, Dirichlet ends.
 
-    The truncation must contain the barrier (X > R) and resolve it
-    (h <= X/16).  Grid points are x_j = j h for j = 1..n with
-    n = round(X/h) - 1.
+    The truncation must be finite and contain the barrier (R < X < inf),
+    and its step must resolve it (0 < h <= X/16).  Grid points are
+    x_j = j h for j = 1..n with n = round(X/h) - 1.
     """
-    if X <= p.R:
-        raise ValueError(f"truncation X = {X} must exceed the barrier R = {p.R}")
+    if not p.R < X < math.inf:
+        raise ValueError(f"truncation X = {X} must be finite and exceed the barrier "
+                         f"R = {p.R}")
+    if not h > 0:
+        raise ValueError(f"step h = {h} must be positive")
     if h > X / 16.0:
         raise ValueError(f"step h = {h} too coarse for X = {X} (need h <= X/16)")
     n = round(X / h) - 1

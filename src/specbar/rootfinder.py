@@ -12,7 +12,10 @@ geometric accuracy (Trefethen, SIAM Rev. 50, 2008).  An edge the nested
 rule has not resolved at 129 nodes, such as one passing close to a zero or
 across a jump, goes on as adaptive dyadic panels of 33 nodes (Kravanja &
 Van Barel, Computing the Zeros of Analytic Functions, LNM 1727, 2000), so
-that only the part near the feature is refined.  One leaf resolver turns
+that only the part near the feature is refined.  A contour that fails,
+by a suspected zero on it or an edge unresolved at 2^-30 of its length,
+is retried once on the rectangle with every side moved outward by 2^-20
+of its longer side; a second failure raises.  One leaf resolver turns
 the moments of every counted rectangle into zeros: the Hankel pencil of
 Kravanja, Sakurai & Van Barel (BIT 39, 1999), which extends the moment
 method of Delves & Lyness (Math. Comp. 21, 1967), gives up to four
@@ -33,7 +36,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
@@ -61,7 +63,7 @@ _MAX_EDGE_POINTS = 1 << 16   # cap on the samples of one edge
 _GLOBAL_NODES = 128          # nested doubling on a whole edge up to 129 nodes,
 _PANEL_NODES = 32            # then dyadic panels of 33 Clenshaw-Curtis nodes
 _PANEL_DEPTH = 30            # no panel is halved below 2^-30 of its edge
-_INFLATE_ATTEMPTS = 5
+_NUDGE = 2.0 ** -20          # a failed contour's retry: sides move out by this * the longer side
 _QUAD_TOL = 1e-10            # edge integrals converged: successive levels agree to this
 _REFINE_TOL = 1e-12          # a polished zero has |f| below this
 
@@ -496,34 +498,27 @@ def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle, cache: _Samples
     return int(n), s
 
 
-def _inflate_rng(rect: Rectangle, attempt: int) -> float:
-    # Deterministic pseudo-random inflation factor in [1.01, 1.05].
-    seed = hash((round(rect.x_lo, 12), round(rect.x_hi, 12),
-                 round(rect.y_lo, 12), round(rect.y_hi, 12), attempt))
-    return random.Random(seed).uniform(1.01, 1.05)
+def _counts(f: AnalyticFunctionHandle, rect: Rectangle, cache: _Samples):
+    """Contour count and moments of rect, retried once on rect nudged outward.
 
-
-def _counts_with_inflation(f: AnalyticFunctionHandle, rect: Rectangle, cache: _Samples):
-    """Contour counts, inflating the rectangle on boundary-zero suspicion.
-
-    A quadrature that refuses to stabilize is treated the same way: it is
-    the signature of a zero hugging the contour just above the detection
-    threshold.
+    A suspected boundary zero or an edge that does not stabilize, the
+    signature of a zero on or hugging the contour, is retried on the
+    rectangle with every side moved outward by _NUDGE of its longer side:
+    a zero the panels could not resolve at 2^-30 of an edge then lies
+    about 2^-20 from the moved one.  A second failure raises.  Returns
+    (count, moments, the rectangle counted).
     """
-    current = rect
-    for attempt in range(_INFLATE_ATTEMPTS + 1):
-        try:
-            n, s = _contour_moments(f, current, cache)
-            return n, s, current
-        except (BoundaryZeroError, QuadratureError) as exc:
-            if attempt == _INFLATE_ATTEMPTS:
-                raise
-            if _log.isEnabledFor(logging.DEBUG):
-                _log.debug("inflating %s after attempt %d: %s: %s", current,
-                           attempt, type(exc).__name__, exc)
-            current = current.scaled(_inflate_rng(current, attempt))
-            f.check_clearance(current)
-    raise AssertionError("unreachable")
+    try:
+        n, s = _contour_moments(f, rect, cache)
+        return n, s, rect
+    except (BoundaryZeroError, QuadratureError) as exc:
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("nudging %s outward: %s: %s", rect, type(exc).__name__, exc)
+    d = _NUDGE * max(rect.width, rect.height)
+    nudged = Rectangle(rect.x_lo - d, rect.x_hi + d, rect.y_lo - d, rect.y_hi + d)
+    f.check_clearance(nudged)
+    n, s = _contour_moments(f, nudged, cache)
+    return n, s, nudged
 
 
 def winding_number(f: AnalyticFunctionHandle, rect: Rectangle) -> int:
@@ -531,13 +526,14 @@ def winding_number(f: AnalyticFunctionHandle, rect: Rectangle) -> int:
 
     Each contour level is one call of f, and an edge not converged at 129
     nodes goes on in panels.  A suspected boundary zero or an unresolved
-    edge triggers up to five retries on a rectangle inflated by a factor in
-    [1.01, 1.05], whose count is then returned.  A jump of f across an
-    edge raises QuadratureError after about 30 panel levels per attempt,
-    as does a contour value further than 0.25 from an integer.
+    edge is retried once on the rectangle nudged outward by 2^-20 of its
+    longer side (_counts), so a zero on the boundary counts as inside.  A
+    jump of f across an edge raises QuadratureError after about 30 panel
+    levels on each of the two attempts, as does a contour value further
+    than 0.25 from an integer.
     """
     f.check_clearance(rect)
-    n, _, _ = _counts_with_inflation(f, rect, _Samples())
+    n, _, _ = _counts(f, rect, _Samples())
     return n
 
 
@@ -654,17 +650,15 @@ def _clean_split(f: AnalyticFunctionHandle, rect: Rectangle):
 
 def _multiple_zero_confirmed(f: AnalyticFunctionHandle, z: complex,
                              multiplicity: int, cache: _Samples) -> bool:
-    """Winding check on a small box about z: it must count the multiplicity."""
+    """Winding check on a small box about z: it must count the multiplicity.
+    A box whose contour fails confirms nothing, so the leaf is bisected."""
     side = 1e-5 * max(1.0, abs(z))
-    for _ in range(3):
-        box = Rectangle(z.real - side, z.real + side, z.imag - side, z.imag + side)
-        try:
-            n_box, _, _ = _counts_with_inflation(f, box, cache)
-        except (BoundaryZeroError, QuadratureError):
-            side *= 1.37
-            continue
-        return n_box == multiplicity
-    return False
+    box = Rectangle(z.real - side, z.real + side, z.imag - side, z.imag + side)
+    try:
+        n_box, _, _ = _counts(f, box, cache)
+    except (BoundaryZeroError, QuadratureError):
+        return False
+    return n_box == multiplicity
 
 
 def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int, s: np.ndarray,
@@ -726,18 +720,19 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
 
     The panel samples of one search are kept until it returns, so a child
     rectangle reads its parent's panels and a sibling the split edge.
-    Zeros farther outside rect than 1e-12 of its longer side, which an
-    inflated rectangle can hold, are dropped.
+    A rectangle nudged outward on a failed contour (_counts) can hold
+    zeros just outside rect and overlap its sibling by 2^-20 of its longer
+    side: zeros found twice are merged, and zeros farther outside rect than
+    1e-12 of its longer side are dropped.
     """
     f.check_clearance(rect)
     roots: list[Root] = []
     cache = _Samples()
 
     def recurse(r: Rectangle, depth: int) -> None:
-        # Inflation on boundary-zero suspicion can make sibling rectangles
-        # overlap slightly; the duplicate-merge pass below undoes the
-        # resulting double counts.
-        count, s, r = _counts_with_inflation(f, r, cache)
+        # a nudged rectangle can overlap its sibling slightly; the
+        # duplicate-merge pass below undoes the resulting double counts
+        count, s, r = _counts(f, r, cache)
         if count == 0:
             return
         found = _resolve_leaf(f, r, count, s, cache)
@@ -765,6 +760,6 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
             merged[-1] = keep
         else:
             merged.append(root)
-    # an inflated rectangle can hold zeros just outside the requested one
+    # a nudged rectangle can hold zeros just outside the requested one
     margin = -1e-12 * max(rect.width, rect.height)
     return RootSet(tuple(r for r in merged if rect.contains(r.location, margin)))

@@ -222,6 +222,26 @@ def test_exit_code_on_computation_error(model_paths, tmp_path):
         "--out", str(tmp_path / "x.csv"),
     ])
     assert code == 1
+    # a step of 0 or below, or NaN, is refused with exit 1, not a traceback
+    sin = str(model_paths / "sin.json")
+    for argv in (
+        ["bands", "--model", sin, "--range", "-1,3", "--ode-step", "0"],
+        ["bands", "--model", sin, "--range", "-1,3", "--ode-step", "nan"],
+        ["limit", "--model", sin, "--gamma", "1", "--rect", "0.05,0.55,0.3,1.2",
+         "--ode-step", "0"],
+        ["enclose", "--model", sin, "--gamma", "1", "--lambda", "0.1,0.5",
+         "--ode-step", "0"],
+        ["sp", "--model", sin, "--gamma", "1", "--rect", "-0.3,-0.05,0.9,1.1",
+         "--ode-step", "-1"],
+        *(["fd", "--model", sin, "--gamma", "0.25", "--R", "20", "--x-offset", "100",
+           "--h", h] for h in ("0", "-0.05", "nan")),
+    ):
+        assert run([*argv, "--out", str(tmp_path / "x.out")]) == 1, argv
+    # so is a malformed model file
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"tail": {"kind": "periodic"}}')
+    assert run(["limit", "--model", str(bad), "--rect", "0.05,6,1.05,1.95",
+                "--out", str(tmp_path / "x.csv")]) == 1
 
 
 def test_exit_code_on_missing_model(tmp_path):

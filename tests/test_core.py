@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,3 +165,22 @@ def test_model_from_dict_rejects_unknown():
             "tail": {"kind": "zero"},
             "eta": [0, 0],
         })
+    # malformed files raise ValueError naming the field, not KeyError,
+    # AttributeError or TypeError
+    sin = {"kind": "sin", "params": {"amplitude": 1, "frequency": 1}}
+    for bad, field in [
+        ({"tail": {"kind": "periodic"}}, "tail.period"),
+        ({"tail": {"kind": "periodic", "period": 1}}, "tail.expr"),
+        ({"pieces": [{"x_lo": 0, **sin}]}, "pieces[0].x_hi"),
+        ({"pieces": [{"x_lo": 0, "x_hi": 1, "kind": "sin", "params": {}}]},
+         "pieces[0].params.amplitude"),
+        ({"pieces": [{"x_lo": "a", "x_hi": 1, **sin}]}, "pieces[0].x_lo"),
+        ({"pieces": [1]}, "pieces[0]"),
+        ({"pieces": {"x_lo": 0}}, "pieces"),
+        ({"tail": 5}, "tail"),
+        ([1, 2], "JSON object"),
+        ({"eta": 5}, "eta"),
+        ({"eta": [0, "a"]}, "eta[1]"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(field)):
+            model_from_dict(bad)

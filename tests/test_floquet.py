@@ -286,9 +286,10 @@ def test_sp_zeros_drop_null_cell_vector_zero():
 
 def test_sp_zeros_zero_just_outside_an_edge():
     # On -sin at x0 = 0.3 a zero lies 1.1e-5 left of this rectangle.  The
-    # left edge resolves it in panels, so the search needs no inflation,
-    # which would reach the 1e-3 pad of the band exclusion at Im 0 and
-    # raise DomainError (after 65.8 s when the whole edge was refined).
+    # left edge resolves it in panels, so the search needs no retry (a
+    # retry on a rectangle inflated by 1-5% reached the 1e-3 pad of the
+    # band exclusion at Im 0 and raised DomainError, after 65.8 s when the
+    # whole edge was refined).
     model = PotentialModel(tail=PeriodicTail(
         period=2 * math.pi, start=0.0, expr=SinExpr(1.0, 1.0, math.pi)))
     start = time.perf_counter()
