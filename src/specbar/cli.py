@@ -78,15 +78,18 @@ def _parse_pair(text: str) -> tuple[float, float]:
 def _parse_grid(text: str) -> list[float]:
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
-        if len(parts) != 3 or parts[1] <= 0:
+        if len(parts) != 3 or not all(map(math.isfinite, parts)) or parts[1] <= 0:
             raise argparse.ArgumentTypeError(
-                f"expected start:step:stop, got {text!r}"
+                f"expected finite start:step:stop with step > 0, got {text!r}"
             )
         start, step, stop = parts
         out = []
         v = start
         while v <= stop + 1e-9 * step:
             out.append(round(v, 12))
+            if v + step == v:
+                raise argparse.ArgumentTypeError(
+                    f"step {step!r} does not advance past {v!r} in {text!r}")
             v += step
         return out
     return [float(p) for p in text.split(",")]

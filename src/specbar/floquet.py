@@ -448,6 +448,12 @@ def _null_cell_vector(model: PotentialModel, z, sign: str, sheet: Sheet,
     return size <= _NULL_VECTOR_TOL * scale
 
 
+def _check_standoff(standoff: float) -> None:
+    # NaN fails the comparison too, where standoff <= 0 would let it pass
+    if not 0.0 < standoff < math.inf:
+        raise ValueError(f"standoff must be positive and finite, got {standoff}")
+
+
 def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, levels,
                    solutions, pad: float, ode_step: float) -> RootSet:
     """Zeros in rect of f, a function built from tail solutions of the background.
@@ -460,8 +466,10 @@ def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, levels,
     solution f is built from, taken at lam - i level.  On a periodic tail
     that solution is its cell-start eigenvector propagated, so where the
     vector vanishes f vanishes whatever the spectrum: such zeros are no
-    spectral points and are dropped.  A zero tail keeps every root.
+    spectral points and are dropped.  A zero tail keeps every root.  A pad
+    that is not positive and finite raises ValueError.
     """
+    _check_standoff(pad)
     es = essential_spectrum(model, rect.x_lo - 1.0, rect.x_hi + 1.0, ode_step)
     exclusions = tuple(HorizontalSegment(lo, hi, y, pad)
                        for y in levels for lo, hi in es.bands)
@@ -598,8 +606,9 @@ def embedded_resonances(model: PotentialModel, band: tuple[float, float],
     converged strictly inside the interval, those that coincide merged, are
     kept where the full residual |BC[phi_u]| is below tol.  The interval
     must stay inside a band (periodic tail) or inside (0, inf) (zero tail),
-    away from the ends by the standoff.
+    away from the ends by the standoff, which must be positive and finite.
     """
+    _check_standoff(standoff)
     lo, hi = band
     if not lo < hi:
         raise ValueError("band interval is empty")

@@ -5,30 +5,33 @@ The zero count inside a rectangle is obtained from the argument principle:
 counted with multiplicity.  The same contour gives the moments
 s_k = sum_j m_j w_j^k, k < 8, of the zeros w_j (multiplicities m_j) in
 coordinates scaled to the rectangle.  No derivative enters the contour:
-each edge samples f once per point at nested Clenshaw-Curtis nodes, and
-the integrals of w^k f'/f follow, by parts, from log f with its phase
-unwrapped along the edge, which Clenshaw-Curtis quadrature integrates to
-geometric accuracy (Trefethen, SIAM Rev. 50, 2008).  An edge the nested
-rule has not resolved at 129 nodes, such as one passing close to a zero or
-across a jump, goes on as adaptive dyadic panels of 33 nodes (Kravanja &
-Van Barel, Computing the Zeros of Analytic Functions, LNM 1727, 2000), so
-that only the part near the feature is refined.  A contour that fails,
-by a suspected zero on it or an edge unresolved at 2^-30 of its length,
-is retried once on the rectangle with every side moved outward by 2^-20
-of its longer side; a second failure raises.  One leaf resolver turns
-the moments of every counted rectangle into zeros: the Hankel pencil of
-Kravanja, Sakurai & Van Barel (BIT 39, 1999), which extends the moment
-method of Delves & Lyness (Math. Comp. 21, 1967), gives up to four
-distinct zeros and their multiplicities, and damped Newton with the
-multiplicity polishes each.  A rectangle the pencil cannot account for is
-bisected, and one still unresolved at the maximum depth is reported as an
-error.
+every edge is integrated by one panel rule, which samples f once per point
+at Clenshaw-Curtis nodes; the integrals of w^k f'/f follow, by parts, from
+log f with its phase unwrapped along the panel, which Clenshaw-Curtis
+quadrature integrates to geometric accuracy (Trefethen, SIAM Rev. 50,
+2008).  A panel is accepted when its m/2- and m-node integrals agree.  The
+unsplit edge is the first panel, its nodes doubling in place from 33 to
+129; an edge not resolved at 129 nodes, such as one passing close to a
+zero or across a jump, goes on as adaptive dyadic panels of 33 nodes
+(Kravanja & Van Barel, Computing the Zeros of Analytic Functions, LNM
+1727, 2000), so that only the part near the feature is refined.  A
+contour that fails, by a suspected zero on it or an edge unresolved at
+2^-30 of its length, is retried once on the rectangle with every side
+moved outward by 2^-20 of its longer side; a second failure raises.  One
+leaf resolver turns the moments of every counted rectangle into zeros:
+the Hankel pencil of Kravanja, Sakurai & Van Barel (BIT 39, 1999), which
+extends the moment method of Delves & Lyness (Math. Comp. 21, 1967),
+gives up to four distinct zeros and their multiplicities, and damped
+Newton with the multiplicity polishes each.  A rectangle the pencil
+cannot account for is bisected, and one still unresolved at the maximum
+depth is reported as an error.
 
 Function handles must evaluate vectorized over ndarrays of complex points,
 and each call has a fixed cost, so the search calls its handle once per
 step: one call per contour level samples all four edges of a rectangle,
 one call per Newton step serves all zeros of a leaf, and a panel sampled
-once is read again by every later contour of the same search through it.
+once, an unsplit edge included, is read again by every later contour of
+the same search through it.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ _BOUNDARY_REL = 1e-12        # |f| below this fraction of the edge max flags a b
 _MOMENTS = 8                 # s_0 .. s_7: the pencil of up to four distinct zeros
 _RANK_REL = 1e-8             # Hankel singular values above this * the largest make its rank
 _MAX_EDGE_POINTS = 1 << 16   # cap on the samples of one edge
-_GLOBAL_NODES = 128          # nested doubling on a whole edge up to 129 nodes,
-_PANEL_NODES = 32            # then dyadic panels of 33 Clenshaw-Curtis nodes
+_PANEL_NODES = 32            # a panel has 33 Clenshaw-Curtis nodes, but an unsplit
+_EDGE_NODES = 128            # edge doubles them in place up to 129 before it halves
 _PANEL_DEPTH = 30            # no panel is halved below 2^-30 of its edge
 _NUDGE = 2.0 ** -20          # a failed contour's retry: sides move out by this * the longer side
 _QUAD_TOL = 1e-10            # edge integrals converged: successive levels agree to this
@@ -209,72 +212,48 @@ def _clenshaw_curtis(m: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _panel_nodes():
-    """The 33 Clenshaw-Curtis nodes of a panel on [0, 1], its middle exactly
-    1/2, so that a panel's halves start and end at nodes of the panel."""
-    s = _clenshaw_curtis(_PANEL_NODES)[0].copy()
-    s[_PANEL_NODES // 2] = 0.5
+def _panel_nodes(m: int):
+    """The m + 1 Clenshaw-Curtis nodes of a panel on [0, 1], its middle
+    exactly 1/2, so that a panel's halves start and end at nodes of the
+    panel and the nodes of m stay the even-numbered nodes of 2m."""
+    s = _clenshaw_curtis(m)[0].copy()
+    s[m // 2] = 0.5
     s.flags.writeable = False
     return s
 
 
-def _edge_moments(fz: np.ndarray, za: complex, zb: complex, m: int,
-                  centre: complex, half: float):
-    """Integrals of w^k f'/f along za -> zb for k < 8, w = (z - centre)/half,
-    from the samples fz of f at the m + 1 Clenshaw-Curtis nodes of the edge.
+def _panel_moments(F: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   centre: complex, half: float):
+    """Integrals of w^k f'/f along panels lo -> hi for k < 8, w = (z - centre)/half,
+    from rows F of samples at the m + 1 nodes of each panel, m a power of 2.
 
     L = log f, its phase unwrapped by the principal increments between
     adjacent nodes, gives the integral of f'/f as L_b - L_a and, by parts,
     the others as w_b^k L_b - w_a^k L_a - k (dz/half) * integral of
-    w^(k-1) L dt.  Returns None when a phase increment exceeds pi/2, as L
-    is then not resolved.
+    w^(k-1) L dt.  Returns the moments (one row per panel), the difference
+    between the m- and the m/2-node integral of L over each panel, and
+    whether each panel kept every phase increment within pi/2, as L is
+    otherwise not resolved.  The two rules share the unwrapped L, so their
+    integrals of f'/f agree exactly; the integral of L tells them apart.
     """
-    ts, weights = _clenshaw_curtis(m)
-    dz = zb - za
-    step = np.angle(fz[1:] / fz[:-1])
-    if not np.all(np.abs(step) <= 0.5 * np.pi):
-        return None
-    # L - L_a: the parts formula is exact for any constant added to L
-    L = np.log(np.abs(fz / fz[0])) + 1j * np.concatenate([[0.0], np.cumsum(step)])
-    w = (za + ts * dz - centre) / half
-    r = np.empty(_MOMENTS, dtype=complex)
-    r[0] = L[-1]
-    # a running power keeps the memory at one sample array
-    p = weights * L
-    for k in range(1, _MOMENTS):
-        r[k] = w[-1] ** k * L[-1] - k * dz / half * p.sum()
-        p *= w
-    return r
-
-
-def _panel_moments(F: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   centre: complex, half: float):
-    """_edge_moments of many panels lo -> hi at once, one row of 33 samples each.
-
-    Returns the moments (one row per panel), the difference between the
-    33- and the 17-node integral of L over each panel, and whether each
-    panel kept every phase increment within pi/2.  The two rules share the
-    unwrapped L, so their integrals of f'/f agree exactly; the integral of
-    L is what tells them apart.  The nested rule keeps _edge_moments, whose
-    one-edge sums are those of the sequential rule bit for bit.
-    """
-    s = _panel_nodes()
-    w33 = _clenshaw_curtis(_PANEL_NODES)[1]
-    w17 = _clenshaw_curtis(_PANEL_NODES // 2)[1]
+    m = F.shape[1] - 1
+    s = _panel_nodes(m)
+    weights = _clenshaw_curtis(m)[1]
     step = np.angle(F[:, 1:] / F[:, :-1])
     ok = np.all(np.abs(step) <= 0.5 * np.pi, axis=1)
+    # L - L_a: the parts formula is exact for any constant added to L
     L = np.log(np.abs(F / F[:, :1])).astype(complex)
     L[:, 1:] += 1j * np.cumsum(step, axis=1)
     dz = hi - lo
-    powers = ((lo[:, None] + s * dz[:, None] - centre) / half)[:, :, None] ** np.arange(_MOMENTS)
-    wL = w33 * L
+    w = (lo[:, None] + s * dz[:, None] - centre) / half
+    powers = np.vander(w.ravel(), _MOMENTS, increasing=True).reshape(*w.shape, _MOMENTS)
     # integrals of w^(k-1) L for k = 1 .. 7
-    integrals = np.matmul(wL[:, None, :], powers[:, :, :-1])[:, 0]
+    integrals = np.matmul((weights * L)[:, None, :], powers[:, :, :-1])[:, 0]
     r = np.empty((len(F), _MOMENTS), dtype=complex)
     r[:, 0] = L[:, -1]
     r[:, 1:] = (powers[:, -1, 1:] * L[:, -1:]
                 - np.arange(1, _MOMENTS) * (dz / half)[:, None] * integrals)
-    diff = integrals[:, 0] - (w17 * L[:, ::2]).sum(axis=1)
+    diff = integrals[:, 0] - (_clenshaw_curtis(m // 2)[1] * L[:, ::2]).sum(axis=1)
     return r, diff, ok
 
 
@@ -284,9 +263,10 @@ def _mid(a: complex, b: complex) -> complex:
 
 
 class _Samples:
-    """The samples of f that one search keeps: each panel's 33, keyed by its
-    end points (lo, hi), and the values at the points panels share, ends,
-    middles and rectangle corners, keyed by the point."""
+    """The samples of f that one search keeps: each panel's row at the
+    widest rule sampled on it, keyed by its end points (lo, hi), and the
+    values at the points panels share, ends, middles and rectangle corners,
+    keyed by the point."""
 
     __slots__ = ("panels", "points")
 
@@ -296,23 +276,25 @@ class _Samples:
 
 
 class _Edge:
-    """Quadrature state of one contour edge za -> zb within _contour_moments."""
+    """Quadrature state of one contour edge za -> zb within _contour_moments.
 
-    __slots__ = ("za", "zb", "m", "fz", "r_prev", "lo", "hi", "sign", "panels",
-                 "new", "ends", "depth", "acc", "points", "result", "error")
+    The unsplit edge is the panel (lo, hi), whose m + 1 nodes double in
+    place from 33 to _EDGE_NODES + 1; past that it halves into panels of
+    33 nodes.  Every pending panel of an edge has m + 1 nodes.
+    """
+
+    __slots__ = ("za", "zb", "sign", "m", "panels", "new", "ends", "depth",
+                 "acc", "points", "result", "error")
 
     def __init__(self, za: complex, zb: complex):
         self.za, self.zb = za, zb
-        self.m = 32                 # Clenshaw-Curtis level of the whole edge
-        self.fz = None
-        self.r_prev = None
         # panels are kept lo -> hi in (real, imag) order, whatever the
         # direction of the edge, so that every edge through them finds them
         forward = (za.real, za.imag) < (zb.real, zb.imag)
-        self.lo, self.hi = (za, zb) if forward else (zb, za)
         self.sign = 1.0 if forward else -1.0
-        self.panels = None          # pending panels once the edge is split
-        self.new = []               # those of them not yet sampled
+        self.m = _PANEL_NODES
+        self.panels = [(za, zb) if forward else (zb, za)]
+        self.new = []               # the pending panels not yet sampled at m
         self.ends = []              # and their end points with no value yet
         self.depth = 0
         self.acc = 0.0
@@ -321,15 +303,16 @@ class _Edge:
         self.error = None
 
     def request(self, cache: _Samples):
-        """Points this edge needs sampled at the next level."""
-        if self.panels is None:
-            ts = _clenshaw_curtis(self.m)[0]
-            return self.za + (ts if self.fz is None else ts[1::2]) * (self.zb - self.za)
-        self.new = [p for p in self.panels if p not in cache.panels]
+        """Points this edge needs sampled at the next level: every node of a
+        panel new to cache, or the new odd-numbered nodes of the unsplit
+        edge once its rule doubles."""
+        self.new = [p for p in self.panels if len(cache.panels.get(p, ())) <= self.m]
         if not self.new:
             return np.empty(0, dtype=complex)
         a, b = np.array(self.new).T
-        z = a[:, None] + _panel_nodes() * (b - a)[:, None]
+        z = a[:, None] + _panel_nodes(self.m) * (b - a)[:, None]
+        if self.m > _PANEL_NODES:
+            return z[0, 1::2]
         z[:, _PANEL_NODES // 2] = [_mid(*p) for p in self.new]
         self.ends = [e for e in dict.fromkeys(a.tolist() + b.tolist())
                      if e not in cache.points]
@@ -343,16 +326,13 @@ class _Edge:
         if fabs.size and fabs.min() <= _BOUNDARY_REL * max(fabs.max(), 1e-300):
             raise BoundaryZeroError(rect)
         self.points += fz.size
-        if self.panels is None:
-            if self.fz is None:
-                self.fz = fz
-                cache.points[self.za] = fz[0]
-            else:
-                both = np.empty(2 * self.fz.size - 1, dtype=complex)
-                both[::2], both[1::2] = self.fz, fz
-                self.fz = both
-            return
         if not self.new:
+            return
+        if self.m > _PANEL_NODES:
+            p = self.new[0]
+            row = np.empty(self.m + 1, dtype=complex)
+            row[::2], row[1::2] = cache.panels[p], fz
+            cache.panels[p] = row
             return
         n = len(self.new) * (_PANEL_NODES - 1)
         inner = fz[:n].reshape(len(self.new), _PANEL_NODES - 1)
@@ -361,48 +341,25 @@ class _Edge:
             cache.points[_mid(a, b)] = row[_PANEL_NODES // 2 - 1]
             cache.panels[a, b] = np.concatenate([[cache.points[a]], row, [cache.points[b]]])
 
-    def advance(self, centre: complex, half: float) -> None:
-        """One level of nested doubling on the whole edge: converged when the
-        integrals of f'/f and z f'/f agree with the previous counted level to
-        _QUAD_TOL; past _GLOBAL_NODES the edge goes on in halves as panels."""
-        za, zb = self.za, self.zb
-        r = _edge_moments(self.fz, za, zb, self.m, centre, half)
-        if r is not None:
-            r0, r1 = r[0], centre * r[0] + half * r[1]
-            r_prev = self.r_prev
-            # Tolerances relative to the edge contribution once it exceeds O(1).
-            if r_prev is not None and (
-                    abs(r0 - r_prev[0]) < _QUAD_TOL * max(1.0, abs(r0))
-                    and abs(r1 - r_prev[1]) < _QUAD_TOL * max(1.0, abs(r1), abs(za), abs(zb))):
-                self.result = r
-                return
-            self.r_prev = r0, r1
-        else:
-            self.r_prev = None
-        if self.m < _GLOBAL_NODES:
-            self.m *= 2
-            return
-        self.fz = None
-        mid = _mid(self.lo, self.hi)
-        self.panels = [(self.lo, mid), (mid, self.hi)]
-        self.depth = 1
-
 
 def _advance_panels(edges: list, cache: _Samples, centre: complex, half: float) -> None:
     """One level of the panels of every edge at once.
 
-    A panel is accepted when its phase increments are within pi/2 and its
-    17- and 33-node integrals of z f'/f agree to _QUAD_TOL times its share
-    of the edge's scale max(1, |za|, |zb|), or relative to the panel's own
-    integral once that is larger, as the global rule is relative to the
-    edge's; otherwise it is halved.  A panel still rejected at
-    2^-_PANEL_DEPTH of its edge raises QuadratureError, naming it.
+    A panel of m + 1 nodes is accepted when its phase increments are within
+    pi/2 and its m/2- and m-node integrals of z f'/f agree to _QUAD_TOL
+    times its share of the edge's scale max(1, |za|, |zb|), or relative to
+    the panel's own integral once that is larger.  Otherwise the unsplit
+    edge doubles its nodes up to _EDGE_NODES + 1, and then it and every
+    later panel is halved.  A panel still rejected at 2^-_PANEL_DEPTH of
+    its edge raises QuadratureError, naming it.  All edges of one level
+    are at the same m, so their rows stack.
     """
     panels = [p for e in edges for p in e.panels]
-    F = np.array([cache.panels[p] for p in panels])
+    F = np.array([cache.panels[p][::(len(cache.panels[p]) - 1) // e.m]
+                  for e in edges for p in e.panels])
     lo, hi = np.array(panels).T
     r, diff, ok = _panel_moments(F, lo, hi, centre, half)
-    # |hi - lo| * diff is the 17/33 difference of the integral of z f'/f
+    # |hi - lo| * diff is the m/2 to m difference of the integral of z f'/f
     scale = np.repeat([max(1.0, abs(e.za), abs(e.zb)) / abs(e.zb - e.za) for e in edges],
                       [len(e.panels) for e in edges])
     own = np.abs(centre * r[:, 0] + half * r[:, 1]) / np.abs(hi - lo)
@@ -417,6 +374,8 @@ def _advance_panels(edges: list, cache: _Samples, centre: complex, half: float) 
         i += n
         if not rejected:
             e.result, e.panels = e.acc, None
+        elif e.depth == 0 and e.m < _EDGE_NODES:
+            e.m *= 2
         elif e.depth >= _PANEL_DEPTH:
             a, b = rejected[0]
             e.error = QuadratureError(
@@ -424,6 +383,7 @@ def _advance_panels(edges: list, cache: _Samples, centre: complex, half: float) 
                 f"panel {a} -> {b} unresolved at 2^-{_PANEL_DEPTH} of the edge")
         else:
             e.panels = [q for a, b in rejected for q in ((a, _mid(a, b)), (_mid(a, b), b))]
+            e.m = _PANEL_NODES
             e.depth += 1
 
 
@@ -435,14 +395,15 @@ def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle, cache: _Samples
     h half its longer side.
 
     The four edges advance in lockstep: each level samples the new points
-    of every unfinished edge in one call of f.  An edge doubles its nested
-    Clenshaw-Curtis nodes from 33 to _GLOBAL_NODES + 1 (_edge_moments);
-    past that it goes on as dyadic panels of 33 nodes, whose samples are
-    kept in cache under their end points so that any later contour of the
-    same search through a panel, in either direction, reads them again.
-    Errors come out as from edges taken one at a time: the first failing
-    edge in edge order decides, so the edges after a failed one are
-    dropped.  A sample that is not finite, or an edge past
+    of every unfinished edge in one call of f.  One panel rule
+    (_advance_panels) integrates every edge: the unsplit edge is a panel
+    whose Clenshaw-Curtis nodes double in place from 33 to _EDGE_NODES + 1,
+    and past that it goes on as dyadic panels of 33 nodes.  Each panel's
+    samples are kept in cache under its end points, so that any later
+    contour of the same search through a panel, in either direction, reads
+    them again.  Errors come out as from edges taken one at a time: the
+    first failing edge in edge order decides, so the edges after a failed
+    one are dropped.  A sample that is not finite, or an edge past
     _MAX_EDGE_POINTS samples, raises QuadratureError; |f| below
     _BOUNDARY_REL of the largest new sample of an edge raises
     BoundaryZeroError.
@@ -480,12 +441,8 @@ def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle, cache: _Samples
                 break
             at += pts.size
             sampled.append(e)
-        on_panels = [e for e in sampled if e.panels is not None]
-        for e in sampled:
-            if e.panels is None:
-                e.advance(centre, half)
-        if on_panels:
-            _advance_panels(on_panels, cache, centre, half)
+        if sampled:
+            _advance_panels(sampled, cache, centre, half)
     for e in edges:
         if e.error is not None:
             raise e.error
@@ -524,8 +481,9 @@ def _counts(f: AnalyticFunctionHandle, rect: Rectangle, cache: _Samples):
 def winding_number(f: AnalyticFunctionHandle, rect: Rectangle) -> int:
     """Number of zeros of f inside rect, counted with multiplicity.
 
-    Each contour level is one call of f, and an edge not converged at 129
-    nodes goes on in panels.  A suspected boundary zero or an unresolved
+    Each contour level is one call of f.  Every edge is a panel of the one
+    panel rule, its nodes doubling from 33 to 129 before it halves into
+    panels of 33 nodes.  A suspected boundary zero or an unresolved
     edge is retried once on the rectangle nudged outward by 2^-20 of its
     longer side (_counts), so a zero on the boundary counts as inside.  A
     jump of f across an edge raises QuadratureError after about 30 panel
@@ -718,8 +676,10 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
     bisected; at max_depth it raises ClusterUnresolvedError.  The spectral
     verbs search with the default max_depth.
 
-    The panel samples of one search are kept until it returns, so a child
-    rectangle reads its parent's panels and a sibling the split edge.
+    Every edge is integrated by the one panel rule (_contour_moments), and
+    the panel samples of one search are kept until it returns, so a child
+    rectangle reads the panels of its parent's edges and a sibling the
+    split edge.
     A rectangle nudged outward on a failed contour (_counts) can hold
     zeros just outside rect and overlap its sibling by 2^-20 of its longer
     side: zeros found twice are merged, and zeros farther outside rect than

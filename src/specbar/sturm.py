@@ -61,8 +61,7 @@ class CharacteristicContext:
                 f"ode_step {self.ode_step} too coarse for R = {self.problem.R}"
                 " (need ode_step <= R/16)"
             )
-        if self.standoff <= 0:
-            raise ValueError("standoff must be positive")
+        floquet._check_standoff(self.standoff)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -237,6 +238,18 @@ def test_exit_code_on_computation_error(model_paths, tmp_path):
            "--h", h] for h in ("0", "-0.05", "nan")),
     ):
         assert run([*argv, "--out", str(tmp_path / "x.out")]) == 1, argv
+    # so is a standoff that is not positive and finite: NaN passed a check
+    # of standoff <= 0 and searched across the excluded ray
+    free, stacked = str(model_paths / "free.json"), str(model_paths / "stacked.json")
+    for argv in (
+        *(["spectrum", "--model", free, "--gamma", "1", "--R", "10",
+           "--rect", "0.1,5,-0.5,0.5", "--standoff", s] for s in ("nan", "inf", "0")),
+        *(["sp", "--model", stacked, "--rect", "-4,4,-0.2,0.95", "--standoff", s]
+          for s in ("-1", "nan", "inf")),
+        *(["limit", "--model", stacked, "--rect", "0.05,6,-0.5,1.95", "--standoff", s]
+          for s in ("-1", "nan")),
+    ):
+        assert run([*argv, "--out", str(tmp_path / "x.out")]) == 1, argv
     # so is a malformed model file
     bad = tmp_path / "bad.json"
     bad.write_text('{"tail": {"kind": "periodic"}}')
@@ -271,6 +284,29 @@ def _python(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("grid", ["10:5:inf", "nan:5:40", "10:inf:40",
+                                  "10:1e-300:40"])
+def test_grid_that_never_ends_is_a_usage_error(grid, model_paths, tmp_path, capsys):
+    # an infinite stop or step, or a step below the float spacing of the
+    # running width, never reached stop: the parser looped, its list
+    # growing, so an alarm ends the test if parsing has not returned
+    # within 2 s; a NaN start gave no widths at all
+    def hung(*_):
+        raise TimeoutError(f"--R {grid} still parsing after 2 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(2)
+    try:
+        code = run(["converge", "--model", str(model_paths / "free.json"),
+                    "--mode", "eigenvalue", "--R", grid,
+                    "--out", str(tmp_path / "x.json")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert "--R" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["specbar", "specbar.cli"])

@@ -361,6 +361,13 @@ def test_embedded_resonances_take_an_interval_exactly_the_standoff_inside(
             embedded_resonances(sin_model, (lo, hi + 1e-6), standoff=standoff)
 
 
+@pytest.mark.parametrize("standoff", [0.0, -1.0, math.nan, math.inf])
+def test_embedded_resonances_refuse_a_standoff_not_positive_and_finite(
+        stacked_model, standoff):
+    with pytest.raises(ValueError, match="standoff must be positive and finite"):
+        embedded_resonances(stacked_model, (2.5, 4.0), standoff=standoff)
+
+
 def _stacked_boundary_form(z):
     """u(0) of the solution that is exp(i sqrt(z) x) beyond the piece i on [0, 4.7)."""
     k, w, r0 = np.sqrt(z), np.sqrt(z - 1j), 4.7

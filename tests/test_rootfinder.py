@@ -31,9 +31,8 @@ UNIT = Rectangle(-1.0, 1.0, -1.0, 1.0)
 
 # Regression guard on the work of the free R=10 search of
 # test_closed_form_roots_in_strip, not a tolerance to loosen: sampling log f
-# once per point at nested Clenshaw-Curtis nodes it evaluates 17,250 points
-# (353,482 with the trapezoid sums of a central-difference f'/f); the bound
-# leaves about 45% headroom.
+# once per point with one panel rule per edge it evaluates 1,814 points
+# (353,482 with the trapezoid sums of a central-difference f'/f).
 FREE_R10_POINT_BOUND = 25_000
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=50,
@@ -358,90 +357,67 @@ def test_boundary_zero_inflates_and_recovers(caplog):
     assert abs(out.roots[0].location - 1.0) < 1e-10
 
 
-def _sequential_moments(f, rect):
-    """The contour moments of rect by the global rule, one edge after another.
-
-    A copy of the quadrature before edges ran in lockstep: nested
-    Clenshaw-Curtis doubling over each whole edge in turn, one call of f
-    per edge and level.  It refuses edges that would need more than 129
-    nodes, where the root finder goes on in panels instead.
-    """
-    centre = rect.center
-    half = 0.5 * max(rect.width, rect.height)
-    corners = rect.corners
-    total = 0
-    for za, zb in zip(corners, corners[1:] + corners[:1]):
-        dz = zb - za
-        m = 32
-        fz = np.asarray(f.eval(za + rootfinder._clenshaw_curtis(m)[0] * dz))
-        r_prev = None
-        while True:
-            ts, weights = rootfinder._clenshaw_curtis(m)
-            step = np.angle(fz[1:] / fz[:-1])
-            if np.all(np.abs(step) <= 0.5 * np.pi):
-                L = np.log(np.abs(fz / fz[0])) + 1j * np.concatenate([[0.0], np.cumsum(step)])
-                w = (za + ts * dz - centre) / half
-                r = np.empty(8, dtype=complex)
-                r[0] = L[-1]
-                p = weights * L
-                for k in range(1, 8):
-                    r[k] = w[-1] ** k * L[-1] - k * dz / half * p.sum()
-                    p *= w
-                r0, r1 = r[0], centre * r[0] + half * r[1]
-                if r_prev is not None and (
-                        abs(r0 - r_prev[0]) < 1e-10 * max(1.0, abs(r0))
-                        and abs(r1 - r_prev[1]) < 1e-10 * max(1.0, abs(r1), abs(za), abs(zb))):
-                    break
-                r_prev = r0, r1
-            else:
-                r_prev = None
-            assert m < 128, f"edge {za} -> {zb} needs more than 129 nodes"
-            m *= 2
-            new = np.asarray(f.eval(za + rootfinder._clenshaw_curtis(m)[0][1::2] * dz))
-            fz = np.insert(fz, np.arange(1, fz.size), new)
-        total = total + r
-    return total / (2.0j * math.pi)
-
-
-@pytest.mark.parametrize("fn, rect", [
-    (lambda z: np.polyval(np.poly([0.3, -0.2 + 0.4j, 0.5 - 0.6j]), z), UNIT),
-    (lambda z: np.polyval(np.poly([0.3, 0.4, 0.5, 0.3 + 0.1j, 0.3 - 0.1j]), z), UNIT),
-    (lambda z: oracle_f_free(z, 10.0), Rectangle(1.2, 1.6, 0.7, 0.85)),
-    (lambda z: oracle_f_free(z, 10.0), Rectangle(2.0, 2.5, 0.6, 0.75)),
-    (lambda z: oracle_f_free(z, 10.0), Rectangle(0.2, 3.0, 0.1, 0.45)),
-    (lambda z: oracle_f_free(z, 40.0), Rectangle(0.1, 3.0, 0.05, 0.7)),
+@pytest.mark.parametrize("zeros, rect", [
+    ([0.3, -0.2 + 0.4j, 0.5 - 0.6j], UNIT),
+    ([0.3, 0.4, 0.5, 0.3 + 0.1j, 0.3 - 0.1j], UNIT),
+    (10.0, Rectangle(1.2, 1.6, 0.7, 0.85)),
+    (10.0, Rectangle(2.0, 2.5, 0.6, 0.75)),
+    (10.0, Rectangle(0.2, 3.0, 0.45, 0.95)),
+    (40.0, Rectangle(0.1, 3.0, 0.5, 0.96)),
 ])
-def test_lockstep_moments_equal_the_sequential_global_rule(fn, rect):
-    # every edge of these rectangles converges within 129 nodes, so the
-    # lockstep levels run the global rule's arithmetic on the same samples
-    f = AnalyticFunctionHandle(eval=fn)
-    _, s = rootfinder._contour_moments(f, rect, rootfinder._Samples())
-    assert np.array_equal(s, _sequential_moments(f, rect))
-
-
-def test_panel_moments_equal_the_one_edge_rule_per_panel():
-    # the panels' arrays hold _edge_moments' arithmetic for each panel; their
-    # middle node is 1/2 exactly, where Clenshaw-Curtis puts 1/2 - 6e-17,
-    # and their sums run in another order, so they agree to rounding
-    fn = lambda z: oracle_f_free(z, 40.0)  # noqa: E731
-    lo = np.array([1.3 + 0.95j, 1.35 + 0.95j, 0.1 + 0.05j])
-    hi = np.array([1.35 + 0.95j, 1.4 + 0.95j, 0.1 + 0.95j])
-    nodes = rootfinder._panel_nodes()
-    F = fn(lo[:, None] + nodes * (hi - lo)[:, None])
-    centre, half = 3.05 + 0.5j, 2.95
-    r, _, ok = rootfinder._panel_moments(F, lo, hi, centre, half)
-    assert ok.all()
-    for row, a, b, samples in zip(r, lo, hi, F):
-        want = rootfinder._edge_moments(samples, a, b, 32, centre, half)
-        assert np.max(np.abs(row - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
+def test_contour_moments_equal_the_power_sums_of_the_zeros(zeros, rect):
+    # the zeros are a polynomial's or, for a width R, those grid-Newton
+    # finds for the free closed form; s_k = sum_j w_j^k, w = (z - c)/h
+    if isinstance(zeros, list):
+        fn = lambda z, c=np.poly(zeros): np.polyval(c, z)  # noqa: E731
+    else:
+        fn = lambda z, R=zeros: oracle_f_free(z, R)  # noqa: E731
+        zeros = grid_newton_roots(fn, (rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi))
+    assert zeros
+    centre, half = rect.center, 0.5 * max(rect.width, rect.height)
+    w = (np.array(zeros) - centre) / half
+    want = (w[:, None] ** np.arange(8)).sum(axis=0)
+    count, s = rootfinder._contour_moments(AnalyticFunctionHandle(eval=fn), rect,
+                                           rootfinder._Samples())
+    assert count == len(zeros)
+    assert np.max(np.abs(s - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+    # the left edge, short enough for 33 nodes to resolve, gives the same
+    # moments from its rows of 33, 65 and 129 nodes
+    lo, hi = np.array(rect.corners[3:]), np.array(rect.corners[:1])
+    rows = [rootfinder._panel_moments(
+        fn(lo[:, None] + rootfinder._panel_nodes(m) * (hi - lo)[:, None]),
+        lo, hi, centre, half)[0][0] for m in (32, 64, 128)]
+    scale = max(1.0, np.max(np.abs(rows[-1])))
+    assert all(np.max(np.abs(r - rows[-1])) < 1e-12 * scale for r in rows)
 
 
 def test_smooth_rectangle_takes_one_call_per_contour_level():
-    # every edge of UNIT converges at 65 nodes: one call samples the 33
-    # nodes of all four edges, the next their 32 new ones
+    # one call samples the 33 nodes of all four edges, each corner asked
+    # for by both edges through it; the two edges whose 17- and 33-node
+    # integrals disagree then take their 32 new nodes in a second call
     f, sizes = _counted(lambda z: z**2 - 0.25)
     assert winding_number(f, UNIT) == 2
-    assert sizes == [4 * 33, 4 * 32]
+    assert sizes == [4 * 33, 2 * 32]
+
+
+def test_free_search_repeats_few_points(monkeypatch):
+    # an edge is a panel of the search's sample cache, so a child rectangle
+    # reads the halves of its parent's edges and a sibling the split edge
+    # instead of sampling them again: fewer than 1% of the points of the
+    # free R = 40 eigenvalue search repeat
+    points = []
+
+    def counted_find_zeros(f, rect, *args, **kwargs):
+        def g(z):
+            points.extend(z.tolist())
+            return f.eval(z)
+        return find_zeros(AnalyticFunctionHandle(eval=g, exclusions=f.exclusions),
+                          rect, *args, **kwargs)
+
+    monkeypatch.setattr(floquet, "find_zeros", counted_find_zeros)
+    ctx = CharacteristicContext(BarrierProblem(PotentialModel(), 1.0, 40.0))
+    assert eigenvalues(ctx, Rectangle(0.1, 6.0, 0.05, 0.95)).total_count == 17
+    assert len(points) - len(set(points)) < 0.01 * len(points)
 
 
 def test_zeros_outside_the_requested_rectangle_are_dropped():
@@ -457,7 +433,7 @@ def test_zeros_outside_the_requested_rectangle_are_dropped():
 
 
 # Regression guard on the near-edge searches below, not a tolerance to
-# loosen: panels on the top edge resolve the planted zero in at most 1,639
+# loosen: panels on the top edge resolve the planted zero in at most 1,638
 # points, where refining the whole edge took 66,899 from 1e-4 on.
 NEAR_EDGE_POINT_BOUND = 2_500
 
@@ -478,7 +454,7 @@ def test_zero_near_an_edge(distance, side):
 
 
 # Regression guard on the two failing contours of a jump, not a tolerance
-# to loosen: the sqrt cut and the Bug B edge below each raise after 8,220
+# to loosen: the sqrt cut and the Bug B edge below each raise after 8,088
 # points, where five retries on randomly inflated rectangles took 24,660
 # and 24,784.
 JUMP_POINT_BOUND = 16_000

@@ -514,7 +514,7 @@ def test_pollution_zeros_propagates_at_ode_step(monkeypatch):
                - (2.5140197487144933 + 0.9164208815101077j)) < 1e-12
     # the zero-tail carriers exp(-+i k x0) keep the function of moderate
     # size, and log f on Clenshaw-Curtis nodes needs one evaluation per
-    # point: 4,232 points (22,291 with the trapezoid sums of a
+    # point: 1,940 points (22,291 with the trapezoid sums of a
     # central-difference f'/f)
     assert sum(points) <= 6000
 
