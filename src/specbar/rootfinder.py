@@ -313,7 +313,6 @@ class _Edge:
         z = a[:, None] + _panel_nodes(self.m) * (b - a)[:, None]
         if self.m > _PANEL_NODES:
             return z[0, 1::2]
-        z[:, _PANEL_NODES // 2] = [_mid(*p) for p in self.new]
         self.ends = [e for e in dict.fromkeys(a.tolist() + b.tolist())
                      if e not in cache.points]
         return np.concatenate([z[:, 1:-1].ravel(), self.ends])
