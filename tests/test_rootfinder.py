@@ -357,6 +357,96 @@ def test_boundary_zero_inflates_and_recovers(caplog):
     assert abs(out.roots[0].location - 1.0) < 1e-10
 
 
+def _one_edge_rule(fz, za, zb, m, centre, half):
+    """The moments of one edge za -> zb from its samples fz at the m + 1
+    Clenshaw-Curtis nodes, one k at a time, and the integral of L = log f
+    over the edge by the m/2-node rule on every other sample minus that by
+    the m-node rule; None where a phase increment exceeds pi/2."""
+    step = np.angle(fz[1:] / fz[:-1])
+    if np.any(np.abs(step) > 0.5 * np.pi):
+        return None
+    dz = zb - za
+    L = np.log(np.abs(fz / fz[0])) + 1j * np.concatenate([[0.0], np.cumsum(step)])
+    w = (za + (0.5 - 0.5 * np.cos(np.pi * np.arange(m + 1) / m)) * dz - centre) / half
+    r = np.empty(8, dtype=complex)
+    r[0] = L[-1]
+    p = rootfinder._clenshaw_curtis(m)[1] * L
+    for k in range(1, 8):
+        r[k] = w[-1] ** k * L[-1] - k * dz / half * p.sum()
+        p *= w
+    half_rule = (rootfinder._clenshaw_curtis(m // 2)[1] * L[::2]).sum()
+    return r, (rootfinder._clenshaw_curtis(m)[1] * L).sum() - half_rule
+
+
+def _sequential_moments(f, rect):
+    """The contour moments of rect by the rule on whole edges, one edge
+    after another and one call of f per edge and level.
+
+    Each edge starts at 33 Clenshaw-Curtis nodes and doubles them until its
+    m/2- and m-node integrals of z f'/f agree to 1e-10 of
+    max(1, |za|, |zb|, |integral|).  It refuses edges that would need more
+    than 129 nodes, where the root finder goes on in panels instead.
+    """
+    centre = rect.center
+    half = 0.5 * max(rect.width, rect.height)
+    corners = rect.corners
+    total = 0
+    for za, zb in zip(corners, corners[1:] + corners[:1]):
+        m = 32
+        fz = np.asarray(f.eval(za + rootfinder._clenshaw_curtis(m)[0] * (zb - za)))
+        while True:
+            out = _one_edge_rule(fz, za, zb, m, centre, half)
+            if out is not None:
+                r, diff = out
+                own = abs(centre * r[0] + half * r[1])
+                if abs(diff * (zb - za)) < 1e-10 * max(1.0, abs(za), abs(zb), own):
+                    break
+            assert m < 128, f"edge {za} -> {zb} needs more than 129 nodes"
+            m *= 2
+            new = np.asarray(f.eval(za + rootfinder._clenshaw_curtis(m)[0][1::2] * (zb - za)))
+            fz = np.insert(fz, np.arange(1, fz.size), new)
+        total = total + r
+    return total / (2.0j * math.pi)
+
+
+@pytest.mark.parametrize("fn, rect", [
+    (lambda z: np.polyval(np.poly([0.3, -0.2 + 0.4j, 0.5 - 0.6j]), z), UNIT),
+    (lambda z: np.polyval(np.poly([0.3, 0.4, 0.5, 0.3 + 0.1j, 0.3 - 0.1j]), z), UNIT),
+    (lambda z: oracle_f_free(z, 10.0), Rectangle(1.2, 1.6, 0.7, 0.85)),
+    (lambda z: oracle_f_free(z, 10.0), Rectangle(2.0, 2.5, 0.6, 0.75)),
+    (lambda z: oracle_f_free(z, 10.0), Rectangle(0.2, 3.0, 0.1, 0.45)),
+    (lambda z: oracle_f_free(z, 40.0), Rectangle(0.1, 3.0, 0.05, 0.7)),
+])
+def test_lockstep_moments_equal_the_sequential_global_rule(fn, rect):
+    # every edge of these rectangles converges within 129 nodes, so the
+    # lockstep levels, all edges in one call and their rows stacked and
+    # cached as panels, give the moments of the whole-edge rule taken one
+    # edge at a time; the middle node differs by 6e-17 and the sums run in
+    # another order, so they agree to rounding
+    f = AnalyticFunctionHandle(eval=fn)
+    _, s = rootfinder._contour_moments(f, rect, rootfinder._Samples())
+    want = _sequential_moments(f, rect)
+    assert np.max(np.abs(s - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_panel_moments_equal_the_one_edge_rule_per_panel():
+    # the panels' stacked arrays hold the one-edge rule's arithmetic for
+    # each panel: 33-node panels of a split top edge and an unsplit left
+    # edge, then the same panels at 65 nodes
+    fn = lambda z: oracle_f_free(z, 40.0)  # noqa: E731
+    lo = np.array([1.3 + 0.95j, 1.35 + 0.95j, 0.1 + 0.05j])
+    hi = np.array([1.35 + 0.95j, 1.4 + 0.95j, 0.1 + 0.95j])
+    centre, half = 3.05 + 0.5j, 2.95
+    for m in (32, 64):
+        F = fn(lo[:, None] + rootfinder._panel_nodes(m) * (hi - lo)[:, None])
+        r, diff, ok = rootfinder._panel_moments(F, lo, hi, centre, half)
+        assert ok.all()
+        for row, d, a, b, samples in zip(r, diff, lo, hi, F):
+            want, want_diff = _one_edge_rule(samples, a, b, m, centre, half)
+            assert np.max(np.abs(row - want)) < 1e-13 * max(1.0, np.max(np.abs(want)))
+            assert abs(d - want_diff) < 1e-13 * max(1.0, abs(want[0]))
+
+
 @pytest.mark.parametrize("zeros, rect", [
     ([0.3, -0.2 + 0.4j, 0.5 - 0.6j], UNIT),
     ([0.3, 0.4, 0.5, 0.3 + 0.1j, 0.3 - 0.1j], UNIT),
