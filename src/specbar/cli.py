@@ -75,6 +75,9 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
+_MAX_WIDTHS = 10_000    # each width is a full root search or eigensolve
+
+
 def _parse_grid(text: str) -> list[float]:
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
@@ -83,6 +86,11 @@ def _parse_grid(text: str) -> list[float]:
                 f"expected finite start:step:stop with step > 0, got {text!r}"
             )
         start, step, stop = parts
+        # the loop below takes floor(count) + 1 widths
+        count = (stop - start) / step + 1e-9
+        if count >= _MAX_WIDTHS:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} asks for {count + 1:.6g} widths, more than {_MAX_WIDTHS}")
         out = []
         v = start
         while v <= stop + 1e-9 * step:

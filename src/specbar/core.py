@@ -222,18 +222,27 @@ class PotentialModel:
         return isinstance(self.tail, PeriodicTail)
 
 
-def eval_potential(model: PotentialModel, x: float) -> complex:
-    """Value of q at x >= 0, reducing periodic-tail coordinates mod the period."""
-    if x < 0:
+def eval_potential(model: PotentialModel, x):
+    """Value of q at x >= 0, reducing periodic-tail coordinates mod the period.
+
+    x is a scalar, which gives a complex scalar, or an array, which gives a
+    complex array of its shape; each piece and the tail are evaluated once,
+    on the points they cover.
+    """
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0):
         raise DomainError(f"potential is defined on [0, inf); got x={x}")
+    q = np.zeros(xs.shape, dtype=complex)
+    rest = np.ones(xs.shape, dtype=bool)
     for p in model.pieces:
-        if p.x_lo <= x < p.x_hi:
-            return complex(p.expr(x))
-    if isinstance(model.tail, PeriodicTail) and x >= model.tail.start:
+        on = rest & (p.x_lo <= xs) & (xs < p.x_hi)
+        q[on] = p.expr(xs[on])
+        rest &= ~on
+    if isinstance(model.tail, PeriodicTail):
         t = model.tail
-        x0 = t.start + math.fmod(x - t.start, t.period)
-        return complex(t.expr(x0))
-    return 0.0
+        on = rest & (xs >= t.start)
+        q[on] = t.expr(t.start + np.fmod(xs[on] - t.start, t.period))
+    return complex(q) if _is_scalar(x) else q
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ and truncation-induced pollution on the real bands.
 
 All n eigenvalues come from an Ehrlich–Aberth iteration on det(T − z) in
 O(n²) time and O(n) memory (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal.
-Appl. 27, 2005).  Its Newton correction p/p' comes from the three-term
-recurrence of the leading principal minors, rescaled by powers of two, never
-from a dense matrix.  Each returned spectrum is certified: its first two
-power sums must match tr T and tr T², and sampled eigenvalues must pass an
-inverse-iteration residual check.
+Appl. 27, 2005).  It starts from the spectrum of the real part of T, each
+point lifted to the imaginary level of the diagonal block it belongs to.
+Its Newton correction p/p' comes from the three-term recurrence of the
+leading principal minors, rescaled by powers of two, never from a dense
+matrix; its repulsion sum computes each pair of unsettled points once.
+Each returned spectrum is certified: its first two power sums must match
+tr T and tr T², and sampled eigenvalues must pass an inverse-iteration
+residual check.
 """
 
 from __future__ import annotations
@@ -84,8 +87,7 @@ def build_matrix(p: BarrierProblem, X: float, h: float) -> TridiagonalOperator:
         raise ValueError(f"step h = {h} too coarse for X = {X} (need h <= X/16)")
     n = round(X / h) - 1
     x = h * np.arange(1, n + 1)
-    q = np.array([eval_potential(p.model, float(xx)) for xx in x], dtype=complex)
-    diag = 2.0 / h**2 + q + 1j * p.gamma * (x <= p.R)
+    diag = 2.0 / h**2 + eval_potential(p.model, x) + 1j * p.gamma * (x <= p.R)
     off = np.full(n - 1, -1.0 / h**2, dtype=complex)
     return TridiagonalOperator(n=n, sub=off.copy(), diag=diag, super=off.copy(),
                                h=h, X=X)
@@ -130,11 +132,16 @@ _STOP = 32.0         # a point stops once |step| <= _STOP * eps * ||T||
 
 
 def _start_points(t: TridiagonalOperator) -> np.ndarray:
-    """Spectra of the blocks on which Im diag is constant, one start per eigenvalue.
+    """One start per eigenvalue: the spectrum of Re T, lifted to the Im levels of T.
 
-    Every model has piecewise-constant Im q and the barrier adds one jump,
-    so each block is a real symmetric tridiagonal matrix (off-diagonal
-    sqrt|sub * super|) shifted by i times its imaginary part.
+    The real parts are the eigenvalues of the real symmetric tridiagonal
+    matrix with diagonal Re diag and off-diagonal sqrt|sub * super|.  Every
+    model has piecewise-constant Im q and the barrier adds one jump, so Im
+    diag is constant on a few blocks.  Each start takes the level of the
+    largest block, whose own spectrum is never computed.  The real part of
+    each block at another level has its own spectrum, and each of those
+    eigenvalues claims the nearest real part not yet claimed and gives it
+    that block's level.
     """
     from scipy import linalg
 
@@ -143,16 +150,48 @@ def _start_points(t: TridiagonalOperator) -> np.ndarray:
     # sqrt|sub * super| of T / 2^e, 2^e > ||T||, times 2^e: exact, and no overflow
     unit = 2.0 ** -np.frexp(t.norm_inf())[1]
     off = np.sqrt(np.abs(t.sub * unit * (t.super * unit))) / unit
-    z = np.concatenate([
-        linalg.eigvalsh_tridiagonal(t.diag.real[lo:hi], off[lo:hi - 1]) + 1j * im[lo]
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, t.n])
-    ])
-    # Identical blocks give identical start points, which the Aberth sum
-    # cannot pull apart: move each repeat a little off the real axis.
+    real = linalg.eigvalsh_tridiagonal(t.diag.real, off)       # ascending
+    los, his = np.r_[0, cuts], np.r_[cuts, t.n]
+    base = im[los[np.argmax(his - los)]]         # the largest block's level
+    z = real + 1j * base
+    others = [(lo, hi) for lo, hi in zip(los, his) if im[lo] != base]
+    if others:
+        want = np.concatenate([linalg.eigvalsh_tridiagonal(t.diag.real[lo:hi],
+                                                           off[lo:hi - 1])
+                               for lo, hi in others])
+        levels = np.concatenate([np.full(hi - lo, im[lo]) for lo, hi in others])
+        z[_claim(real, want)] += 1j * (levels - base)
+    # A real part repeated exactly at one level (Re T splits into identical
+    # pieces) gives identical start points, which the Aberth sum cannot pull
+    # apart: move each repeat a little off the real axis.
     order = np.lexsort((z.imag, z.real))
     repeat = order[1:][np.diff(z[order]) == 0]
     z[repeat] += 1j * np.sqrt(_EPS) * t.norm_inf() * np.arange(1, len(repeat) + 1)
     return z
+
+
+def _claim(real: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The index into ascending `real` that each value of `want` claims.
+
+    Each value claims the nearest real not yet claimed.  Where several want
+    the same one, the nearest of them gets it and the others try again, so
+    every round settles at least one value and no index is claimed twice.
+    """
+    taken = np.zeros(len(real), dtype=bool)
+    out = np.empty(len(want), dtype=int)
+    pending = np.arange(len(want))
+    while len(pending):
+        free = np.flatnonzero(~taken)
+        w, near = want[pending], real[free]
+        right = np.minimum(np.searchsorted(near, w), len(free) - 1)
+        left = np.maximum(right - 1, 0)
+        idx = free[np.where(w - near[left] <= np.abs(near[right] - w), left, right)]
+        order = np.lexsort((np.abs(real[idx] - w), idx))
+        won = order[np.r_[True, np.diff(idx[order]) != 0]]
+        out[pending[won]] = idx[won]
+        taken[idx[won]] = True
+        pending = np.delete(pending, won)
+    return out
 
 
 def _newton(t: TridiagonalOperator, z: np.ndarray) -> np.ndarray:
@@ -199,25 +238,41 @@ def _newton(t: TridiagonalOperator, z: np.ndarray) -> np.ndarray:
     return cur[0] / cur[1] / unit
 
 
+def _repulsion(z: np.ndarray, active: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sum over j != k of 1/(z_k - z_j) for each k in active.
+
+    Each pair of active points is computed once, as 1/(z_j - z_k) is
+    -1/(z_k - z_j): a block of rows takes its row sums over itself, the
+    later active points and the settled ones, and hands the negated column
+    sums to the later rows.  Settled points need no sum of their own.
+    scratch holds _ROW_BLOCK * len(z) complex numbers.
+    """
+    settled = np.ones(len(z), dtype=bool)
+    settled[active] = False
+    w = np.concatenate([z[active], z[settled]])
+    m, n = len(active), len(w)
+    out = np.zeros(m, dtype=complex)
+    for lo in range(0, m, _ROW_BLOCK):
+        b = min(_ROW_BLOCK, m - lo)
+        diff = scratch[:b * (n - lo)].reshape(b, n - lo)
+        np.subtract(w[lo:lo + b, None], w[lo:], out=diff)
+        diff[np.arange(b), np.arange(b)] = np.inf          # 1/inf = 0 drops j = k
+        np.divide(1.0, diff, out=diff)
+        out[lo:lo + b] += diff.sum(axis=1)
+        out[lo + b:] -= diff[:, b:m - lo].sum(axis=0)
+    return out
+
+
 def _aberth(t: TridiagonalOperator) -> np.ndarray:
     """All eigenvalues of t by the Ehrlich–Aberth iteration on det(T - z)."""
     stop = _STOP * _EPS * t.norm_inf()
     z = _start_points(t)
     active = np.arange(t.n)
-    block = np.empty((min(_ROW_BLOCK, t.n), t.n), dtype=complex)
+    scratch = np.empty(min(_ROW_BLOCK, t.n) * t.n, dtype=complex)
     for _ in range(_MAX_ITER):
         za = z[active]
         newton = _newton(t, za)
-        # sum over j != k of 1/(z_k - z_j), row block by row block
-        repulsion = np.empty_like(za)
-        for lo in range(0, len(active), _ROW_BLOCK):
-            rows = active[lo:lo + _ROW_BLOCK]
-            diff = block[:len(rows)]
-            np.subtract(z[rows, None], z, out=diff)
-            diff[np.arange(len(rows)), rows] = np.inf      # 1/inf = 0 drops j = k
-            np.divide(1.0, diff, out=diff)
-            diff.sum(axis=1, out=repulsion[lo:lo + len(rows)])
-        step = newton / (1.0 - newton * repulsion)
+        step = newton / (1.0 - newton * _repulsion(z, active, scratch))
         z[active] = za - step
         active = active[~(np.abs(step) <= stop)]
         if not len(active):
@@ -233,9 +288,12 @@ def eigenvalues_dense(t: TridiagonalOperator) -> list[complex]:
     O(n²) time and O(n) memory; n may not exceed 9000, which bounds that
     time.  Each Newton correction runs the three-term recurrence of the
     leading principal minors of T - z, with no division and exact
-    power-of-two rescaling.  Start points are the spectra of the blocks
-    where Im diag is constant; each point stops once its step is within
-    32·eps·‖T‖∞, after at most 100 iterations.  The result is certified
+    power-of-two rescaling.  Start points are the spectrum of the real
+    part of T at the Im level of the largest block of constant Im diag;
+    the real parts nearest the spectra of the other blocks take those
+    blocks' levels.  The repulsion sum computes each pair of unsettled
+    points once.  Each point stops once its step is within 32·eps·‖T‖∞,
+    after at most 100 iterations.  The result is certified
     before it is returned: every value converged and is finite, the power
     sums match the traces, taken of T/‖T‖∞ so that no square overflows,
 

@@ -287,12 +287,13 @@ def _python(*args):
 
 
 @pytest.mark.parametrize("grid", ["10:5:inf", "nan:5:40", "10:inf:40",
-                                  "10:1e-300:40"])
+                                  "10:1e-300:40", "10:1e-9:40", "1e20:1:1e20"])
 def test_grid_that_never_ends_is_a_usage_error(grid, model_paths, tmp_path, capsys):
     # an infinite stop or step, or a step below the float spacing of the
-    # running width, never reached stop: the parser looped, its list
-    # growing, so an alarm ends the test if parsing has not returned
-    # within 2 s; a NaN start gave no widths at all
+    # running width, never reached stop, and a tiny step that advances asks
+    # for 3e10 widths: the parser looped, its list growing, so an alarm ends
+    # the test if parsing has not returned within 2 s; a NaN start gave no
+    # widths at all
     def hung(*_):
         raise TimeoutError(f"--R {grid} still parsing after 2 s")
 

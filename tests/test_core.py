@@ -84,6 +84,21 @@ def test_eval_potential_exact_periodicity():
 def test_eval_potential_domain_error():
     with pytest.raises(DomainError):
         eval_potential(PotentialModel(), -0.5)
+    with pytest.raises(DomainError):
+        eval_potential(PotentialModel(), np.array([0.5, -0.5]))
+
+
+@pytest.mark.parametrize("name", ["free", "stacked", "sin"])
+def test_eval_potential_array_is_the_pointwise_rule(request, name):
+    # the interior grid of the fd truncation [0, 120] at h = 0.05: one call
+    # on the whole grid gives, bit for bit, the value of each point alone
+    model = request.getfixturevalue(f"{name}_model")
+    x = 0.05 * np.arange(1, 2400)
+    got = eval_potential(model, x)
+    assert got.dtype == complex and got.shape == x.shape
+    want = [eval_potential(model, float(v)) for v in x]
+    assert all(type(v) is complex for v in want)
+    assert np.array_equal(got, want)
 
 
 def test_model_validation():

@@ -207,6 +207,8 @@ def test_eigenvalues_scale_with_the_matrix(c, h):
     ("sin", 1.0, 5.0, 10.05, 0.05, 200),
     ("stacked", 1.0, 10.0, 30.0, 0.05, 599),     # three levels of Im diag
     ("free", 0.5, 3.0, 4.0, 0.25, 15),
+    ("sin", 1.0, 9.0, 10.05, 0.05, 200),         # the barrier block is the largest
+    ("sin", 4.0, 5.0, 10.05, 0.05, 200),
 ])
 def test_agrees_with_dense_zgeev(request, name, gamma, R, X, h, n):
     model = request.getfixturevalue(f"{name}_model")
@@ -230,6 +232,49 @@ def test_degenerate_start_points(diag):
                             super=off.copy(), h=0.25, X=0.25 * (n + 1))
     got = eigenvalues_dense(t)
     assert _matched_distance(got, linalg.eigvals(_dense(t))) <= 1e-12 * t.norm_inf()
+
+
+def test_claim_gives_each_value_its_own_index():
+    # both values are nearest 1.005; the nearer one, 1.0, gets it and 1.012
+    # takes the nearest left, 0.99
+    real = np.array([0.99, 1.005, 2.0])
+    assert fdtrunc._claim(real, np.array([1.012, 1.0])).tolist() == [0, 1]
+    rng = np.random.default_rng(7)
+    real = np.sort(rng.uniform(0, 1, 300))
+    got = fdtrunc._claim(real, rng.uniform(0, 1, 120))
+    assert len(np.unique(got)) == 120
+
+
+def _row_by_row_repulsion(z, active):
+    diff = z[active, None] - z[None, :]
+    diff[np.arange(len(active)), active] = np.inf
+    return (1.0 / diff).sum(axis=1)
+
+
+@pytest.mark.parametrize("m", [150, 1, 2, 31, 33, 97])
+def test_repulsion_computes_each_pair_once(m):
+    # m of 150 random points are active, all or one among them, and row
+    # blocks of 32 end inside and at the end of the active ones
+    rng = np.random.default_rng(m)
+    n = 150
+    z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    active = np.sort(rng.choice(n, m, replace=False))
+    scratch = np.empty(fdtrunc._ROW_BLOCK * n, dtype=complex)
+    got = fdtrunc._repulsion(z, active, scratch)
+    want = _row_by_row_repulsion(z, active)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_newton_rows_of_the_benchmark_matrix(monkeypatch, sin_model):
+    # the solve of the fd_truncation benchmark matrix hands _newton 9,763
+    # points in all (4.07 per eigenvalue); the bound is 1.1 times that
+    t = build_matrix(BarrierProblem(sin_model, 0.25, 20.0), 120.0, 0.05)
+    assert t.n == 2399
+    rows = []
+    newton = fdtrunc._newton
+    monkeypatch.setattr(fdtrunc, "_newton", lambda t, z: rows.append(len(z)) or newton(t, z))
+    eigenvalues_dense(t)
+    assert sum(rows) <= 10_740
 
 
 def test_power_sum_certificate_rejects_a_repeated_eigenvalue(monkeypatch, sin_model):
