@@ -10,7 +10,8 @@ y' = [[0, 1], [q + c - lam, 0]] y is a 2x2 matrix whose entries are
 polynomials of degree <= 2 in lam, with coefficients from one vectorized
 evaluation of q at all nodes of the stretch.  The step matrices are built
 and multiplied pairwise in blocks of whole-array operations into one
-transfer per stretch.  Every transfer has entries below _TRANSFER_LIMIT
+transfer per stretch, inside work arrays allocated once per transfer and
+reused by every block.  Every transfer has entries below _TRANSFER_LIMIT
 and is applied to a solution rescaled below _RESCALE_LIMIT, so no
 magnitude overflows; consecutive full periods of a periodic tail share
 one transfer, whichever kind.  All routines are vectorized over an ndarray
@@ -37,7 +38,8 @@ _TRANSFER_LIMIT = 1e50
 # _TRANSFER_LIMIT for |w| and h up to 3e6.
 _CONST_GROWTH = 100.0
 # Step-point pairs per block of RK4 step matrices multiplied together: few
-# array operations for few points, bounded memory for many.
+# array operations for few points, bounded memory for many.  One
+# transfer's blocks share work arrays sized by its largest block.
 _BLOCK_POINTS = 1 << 12
 
 
@@ -128,8 +130,11 @@ def _rk4_transfer(expr, x0: float, lam, d: float, step: float,
 
     whose entries are polynomials of degree <= 2 in lam.  The steps are
     multiplied pairwise in blocks of up to 64; the product is rescaled
-    every 64 steps and at the end.  Returns (T, logs, 1): T has shape
-    (2, 2) + lam.shape and the transfer, applied once, is T * exp(logs).
+    every 64 steps and at the end.  Every product is written into work
+    arrays allocated once per call and reused by every block, so a call on
+    many points does not allocate, and fault in, fresh memory per block.
+    Returns (T, logs, 1): T has shape (2, 2) + lam.shape and the transfer,
+    applied once, is T * exp(logs).
     """
     n = max(1, math.ceil(abs(d) / step))
     h = d / n
@@ -148,29 +153,47 @@ def _rk4_transfer(expr, x0: float, lam, d: float, step: float,
         [-h - w3 * (c1 + 2.0 * c2 + c3), -3.0 * w2 - w4 * (c2 + c3)],
     ])
     lam1 = lam.reshape(-1)
+    m = lam1.size
     quad = np.multiply.outer(np.array([[w4, 0.0], [2.0 * w3, w4]]), lam1 * lam1)
     quad = quad[:, :, None, :]
     max_block = min(_RESCALE_EVERY,
-                    _pow2_floor(max(1, _BLOCK_POINTS // max(lam1.size, 1))))
+                    _pow2_floor(max(1, _BLOCK_POINTS // max(m, 1))))
+    # work arrays of every block: its step matrices, a product level, the
+    # scratch of a product's second term and a transfer; the levels of the
+    # pairwise products go to the level array and the steps in turn
+    steps = np.empty(4 * max_block * m, dtype=complex)
+    level = np.empty(4 * (max_block // 2) * m, dtype=complex)
+    scratch = np.empty(4 * max(1, max_block // 2) * m, dtype=complex)
+    spare = np.empty((2, 2, m), dtype=complex)
+    term = scratch[:4 * m].reshape(2, 2, m)
+    trees = {}
     T = None
     logs = np.zeros(lam1.shape)
     done = 0
     while done < n:
         k = min(max_block, _pow2_floor(n - done))
+        if k not in trees:
+            trees[k] = _tree_views(steps, level, scratch, k, m)
+        S, tree, top = trees[k]
         block = slice(done, done + k)
-        S = lin[:, :, block, None] * lam1
+        np.multiply(lin[:, :, block, None], lam1, out=S)
         S += const[:, :, block, None]
         S += quad
-        while S.shape[2] > 1:
-            S = _matmul(S[:, :, 1::2], S[:, :, 0::2])
-        T = S[:, :, 0] if T is None else _matmul(S[:, :, 0], T)
+        for a0, b0, a1, b1, out, tmp in tree:
+            np.multiply(a0, b0, out=out)
+            np.multiply(a1, b1, out=tmp)
+            out += tmp
+        if T is None:
+            T = top.copy()
+        else:
+            T, spare = _matmul_into(top, T, spare, term), T
         done += k
         if done % _RESCALE_EVERY == 0 or done == n:
             mag = np.max(np.abs(T), axis=(0, 1))
             big = mag > _TRANSFER_LIMIT
             if np.any(big):
                 factor = np.where(big, mag, 1.0)
-                T = T / factor
+                T /= factor
                 logs = logs + np.log(factor)
     return T.reshape((2, 2) + lam.shape), logs.reshape(lam.shape), 1
 
@@ -179,10 +202,36 @@ def _pow2_floor(n: int) -> int:
     return 1 << (n.bit_length() - 1)
 
 
-def _matmul(a, b):
-    """Products of stacked 2x2 matrices, matrix axes first."""
-    out = a[:, 0, None] * b[None, 0]
-    out += a[:, 1, None] * b[None, 1]
+def _tree_views(steps, level, scratch, k, m):
+    """Views that multiply k step matrices pairwise inside the work arrays.
+
+    Returns (S, tree, top): S is steps as k stacked step matrices, each
+    entry of tree holds the operands of one level's two products (those of
+    _matmul_into), its output in level and steps in turn, so that no level
+    writes to the array it reads, and its second term in scratch; top is
+    the product of the block.
+    """
+    S = src = steps[:4 * k * m].reshape(2, 2, k, m)
+    tree = []
+    while k > 1:
+        k //= 2
+        out = (level, steps)[len(tree) % 2][:4 * k * m].reshape(2, 2, k, m)
+        tmp = scratch[:4 * k * m].reshape(2, 2, k, m)
+        a, b = src[:, :, 1::2], src[:, :, 0::2]
+        tree.append((a[:, 0, None], b[None, 0], a[:, 1, None], b[None, 1],
+                     out, tmp))
+        src = out
+    return S, tree, src[:, :, 0]
+
+
+def _matmul_into(a, b, out, tmp):
+    """Products of stacked 2x2 matrices, matrix axes first, written to out.
+
+    tmp has out's shape and holds the second of the two-term sums.
+    """
+    np.multiply(a[:, 0, None], b[None, 0], out=out)
+    np.multiply(a[:, 1, None], b[None, 1], out=tmp)
+    out += tmp
     return out
 
 

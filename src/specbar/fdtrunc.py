@@ -204,7 +204,8 @@ def _newton(t: TridiagonalOperator, z: np.ndarray) -> np.ndarray:
         p'_k = (d_k - z) p'_{k-1} - p_{k-1} - s_{k-1} p'_{k-2},
 
     from p_{-1} = 1 and p_{-2} = 0.  Nothing is divided until p_n/p'_n, so an
-    exact zero of a leading minor is harmless.  T and z are first divided by
+    exact zero of a leading minor is harmless, and a point where p_n is
+    exactly 0 gets correction 0.  T and z are first divided by
     a power of two above ||T|| + max|z|, and every few steps the four current
     values of each point are rescaled together by a power of two.  Both are
     exact: the first multiplies p/p' by a known power, the second leaves it.
@@ -235,7 +236,10 @@ def _newton(t: TridiagonalOperator, z: np.ndarray) -> np.ndarray:
             cur, prev = prev, cur
         shift = np.frexp(np.abs(buf).max(axis=(0, 1)))[1]   # moduli < 2^shift
         buf *= np.ldexp(1.0, -shift)                        # exact
-    return cur[0] / cur[1] / unit
+    # p_n(z) = 0 exactly makes z an eigenvalue, whose correction is 0, also
+    # where p'_n(z) = 0 at a repeated one
+    p, dp = cur
+    return np.divide(p, dp, out=np.zeros_like(p), where=p != 0) / unit
 
 
 def _repulsion(z: np.ndarray, active: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -218,16 +218,18 @@ def test_agrees_with_dense_zgeev(request, name, gamma, R, X, h, n):
     assert _matched_distance(got, linalg.eigvals(_dense(t))) <= 1e-12 * t.norm_inf()
 
 
-@pytest.mark.parametrize("diag", [
+@pytest.mark.parametrize("diag, coupling", [
     # the block start 1 zeroes the first pivot exactly
-    [1.0, 2.0 + 1j, 3.0 + 1j],
+    ([1.0, 2.0 + 1j, 3.0 + 1j], 1.0),
     # blocks [1+i, 1+i] | [5] | [1+i, 1+i] have equal spectra, so their
     # start points coincide unless they are moved apart
-    [1.0 + 1j, 1.0 + 1j, 5.0, 1.0 + 1j, 1.0 + 1j],
-], ids=["leading-minor-zero", "identical-blocks"])
-def test_degenerate_start_points(diag):
+    ([1.0 + 1j, 1.0 + 1j, 5.0, 1.0 + 1j, 1.0 + 1j], 1.0),
+    # uncoupled, 1+i is a 4-fold eigenvalue: p_n and p'_n both vanish on it
+    ([1.0 + 1j, 1.0 + 1j, 5.0, 1.0 + 1j, 1.0 + 1j], 0.0),
+], ids=["leading-minor-zero", "identical-blocks", "repeated-eigenvalue"])
+def test_degenerate_start_points(diag, coupling):
     n = len(diag)
-    off = np.ones(n - 1, dtype=complex)
+    off = np.full(n - 1, coupling, dtype=complex)
     t = TridiagonalOperator(n=n, sub=off, diag=np.array(diag, dtype=complex),
                             super=off.copy(), h=0.25, X=0.25 * (n + 1))
     got = eigenvalues_dense(t)

@@ -79,6 +79,34 @@ def test_step_matrices_match_stage_form(sin_model, q_add):
         assert np.max(np.abs(up[col] - ref[1]) / scale) < 1e-12
 
 
+@pytest.mark.parametrize("m, d, shift", [
+    (1, PERIOD, 0.0),
+    (1000, PERIOD, 0.0),
+    (4097, PERIOD, 0.0),
+    (50, 0.37, 0.0),
+    (50, 13.0, 0.0),
+    (50, 13.0, -400.0),
+], ids=["block-64", "block-4", "block-1", "partial-0.37", "partial-13",
+        "rescaled"])
+def test_every_block_size_matches_stage_form(m, d, shift):
+    # the blocks reuse one transfer's work arrays: 629 steps are blocks of
+    # 64 steps for one point, 4 for 1000 and 1 for 4097; 37 steps leave
+    # blocks of 32, 4 and 1 and 1300 steps blocks of 16 and 4; Re lam near
+    # -400 grows the transfer by e^260 over 13, past _TRANSFER_LIMIT
+    model = PotentialModel(pieces=(Piece(0.0, d, SinExpr(1.0, 1.0)),))
+    lam = _lams(m, seed=2) + shift
+    u, up, logs = _ode.propagate(model, lam, 0.0, d, *_seeds(1), step=1e-2)
+    assert np.all(logs == 0.0) == (shift == 0.0)
+    for col, (u0, up0) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        ref = _stage_rk4(math.sin, lam, 0.0, d, 1e-2,
+                         np.full(lam.shape, u0 + 0j),
+                         np.full(lam.shape, up0 + 0j))
+        scale = np.maximum(np.abs(ref[0]), np.abs(ref[1]))
+        growth = np.exp(logs[col])
+        assert np.max(np.abs(u[col] * growth - ref[0]) / scale) < 1e-12
+        assert np.max(np.abs(up[col] * growth - ref[1]) / scale) < 1e-12
+
+
 def test_whole_periods_match_chained_cells(sin_model, free_periodic_model):
     # the constant tail reuses its cell transfer by the same rule as the sin tail
     for model in (sin_model, free_periodic_model):
