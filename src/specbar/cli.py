@@ -266,6 +266,8 @@ def _write_fd(model, gamma, widths, x_offset, h, tol_band, ode_step, out):
     every eigenvalue is classified against all the bands near it.  Returns
     the bands and, per width, (R, eigenvalues).
     """
+    if not 0 < tol_band < math.inf:      # refused before any eigensolve
+        raise ValueError(f"--tol-band {tol_band} must be positive and finite")
     spectra = [(R, fdtrunc.eigenvalues_dense(fdtrunc.build_matrix(
         BarrierProblem(model, gamma, R), R + x_offset, h))) for R in widths]
     bs = _bands_up_to(model, max(z.real for _, eigs in spectra for z in eigs),

@@ -7,11 +7,13 @@ and truncation-induced pollution on the real bands.
 
 All n eigenvalues come from an Ehrlich–Aberth iteration on det(T − z) in
 O(n²) time and O(n) memory (Bini, Gemignani & Tisseur, SIAM J. Matrix Anal.
-Appl. 27, 2005).  It starts from the spectrum of the real part of T, each
-point lifted to the imaginary level of the diagonal block it belongs to.
-Its Newton correction p/p' comes from the three-term recurrence of the
-leading principal minors, rescaled by powers of two, never from a dense
-matrix; its repulsion sum computes each pair of unsettled points once.
+Appl. 27, 2005).  It starts from the spectrum of the real part of T, taken
+in single precision, each point lifted to the imaginary level of the
+diagonal block it belongs to.  Its Newton correction p/p' comes from the
+three-term recurrences of the leading and the trailing principal minors,
+run from both ends at once and joined in the middle, rescaled by powers of
+two, never from a dense matrix; its repulsion sum computes each pair of
+unsettled points once.
 Each returned spectrum is certified: its first two power sums must match
 tr T and tr T², and sampled eigenvalues must pass an inverse-iteration
 residual check.
@@ -89,8 +91,8 @@ def build_matrix(p: BarrierProblem, X: float, h: float) -> TridiagonalOperator:
     x = h * np.arange(1, n + 1)
     diag = 2.0 / h**2 + eval_potential(p.model, x) + 1j * p.gamma * (x <= p.R)
     off = np.full(n - 1, -1.0 / h**2, dtype=complex)
-    return TridiagonalOperator(n=n, sub=off.copy(), diag=diag, super=off.copy(),
-                               h=h, X=X)
+    off.flags.writeable = False         # one array is both bands
+    return TridiagonalOperator(n=n, sub=off, diag=diag, super=off, h=h, X=X)
 
 
 def _spot_check(t: TridiagonalOperator, eigs: np.ndarray) -> None:
@@ -135,39 +137,54 @@ def _start_points(t: TridiagonalOperator) -> np.ndarray:
     """One start per eigenvalue: the spectrum of Re T, lifted to the Im levels of T.
 
     The real parts are the eigenvalues of the real symmetric tridiagonal
-    matrix with diagonal Re diag and off-diagonal sqrt|sub * super|.  Every
-    model has piecewise-constant Im q and the barrier adds one jump, so Im
-    diag is constant on a few blocks.  Each start takes the level of the
-    largest block, whose own spectrum is never computed.  The real part of
-    each block at another level has its own spectrum, and each of those
-    eigenvalues claims the nearest real part not yet claimed and gives it
-    that block's level.
+    matrix with diagonal Re diag and off-diagonal sqrt|sub * super|, in
+    single precision (_real_spectrum): Aberth needs only approximate
+    starts.  Every model has piecewise-constant Im q and the barrier adds
+    one jump, so Im diag is constant on a few blocks.  Each start takes the
+    level of the largest block, whose own spectrum is never computed.  The
+    real part of each block at another level has its own spectrum, and each
+    of those eigenvalues claims the nearest real part not yet claimed and
+    gives it that block's level.
     """
-    from scipy import linalg
-
     im = t.diag.imag
     cuts = np.flatnonzero(np.diff(im)) + 1
-    # sqrt|sub * super| of T / 2^e, 2^e > ||T||, times 2^e: exact, and no overflow
+    # Re T / 2^e, 2^e > ||T||: every entry below 1, and sub * super cannot overflow
     unit = 2.0 ** -np.frexp(t.norm_inf())[1]
-    off = np.sqrt(np.abs(t.sub * unit * (t.super * unit))) / unit
-    real = linalg.eigvalsh_tridiagonal(t.diag.real, off)       # ascending
+    d = (t.diag.real * unit).astype(np.float32)
+    off = np.sqrt(np.abs(t.sub * unit * (t.super * unit))).astype(np.float32)
+    real = _real_spectrum(d, off) / unit                        # ascending
     los, his = np.r_[0, cuts], np.r_[cuts, t.n]
     base = im[los[np.argmax(his - los)]]         # the largest block's level
     z = real + 1j * base
     others = [(lo, hi) for lo, hi in zip(los, his) if im[lo] != base]
     if others:
-        want = np.concatenate([linalg.eigvalsh_tridiagonal(t.diag.real[lo:hi],
-                                                           off[lo:hi - 1])
-                               for lo, hi in others])
+        want = np.concatenate([_real_spectrum(d[lo:hi], off[lo:hi - 1])
+                               for lo, hi in others]) / unit
         levels = np.concatenate([np.full(hi - lo, im[lo]) for lo, hi in others])
         z[_claim(real, want)] += 1j * (levels - base)
     # A real part repeated exactly at one level (Re T splits into identical
-    # pieces) gives identical start points, which the Aberth sum cannot pull
-    # apart: move each repeat a little off the real axis.
+    # pieces, or single precision rounds close eigenvalues together) gives
+    # identical start points, which the Aberth sum cannot pull apart: move
+    # each repeat a little off the real axis.
     order = np.lexsort((z.imag, z.real))
     repeat = order[1:][np.diff(z[order]) == 0]
     z[repeat] += 1j * np.sqrt(_EPS) * t.norm_inf() * np.arange(1, len(repeat) + 1)
     return z
+
+
+def _real_spectrum(d: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the float32 symmetric tridiagonal (d, off), as float64.
+
+    LAPACK ssterf: the root-free QR iteration, in single precision.
+    """
+    from scipy.linalg import lapack
+
+    if len(d) == 1:                    # ssterf wants a non-empty off-diagonal
+        return d.astype(float)
+    vals, info = lapack.ssterf(d, off)
+    if info:
+        raise SolverError(f"ssterf left {info} off-diagonal entries unconverged")
+    return vals.astype(float)
 
 
 def _claim(real: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -197,48 +214,81 @@ def _claim(real: np.ndarray, want: np.ndarray) -> np.ndarray:
 def _newton(t: TridiagonalOperator, z: np.ndarray) -> np.ndarray:
     """Newton corrections p(z)/p'(z) for p = det(T - z), one per point of z.
 
-    The leading principal minors and their derivatives obey the three-term
-    recurrence, with s = sub * super,
+    With s = sub * super, the leading principal minors θ_k (rows 0..k) and
+    the trailing ones φ_k (rows k..n-1) obey three-term recurrences,
 
-        p_k = (d_k - z) p_{k-1} - s_{k-1} p_{k-2},
-        p'_k = (d_k - z) p'_{k-1} - p_{k-1} - s_{k-1} p'_{k-2},
+        θ_k = (d_k - z) θ_{k-1} - s_{k-1} θ_{k-2},   θ_{-1} = 1, θ_{-2} = 0,
+        φ_k = (d_k - z) φ_{k+1} - s_k φ_{k+2},       φ_n = 1,    φ_{n+1} = 0,
 
-    from p_{-1} = 1 and p_{-2} = 0.  Nothing is divided until p_n/p'_n, so an
-    exact zero of a leading minor is harmless, and a point where p_n is
-    exactly 0 gets correction 0.  T and z are first divided by
-    a power of two above ||T|| + max|z|, and every few steps the four current
-    values of each point are rescaled together by a power of two.  Both are
-    exact: the first multiplies p/p' by a known power, the second leaves it.
+    and their derivatives the same ones less θ_{k-1} and φ_{k+1}.  Both
+    chains run in lockstep, down from row 0 and up from row n-1, and meet
+    in the middle: with j = n//2 - 1,
+
+        p = θ_j φ_{j+1} - s_j θ_{j-1} φ_{j+2},
+
+    and p' is the product-rule sum of the same terms.  For odd n the
+    trailing chain has one row more, and the leading chain first takes a
+    virtual row that yields its boundary values exactly.  Nothing is
+    divided until p/p', so an exact zero of a minor is harmless, and a
+    point where p is exactly 0 gets correction 0.  T and z are first
+    divided by a power of two above ||T|| + max|z|, and every few steps the
+    four current values of each chain at each point are rescaled together
+    by a power of two.  Both are exact: the first multiplies p/p' by a known
+    power, the second scales every term of p and of p' alike.
     """
     # unit = 2^-e with 2^e > ||T|| + max|z|, so |d_k - z| < 1 and |s_k| < 1/4
-    # in these units.  One step then grows a point's four moduli by less than
-    # 2.25 and shrinks them by less than 3/|s_k|, since (p, p')_{k-2} follow
-    # from the step's inverse (a zero s_k decouples the rows): `every` steps
-    # stay within 2^±1000.
+    # in these units.  One step then grows a chain's four moduli by less than
+    # 2.25 and shrinks them by less than 3/|s_k|, since its two earlier rows
+    # follow from the step's inverse (a zero s_k decouples the rows): `every`
+    # steps stay within 2^±1000.
+    n, m, k = t.n, t.n // 2, len(z)
     unit = 2.0 ** -np.frexp(t.norm_inf() + np.abs(z).max())[1]
     s = t.sub * unit * (t.super * unit)
     weakest = np.abs(s[s != 0]).min(initial=1.0)
     every = max(1, int(1000 // (1.6 - np.log2(weakest))))
-    d = (t.diag * unit).tolist()
-    s = [0.0] + s.tolist()
-    buf = np.zeros((2, 2, len(z)), dtype=complex)   # rows (p, p') of two steps
-    buf[0, 0] = 1.0
-    cur, prev = buf
-    zz = np.stack([z, z]) * unit        # same shape as cur: no broadcast in a *= cur
-    a = np.empty_like(zz)
-    for lo in range(0, t.n, every):
-        for dk, sk in zip(d[lo:lo + every], s[lo:lo + every]):
-            np.subtract(dk, zz, out=a)
-            a *= cur                            # (d_k - z) (p, p')_{k-1}
-            prev *= sk
-            np.subtract(a, prev, out=prev)      # - s_{k-1} (p, p')_{k-2}
-            prev[1] -= cur[0]                   # - p_{k-1} in p'_k
-            cur, prev = prev, cur
-        shift = np.frexp(np.abs(buf).max(axis=(0, 1)))[1]   # moduli < 2^shift
-        buf *= np.ldexp(1.0, -shift)                        # exact
-    # p_n(z) = 0 exactly makes z an eigenvalue, whose correction is 0, also
-    # where p'_n(z) = 0 at a repeated one
-    p, dp = cur
+    # (d, s) of each step's leading and trailing row; the virtual row, d = 0
+    # and s = 1, steps from (θ, θ')_{-2} = (0, 0) and (θ, θ')_{-3} = (-1, 0)
+    # to (θ, θ')_{-1} = (1, 0)
+    lead, d = n - 2 * m, t.diag * unit
+    dj = np.zeros((n - m, 2, 1), dtype=complex)
+    sj = np.zeros_like(dj)
+    dj[lead:, 0, 0], dj[:, 1, 0] = d[:m], d[:m - 1:-1]
+    sj[lead + 1:, 0, 0], sj[1:, 1, 0] = s[:m - 1], s[:m - 1:-1]
+    sj[:lead, 0] = 1.0
+    # a scalar operand is faster than a broadcast pair: one where both agree
+    sj = [x if x == y else pair for x, y, pair in zip(*sj[:, :, 0].T.tolist(), sj)]
+    buf = np.zeros((2, 2, 2, k), dtype=complex)     # (step, chain, (p, p'), point)
+    buf[0, :, 0] = 1.0
+    if lead:
+        buf[0, 0, 0], buf[1, 0, 0] = 0.0, -1.0
+    # (cur, prev, p' of prev, p of cur) with buf[0], then buf[1], current;
+    # each chain's p and p' side by side, the shape of zz
+    flat = buf.reshape(2, 2, 2 * k)
+    views = [(flat[i], flat[1 - i], buf[1 - i, :, 1], buf[i, :, 0]) for i in (0, 1)]
+    zz = np.tile(z * unit, (2, 2))
+    # d - z of `rows` steps at once, in at most max(2^14, 4k) complex numbers
+    rows = max(1, min(every, 2**12 // k))
+    a = np.empty((rows, 2, 2 * k), dtype=complex)
+    i = 0
+    for lo in range(0, n - m, every):
+        for top in range(lo, min(lo + every, n - m), rows):
+            ak = a[:min(rows, lo + every - top, n - m - top)]
+            np.subtract(dj[top:top + len(ak)], zz, out=ak)
+            for aj, sk in zip(ak, sj[top:top + len(ak)]):
+                cur, prev, dprev, pcur = views[i]
+                aj *= cur                       # (d - z) (p, p') one row back
+                prev *= sk
+                np.subtract(aj, prev, out=prev)     # - s (p, p') two rows back
+                dprev -= pcur                   # - p one row back, in p'
+                i ^= 1
+        shift = np.frexp(np.abs(buf).max(axis=(0, 2)))[1]   # moduli < 2^shift
+        buf *= np.ldexp(1.0, -shift)[:, None]                # exact
+    (th, dth), (ph, dph) = buf[i]
+    (th0, dth0), (ph0, dph0) = buf[1 - i]
+    p = th * ph - s[m - 1] * th0 * ph0
+    dp = dth * ph + th * dph - s[m - 1] * (dth0 * ph0 + th0 * dph0)
+    # p(z) = 0 exactly makes z an eigenvalue, whose correction is 0, also
+    # where p'(z) = 0 at a repeated one
     return np.divide(p, dp, out=np.zeros_like(p), where=p != 0) / unit
 
 
@@ -290,10 +340,12 @@ def eigenvalues_dense(t: TridiagonalOperator) -> list[complex]:
 
     An Ehrlich–Aberth iteration on det(T - z) finds all n eigenvalues in
     O(n²) time and O(n) memory; n may not exceed 9000, which bounds that
-    time.  Each Newton correction runs the three-term recurrence of the
-    leading principal minors of T - z, with no division and exact
-    power-of-two rescaling.  Start points are the spectrum of the real
-    part of T at the Im level of the largest block of constant Im diag;
+    time.  Each Newton correction runs the three-term recurrences of the
+    leading and the trailing principal minors of T - z from both ends,
+    meeting in the middle, with no division and exact power-of-two
+    rescaling.  Start points are the spectrum of the real part of T, in
+    single precision, at the Im level of the largest block of constant Im
+    diag;
     the real parts nearest the spectra of the other blocks take those
     blocks' levels.  The repulsion sum computes each pair of unsettled
     points once.  Each point stops once its step is within 32·eps·‖T‖∞,
@@ -351,8 +403,8 @@ def classify_spectrum(eigs, bands: BandStructure, gamma: float,
     barrier-shifted bands approximate the essential spectrum of the
     perturbed operator; everything else is a discrete-eigenvalue candidate.
     """
-    if tol_band <= 0:
-        raise ValueError("tol_band must be positive")
+    if not 0 < tol_band < math.inf:
+        raise ValueError(f"tol_band = {tol_band} must be positive and finite")
     pollution: list[complex] = []
     essential: list[complex] = []
     rest: list[complex] = []

@@ -236,6 +236,9 @@ def test_exit_code_on_computation_error(model_paths, tmp_path):
          "--ode-step", "-1"],
         *(["fd", "--model", sin, "--gamma", "0.25", "--R", "20", "--x-offset", "100",
            "--h", h] for h in ("0", "-0.05", "nan")),
+        # a band tolerance that is not positive and finite, before any solve
+        *(["fd", "--model", sin, "--gamma", "0.25", "--R", "20", "--x-offset", "100",
+           "--tol-band", tol] for tol in ("nan", "inf", "0")),
     ):
         assert run([*argv, "--out", str(tmp_path / "x.out")]) == 1, argv
     # so is a standoff that is not positive and finite: NaN passed a check

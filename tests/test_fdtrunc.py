@@ -50,6 +50,12 @@ def test_build_matrix_arithmetic():
     assert np.allclose(t.diag, 32.0 + 1j * (x <= 2.0))
 
 
+def test_build_matrix_stores_one_read_only_off_diagonal():
+    t = build_matrix(BarrierProblem(PotentialModel(), gamma=1.0, R=2.0), X=4.0, h=0.25)
+    assert t.sub is t.super
+    assert not t.sub.flags.writeable
+
+
 def test_build_matrix_includes_sin_and_barrier():
     model = PotentialModel(
         tail=PeriodicTail(period=2 * math.pi, start=0.0, expr=SinExpr(1.0, 1.0))
@@ -167,13 +173,45 @@ def _exact_newton(t: TridiagonalOperator, z: complex) -> complex:
     return complex(float(num[0] / den), float(num[1] / den))
 
 
-def test_newton_matches_exact_recurrence(sin_model):
-    # the float recurrence, rescaled by powers of two, against the same
-    # recurrence in exact arithmetic, 1e-3 off sampled eigenvalues
-    t = build_matrix(BarrierProblem(sin_model, gamma=0.25, R=4.0), X=10.05, h=0.05)
-    assert t.n == 200
-    eigs = np.array(eigenvalues_dense(t))
-    z = eigs[np.linspace(0, t.n - 1, 5).astype(int)] + 1e-3
+def _recoupled(t: TridiagonalOperator, sub, super_) -> TridiagonalOperator:
+    return TridiagonalOperator(n=t.n, sub=sub, diag=t.diag, super=super_, h=t.h, X=t.X)
+
+
+@pytest.mark.parametrize("X, coupling", [
+    pytest.param(10.05, "uniform", id="n200"),
+    pytest.param(10.0, "uniform", id="n199-odd"),
+    # the coupling between the rows where the two chains meet is 0
+    pytest.param(10.05, "split", id="n200-split-at-the-join"),
+    # sub != super, and every product sub * super differs
+    pytest.param(10.05, "varied", id="n200-varied-coupling"),
+])
+def test_newton_matches_exact_recurrence(sin_model, X, coupling):
+    # the float recurrence from both ends, rescaled by powers of two, against
+    # the leading-minor recurrence in exact arithmetic, 1e-3 off sampled
+    # eigenvalues and 1e-2 inside the lowest and the highest one
+    t = build_matrix(BarrierProblem(sin_model, gamma=0.25, R=4.0), X=X, h=0.05)
+    assert t.n == round(X / 0.05) - 1
+    if coupling == "split":
+        off = t.sub.copy()
+        off[t.n // 2 - 1] = 0.0
+        t = _recoupled(t, off, off)
+    elif coupling == "varied":
+        c = np.random.default_rng(5).uniform(0.5, 1.5, t.n - 1)
+        t = _recoupled(t, t.sub * c, t.super * (1 + 1j * c) / 2)
+    eigs = np.array(sorted(eigenvalues_dense(t), key=lambda z: z.real))
+    z = np.r_[eigs[np.linspace(0, t.n - 1, 5).astype(int)] + 1e-3,
+              eigs[0] + 1e-2, eigs[-1] - 1e-2]
+    got = fdtrunc._newton(t, z)
+    want = np.array([_exact_newton(t, zk) for zk in z])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
+
+
+def test_newton_rescales_each_point_on_its_own():
+    # z = -1e6 sets the units: there the minors shrink by about 0.95 a row,
+    # inside the spectrum by about 2^-11, so one scale for all points would
+    # let the inner point's minors underflow within 100 rows
+    t = _free_operator(200, 0.05)
+    z = np.array([2.0 / 0.05**2 + 0.3, -1e6], dtype=complex)
     got = fdtrunc._newton(t, z)
     want = np.array([_exact_newton(t, zk) for zk in z])
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-9
@@ -226,7 +264,12 @@ def test_agrees_with_dense_zgeev(request, name, gamma, R, X, h, n):
     ([1.0 + 1j, 1.0 + 1j, 5.0, 1.0 + 1j, 1.0 + 1j], 1.0),
     # uncoupled, 1+i is a 4-fold eigenvalue: p_n and p'_n both vanish on it
     ([1.0 + 1j, 1.0 + 1j, 5.0, 1.0 + 1j, 1.0 + 1j], 0.0),
-], ids=["leading-minor-zero", "identical-blocks", "repeated-eigenvalue"])
+    # two eigenvalues 1e-9 apart, one start in single precision
+    ([1.0, 1.0 + 1e-9, 5.0, 2.0 + 1j], 0.0),
+    # entries below the normal range of single precision
+    ([1e-40, 2e-40 + 1e-41j, 1.0, 2.0], 1e-42),
+], ids=["leading-minor-zero", "identical-blocks", "repeated-eigenvalue",
+        "float32-merged-starts", "float32-subnormal"])
 def test_degenerate_start_points(diag, coupling):
     n = len(diag)
     off = np.full(n - 1, coupling, dtype=complex)
@@ -332,5 +375,7 @@ def test_classify_partition_property():
 
 
 def test_classify_validation():
-    with pytest.raises(ValueError):
-        classify_spectrum([], BandStructure(((0.0, 1.0),)), 0.5, tol_band=0.0)
+    # NaN passed a check of tol_band <= 0, and inf made every eigenvalue pollution
+    for tol_band in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            classify_spectrum([], BandStructure(((0.0, 1.0),)), 0.5, tol_band=tol_band)
