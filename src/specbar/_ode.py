@@ -88,15 +88,15 @@ def segments(model: PotentialModel, x_lo: float, x_hi: float) -> list[Segment]:
     return out
 
 
-def _sinc_like(w2: np.ndarray, d: float):
-    """cos(w d) and sin(w d)/w for w = sqrt(w2), both entire in w2."""
-    w = np.sqrt(w2.astype(complex))
+def _sinc_like(w: np.ndarray, d: float):
+    """cos(w d) and sin(w d)/w, both entire in w^2; a series where |w d| < 1e-4."""
     t = w * d
-    small = np.abs(t) < 1e-4
-    w_safe = np.where(small, 1.0, w)
     c = np.cos(t)
+    small = np.abs(t) < 1e-4
+    if not small.any():
+        return c, np.sin(t) / w
     s = np.where(small, d * (1.0 - t * t / 6.0 * (1.0 - t * t / 20.0)),
-                 np.sin(t) / w_safe)
+                 np.sin(t) / np.where(small, 1.0, w))
     return c, s
 
 
@@ -112,7 +112,7 @@ def _const_transfer(qc: complex, lam, d: float):
     w = np.sqrt(w2)
     growth = float(np.max(np.abs(w.imag))) * abs(d) if w.size else 0.0
     nsub = max(1, math.ceil(growth / _CONST_GROWTH))
-    c, s = _sinc_like(w2, d / nsub)
+    c, s = _sinc_like(w, d / nsub)
     return ((c, s), (-w2 * s, c)), 0.0, nsub
 
 
@@ -237,8 +237,9 @@ def _matmul_into(a, b, out, tmp):
 
 def _rescale(u, up, logs):
     mag = np.maximum(np.abs(u), np.abs(up))
-    big = mag > _RESCALE_LIMIT
-    if np.any(big):
+    # fmax skips NaN, as the mask does
+    if np.fmax.reduce(mag, axis=None, initial=0.0) > _RESCALE_LIMIT:
+        big = mag > _RESCALE_LIMIT
         factor = np.where(big, mag, 1.0)
         u = u / factor
         up = up / factor
@@ -262,11 +263,12 @@ def propagate(model: PotentialModel, lam, x_from: float, x_to: float,
     u = np.asarray(u, dtype=complex)
     up = np.asarray(up, dtype=complex)
     shape = np.broadcast(u, up, lam).shape
-    u = np.broadcast_to(u, shape).copy()
-    up = np.broadcast_to(up, shape).copy()
+    # read-only views: every transfer below makes new arrays
+    u = np.broadcast_to(u, shape)
+    up = np.broadcast_to(up, shape)
     logs = np.zeros(shape)
     if math.isclose(x_from, x_to, rel_tol=0.0, abs_tol=1e-15):
-        return u, up, logs
+        return u.copy(), up.copy(), logs
     forward = x_to > x_from
     segs = segments(model, *(sorted((x_from, x_to))))
     if not forward:

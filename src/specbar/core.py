@@ -87,14 +87,12 @@ def principal_sqrt(z):
     ``principal_sqrt(4) == 2`` (real, nonnegative).  Accepts a complex
     scalar or an ndarray and returns the same kind.
     """
-    arr = np.asarray(z, dtype=complex)
-    w = np.sqrt(arr)
-    # np.sqrt cuts along (-inf, 0] with Re >= 0; flipping the lower
+    w = np.sqrt(np.asarray(z, dtype=complex))
+    # np.sqrt cuts along (-inf, 0] with Re >= 0; negating the lower
     # half-plane values moves the cut to [0, inf) with Im >= 0.
-    flip = (w.imag < 0) | ((w.imag == 0) & (w.real < 0))
-    w = np.where(flip, -w, w)
-    if _is_scalar(z):
-        return complex(w)
+    if w.ndim == 0:
+        return complex(-w if w.imag < 0 else w)
+    np.negative(w, out=w, where=w.imag < 0)
     return w
 
 

@@ -38,9 +38,11 @@ from .core import (
     sheeted_sqrt,
 )
 from .rootfinder import (
+    _NUDGE,
     AnalyticFunctionHandle,
     HorizontalSegment,
     RootSet,
+    _interval_dist,
     find_zeros,
 )
 
@@ -461,7 +463,10 @@ def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, levels,
     This is the one search of every spectral verb.  It excludes every band
     segment of the essential spectrum lifted to each imaginary level (0 or
     gamma), padded by pad; a periodic tail's bands are found over the
-    real range of rect widened by 1.  It finds the zeros with the defaults
+    real range of rect widened by 1, and only when some level lies within
+    pad plus the nudge of a failed contour's retry (_NUDGE times the longer
+    side) of rect's imaginary range, since no band segment can touch the
+    search otherwise.  It finds the zeros with the defaults
     of find_zeros.  solutions lists (level, sign, sheet), one for each tail
     solution f is built from, taken at lam - i level.  On a periodic tail
     that solution is its cell-start eigenvector propagated, so where the
@@ -470,9 +475,12 @@ def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, levels,
     that is not positive and finite raises ValueError.
     """
     _check_standoff(pad)
-    es = essential_spectrum(model, rect.x_lo - 1.0, rect.x_hi + 1.0, ode_step)
-    exclusions = tuple(HorizontalSegment(lo, hi, y, pad)
-                       for y in levels for lo, hi in es.bands)
+    reach = pad + _NUDGE * max(rect.width, rect.height)
+    exclusions = ()
+    if any(_interval_dist(rect.y_lo, rect.y_hi, y) <= reach for y in levels):
+        es = essential_spectrum(model, rect.x_lo - 1.0, rect.x_hi + 1.0, ode_step)
+        exclusions = tuple(HorizontalSegment(lo, hi, y, pad)
+                           for y in levels for lo, hi in es.bands)
     roots = find_zeros(AnalyticFunctionHandle(eval=f, exclusions=exclusions),
                        rect)
     if not isinstance(model.tail, PeriodicTail) or not roots.roots:

@@ -28,10 +28,18 @@ depth is reported as an error.
 
 Function handles must evaluate vectorized over ndarrays of complex points,
 and each call has a fixed cost, so the search calls its handle once per
-step: one call per contour level samples all four edges of a rectangle,
-one call per Newton step serves all zeros of a leaf, and a panel sampled
-once, an unsplit edge included, is read again by every later contour of
-the same search through it.
+step.  It runs breadth first, one bisection level at a time, and every
+rectangle of a level shares each call: one call per contour level samples
+every live edge of every rectangle, then one per level of the failed
+contours' retries; one call per Newton step serves all zeros of all the
+level's leaves; and one call per round of candidate cut lines serves all
+its rectangles to be split.  A point or panel two rectangles of a level
+need, such as a corner two edges share or the edge two siblings share, is
+sampled once, and a panel sampled once, an unsplit edge or a cut line
+included, is read again by every later contour of the same search through
+it.  When several rectangles fail, the error raised is the first in
+breadth order: the shallowest level's, and within a level the leftmost
+rectangle's in bisection order.
 """
 
 from __future__ import annotations
@@ -139,7 +147,7 @@ class AnalyticFunctionHandle:
     ``eval`` must accept an ndarray of complex points and return an ndarray
     of values; the contour quadrature reads nothing else.  Newton takes the
     derivative as a central difference with a step adapted to the local
-    scale, both sides of the stencil in one call.
+    scale, one or one per point, both sides of the stencil in one call.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -153,7 +161,7 @@ class AnalyticFunctionHandle:
     def deriv(self, z, scale: float = 1.0):
         scalar = _is_scalar(z)
         arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        h = max(1e-9, 1e-6 * scale)
+        h = np.maximum(1e-9, 1e-6 * np.asarray(scale, dtype=float))
         both = self.eval(np.concatenate([arr + h, arr - h]))
         out = (both[:arr.size] - both[arr.size:]) / (2.0 * h)
         return complex(out[0]) if scalar else out
@@ -222,10 +230,10 @@ def _panel_nodes(m: int):
     return s
 
 
-def _panel_moments(F: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   centre: complex, half: float):
+def _panel_moments(F: np.ndarray, lo: np.ndarray, hi: np.ndarray, centre, half):
     """Integrals of w^k f'/f along panels lo -> hi for k < 8, w = (z - centre)/half,
-    from rows F of samples at the m + 1 nodes of each panel, m a power of 2.
+    from rows F of samples at the m + 1 nodes of each panel, m a power of 2;
+    centre and half are one per row or one for all.
 
     L = log f, its phase unwrapped by the principal increments between
     adjacent nodes, gives the integral of f'/f as L_b - L_a and, by parts,
@@ -239,6 +247,8 @@ def _panel_moments(F: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     m = F.shape[1] - 1
     s = _panel_nodes(m)
     weights = _clenshaw_curtis(m)[1]
+    centre = np.reshape(centre, (-1, 1))
+    half = np.reshape(half, (-1, 1))
     step = np.angle(F[:, 1:] / F[:, :-1])
     ok = np.all(np.abs(step) <= 0.5 * np.pi, axis=1)
     # L - L_a: the parts formula is exact for any constant added to L
@@ -252,13 +262,13 @@ def _panel_moments(F: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     r = np.empty((len(F), _MOMENTS), dtype=complex)
     r[:, 0] = L[:, -1]
     r[:, 1:] = (powers[:, -1, 1:] * L[:, -1:]
-                - np.arange(1, _MOMENTS) * (dz / half)[:, None] * integrals)
+                - np.arange(1, _MOMENTS) * (dz[:, None] / half) * integrals)
     diff = integrals[:, 0] - (_clenshaw_curtis(m // 2)[1] * L[:, ::2]).sum(axis=1)
     return r, diff, ok
 
 
 def _mid(a: complex, b: complex) -> complex:
-    """Midpoint of a panel, computed as _clean_split computes a cut at 0.5."""
+    """Midpoint of a panel, computed as _cut computes a cut at 0.5."""
     return complex(a.real + 0.5 * (b.real - a.real), a.imag + 0.5 * (b.imag - a.imag))
 
 
@@ -275,19 +285,47 @@ class _Samples:
         self.points: dict = {}
 
 
+class _Asked:
+    """The points of one call of f, each asked for once however many edges
+    need it: a panel's new nodes keyed by (panel, m), a point by itself.
+    ask returns where the values will stand in the call's output."""
+
+    __slots__ = ("chunks", "size", "at")
+
+    def __init__(self):
+        self.chunks = []
+        self.size = 0
+        self.at: dict = {}
+
+    def ask(self, key, z) -> slice:
+        where = self.at.get(key)
+        if where is None:
+            where = self.at[key] = slice(self.size, self.size + len(z))
+            self.chunks.append(z)
+            self.size += len(z)
+        return where
+
+    def call(self, f: AnalyticFunctionHandle) -> np.ndarray:
+        if not self.size:
+            return np.empty(0, dtype=complex)
+        return np.asarray(f.eval(np.concatenate(self.chunks)))
+
+
 class _Edge:
-    """Quadrature state of one contour edge za -> zb within _contour_moments.
+    """Quadrature state of one contour edge za -> zb of a rectangle with
+    centre and half its longer side half, within _contour_moments.
 
     The unsplit edge is the panel (lo, hi), whose m + 1 nodes double in
     place from 33 to _EDGE_NODES + 1; past that it halves into panels of
     33 nodes.  Every pending panel of an edge has m + 1 nodes.
     """
 
-    __slots__ = ("za", "zb", "sign", "m", "panels", "new", "ends", "depth",
-                 "acc", "points", "result", "error")
+    __slots__ = ("za", "zb", "centre", "half", "sign", "m", "panels", "new",
+                 "ends", "need", "depth", "acc", "points", "result", "error")
 
-    def __init__(self, za: complex, zb: complex):
+    def __init__(self, za: complex, zb: complex, centre: complex, half: float):
         self.za, self.zb = za, zb
+        self.centre, self.half = centre, half
         # panels are kept lo -> hi in (real, imag) order, whatever the
         # direction of the edge, so that every edge through them finds them
         forward = (za.real, za.imag) < (zb.real, zb.imag)
@@ -296,52 +334,67 @@ class _Edge:
         self.panels = [(za, zb) if forward else (zb, za)]
         self.new = []               # the pending panels not yet sampled at m
         self.ends = []              # and their end points with no value yet
+        self.need = []              # where their samples stand in the call
         self.depth = 0
         self.acc = 0.0
         self.points = 0
         self.result = None
         self.error = None
 
-    def request(self, cache: _Samples):
-        """Points this edge needs sampled at the next level: every node of a
-        panel new to cache, or the new odd-numbered nodes of the unsplit
-        edge once its rule doubles."""
+    def request(self, cache: _Samples, asked: _Asked) -> bool:
+        """Ask for the points this edge needs sampled at the next level:
+        every node of a panel new to cache, or the new odd-numbered nodes
+        of the unsplit edge once its rule doubles.  False, with the error
+        set, when they would take the edge past _MAX_EDGE_POINTS."""
         self.new = [p for p in self.panels if len(cache.panels.get(p, ())) <= self.m]
+        self.ends, self.need = [], []
         if not self.new:
-            return np.empty(0, dtype=complex)
+            return True
         a, b = np.array(self.new).T
         z = a[:, None] + _panel_nodes(self.m) * (b - a)[:, None]
         if self.m > _PANEL_NODES:
-            return z[0, 1::2]
-        self.ends = [e for e in dict.fromkeys(a.tolist() + b.tolist())
-                     if e not in cache.points]
-        return np.concatenate([z[:, 1:-1].ravel(), self.ends])
+            rows = z[:1, 1::2]
+        else:
+            rows = z[:, 1:-1]
+            self.ends = [e for e in dict.fromkeys(a.tolist() + b.tolist())
+                         if e not in cache.points]
+        if self.points + rows.size + len(self.ends) > _MAX_EDGE_POINTS:
+            self.error = QuadratureError(
+                f"contour quadrature did not stabilize on edge {self.za} -> {self.zb}")
+            return False
+        self.need = ([asked.ask((p, self.m), row) for p, row in zip(self.new, rows)]
+                     + [asked.ask(e, (e,)) for e in self.ends])
+        return True
 
-    def take(self, fz: np.ndarray, rect: Rectangle, cache: _Samples) -> None:
-        """Check this edge's new samples and file them."""
+    def take(self, values: np.ndarray, rect: Rectangle, cache: _Samples) -> None:
+        """Check this edge's new samples and file them, whichever edge of
+        the level asked for them first."""
+        if not self.need:
+            return
+        fz = np.concatenate([values[at] for at in self.need])
         fabs = np.abs(fz)
         if not np.all(np.isfinite(fabs)):
             raise QuadratureError(f"function not finite on contour edge {self.za} -> {self.zb}")
-        if fabs.size and fabs.min() <= _BOUNDARY_REL * max(fabs.max(), 1e-300):
+        if fabs.min() <= _BOUNDARY_REL * max(fabs.max(), 1e-300):
             raise BoundaryZeroError(rect)
         self.points += fz.size
-        if not self.new:
-            return
         if self.m > _PANEL_NODES:
             p = self.new[0]
-            row = np.empty(self.m + 1, dtype=complex)
-            row[::2], row[1::2] = cache.panels[p], fz
-            cache.panels[p] = row
+            if len(cache.panels[p]) <= self.m:
+                row = np.empty(self.m + 1, dtype=complex)
+                row[::2], row[1::2] = cache.panels[p], values[self.need[0]]
+                cache.panels[p] = row
             return
-        n = len(self.new) * (_PANEL_NODES - 1)
-        inner = fz[:n].reshape(len(self.new), _PANEL_NODES - 1)
-        cache.points.update(zip(self.ends, fz[n:]))
-        for (a, b), row in zip(self.new, inner):
-            cache.points[_mid(a, b)] = row[_PANEL_NODES // 2 - 1]
-            cache.panels[a, b] = np.concatenate([[cache.points[a]], row, [cache.points[b]]])
+        n = len(self.new)
+        cache.points.update(zip(self.ends, (values[at.start] for at in self.need[n:])))
+        for (a, b), at in zip(self.new, self.need):
+            if (a, b) not in cache.panels:  # else an edge before filed it
+                row = values[at]
+                cache.points[_mid(a, b)] = row[_PANEL_NODES // 2 - 1]
+                cache.panels[a, b] = np.concatenate([[cache.points[a]], row, [cache.points[b]]])
 
 
-def _advance_panels(edges: list, cache: _Samples, centre: complex, half: float) -> None:
+def _advance_panels(edges: list, cache: _Samples) -> None:
     """One level of the panels of every edge at once.
 
     A panel of m + 1 nodes is accepted when its phase increments are within
@@ -351,21 +404,24 @@ def _advance_panels(edges: list, cache: _Samples, centre: complex, half: float) 
     edge doubles its nodes up to _EDGE_NODES + 1, and then it and every
     later panel is halved.  A panel still rejected at 2^-_PANEL_DEPTH of
     its edge raises QuadratureError, naming it.  All edges of one level
-    are at the same m, so their rows stack.
+    are at the same m, so their rows stack, each with the centre and half
+    side of its own rectangle.
     """
     panels = [p for e in edges for p in e.panels]
+    rows = [len(e.panels) for e in edges]
     F = np.array([cache.panels[p][::(len(cache.panels[p]) - 1) // e.m]
                   for e in edges for p in e.panels])
     lo, hi = np.array(panels).T
+    centre = np.repeat([e.centre for e in edges], rows)
+    half = np.repeat([e.half for e in edges], rows)
     r, diff, ok = _panel_moments(F, lo, hi, centre, half)
     # |hi - lo| * diff is the m/2 to m difference of the integral of z f'/f
     scale = np.repeat([max(1.0, abs(e.za), abs(e.zb)) / abs(e.zb - e.za) for e in edges],
-                      [len(e.panels) for e in edges])
+                      rows)
     own = np.abs(centre * r[:, 0] + half * r[:, 1]) / np.abs(hi - lo)
     accept = ok & (np.abs(diff) < _QUAD_TOL * np.maximum(scale, own))
     i = 0
-    for e in edges:
-        n = len(e.panels)
+    for e, n in zip(edges, rows):
         took = accept[i:i + n]
         if took.any():
             e.acc = e.acc + e.sign * r[i:i + n][took].sum(axis=0)
@@ -386,95 +442,110 @@ def _advance_panels(edges: list, cache: _Samples, centre: complex, half: float) 
             e.depth += 1
 
 
-def _contour_moments(f: AnalyticFunctionHandle, rect: Rectangle, cache: _Samples):
-    """Zero count and scaled moments from the boundary contour of rect.
+def _contour_moments(f: AnalyticFunctionHandle, rects: list, cache: _Samples) -> list:
+    """Zero count and scaled moments from the boundary contour of each rect.
 
-    Returns (count, s) with s[k] = sum_j m_j w_j^k for k < 8, the zeros z_j
-    of multiplicity m_j taken as w_j = (z_j - c)/h, c the centre of rect and
-    h half its longer side.
+    Returns, per rect, (count, s) with s[k] = sum_j m_j w_j^k for k < 8, the
+    zeros z_j of multiplicity m_j taken as w_j = (z_j - c)/h, c the centre
+    of rect and h half its longer side, or the error that ended its contour.
 
-    The four edges advance in lockstep: each level samples the new points
-    of every unfinished edge in one call of f.  One panel rule
-    (_advance_panels) integrates every edge: the unsplit edge is a panel
-    whose Clenshaw-Curtis nodes double in place from 33 to _EDGE_NODES + 1,
-    and past that it goes on as dyadic panels of 33 nodes.  Each panel's
+    All edges of all rectangles advance in lockstep: each level samples the
+    new points of every unfinished edge in one call of f, and a panel or
+    point that several edges need, such as a corner or the edge two
+    siblings share, is asked for once.  One panel rule (_advance_panels)
+    integrates every edge: the unsplit edge is a panel whose
+    Clenshaw-Curtis nodes double in place from 33 to _EDGE_NODES + 1, and
+    past that it goes on as dyadic panels of 33 nodes.  Each panel's
     samples are kept in cache under its end points, so that any later
     contour of the same search through a panel, in either direction, reads
     them again.  Errors come out as from edges taken one at a time: the
-    first failing edge in edge order decides, so the edges after a failed
-    one are dropped.  A sample that is not finite, or an edge past
-    _MAX_EDGE_POINTS samples, raises QuadratureError; |f| below
-    _BOUNDARY_REL of the largest new sample of an edge raises
-    BoundaryZeroError.
+    first failing edge of a rectangle in edge order decides, so its edges
+    after a failed one are dropped.  A sample that is not finite, or an
+    edge past _MAX_EDGE_POINTS samples, is a QuadratureError; |f| below
+    _BOUNDARY_REL of the largest new sample of an edge a BoundaryZeroError.
     """
-    centre = rect.center
-    half = 0.5 * max(rect.width, rect.height)
-    corners = rect.corners
-    edges = [_Edge(a, b) for a, b in zip(corners, corners[1:] + corners[:1])]
+    contours = []
+    for rect in rects:
+        centre, half = rect.center, 0.5 * max(rect.width, rect.height)
+        corners = rect.corners
+        contours.append([_Edge(a, b, centre, half)
+                         for a, b in zip(corners, corners[1:] + corners[:1])])
     while True:
+        asked = _Asked()
         live = []
-        for e in edges:
-            if e.error is not None:
-                break
-            if e.result is None:
-                live.append(e)
+        for rect, edges in zip(rects, contours):
+            going = []
+            for e in edges:
+                if e.error is not None:
+                    break
+                if e.result is None:
+                    if not e.request(cache, asked):
+                        break
+                    going.append(e)
+            if going:
+                live.append((rect, going))
         if not live:
             break
-        asked = []
-        for e in live:
-            pts = e.request(cache)
-            if e.points + pts.size > _MAX_EDGE_POINTS:
-                e.error = QuadratureError(
-                    f"contour quadrature did not stabilize on edge {e.za} -> {e.zb}")
-                break
-            asked.append(pts)
-        pts = np.concatenate(asked) if asked else np.empty(0, dtype=complex)
-        values = np.asarray(f.eval(pts)) if pts.size else pts
-        at = 0
+        values = asked.call(f)
         sampled = []
-        for e, pts in zip(live, asked):
-            try:
-                e.take(values[at:at + pts.size], rect, cache)
-            except (QuadratureError, BoundaryZeroError) as exc:
-                e.error = exc
-                break
-            at += pts.size
-            sampled.append(e)
+        for rect, going in live:
+            for e in going:
+                try:
+                    e.take(values, rect, cache)
+                except (QuadratureError, BoundaryZeroError) as exc:
+                    e.error = exc
+                    break
+                sampled.append(e)
         if sampled:
-            _advance_panels(sampled, cache, centre, half)
-    for e in edges:
-        if e.error is not None:
-            raise e.error
-    s = sum(e.result for e in edges) / (2.0j * math.pi)
-    n = round(s[0].real)
-    if abs(s[0] - n) > 0.25:
-        raise QuadratureError(
-            f"contour value {s[0]} is not within 0.25 of an integer on {rect}"
-        )
-    return int(n), s
+            _advance_panels(sampled, cache)
+    out = []
+    for rect, edges in zip(rects, contours):
+        error = next((e.error for e in edges if e.error is not None), None)
+        if error is not None:
+            out.append(error)
+            continue
+        s = sum(e.result for e in edges) / (2.0j * math.pi)
+        n = round(s[0].real)
+        if abs(s[0] - n) > 0.25:
+            out.append(QuadratureError(
+                f"contour value {s[0]} is not within 0.25 of an integer on {rect}"))
+        else:
+            out.append((int(n), s))
+    return out
 
 
-def _counts(f: AnalyticFunctionHandle, rect: Rectangle, cache: _Samples):
-    """Contour count and moments of rect, retried once on rect nudged outward.
+def _counts(f: AnalyticFunctionHandle, rects: list, cache: _Samples) -> list:
+    """Contour count and moments of each rect, retried once on rect nudged outward.
 
     A suspected boundary zero or an edge that does not stabilize, the
     signature of a zero on or hugging the contour, is retried on the
     rectangle with every side moved outward by _NUDGE of its longer side:
     a zero the panels could not resolve at 2^-30 of an edge then lies
-    about 2^-20 from the moved one.  A second failure raises.  Returns
-    (count, moments, the rectangle counted).
+    about 2^-20 from the moved one.  The contours of all rects run in
+    lockstep, and so do all the retries, in a second pass.  Returns, per
+    rect, (count, moments, the rectangle counted), or the error of its
+    retry, or the DomainError of a retry that meets an exclusion.
     """
-    try:
-        n, s = _contour_moments(f, rect, cache)
-        return n, s, rect
-    except (BoundaryZeroError, QuadratureError) as exc:
+    out = _contour_moments(f, rects, cache)
+    retry = []
+    for i, (rect, got) in enumerate(zip(rects, out)):
+        if not isinstance(got, SpecbarError):
+            out[i] = (*got, rect)
+            continue
         if _log.isEnabledFor(logging.DEBUG):
-            _log.debug("nudging %s outward: %s: %s", rect, type(exc).__name__, exc)
-    d = _NUDGE * max(rect.width, rect.height)
-    nudged = Rectangle(rect.x_lo - d, rect.x_hi + d, rect.y_lo - d, rect.y_hi + d)
-    f.check_clearance(nudged)
-    n, s = _contour_moments(f, nudged, cache)
-    return n, s, nudged
+            _log.debug("nudging %s outward: %s: %s", rect, type(got).__name__, got)
+        d = _NUDGE * max(rect.width, rect.height)
+        nudged = Rectangle(rect.x_lo - d, rect.x_hi + d, rect.y_lo - d, rect.y_hi + d)
+        try:
+            f.check_clearance(nudged)
+        except DomainError as exc:
+            out[i] = exc
+            continue
+        retry.append((i, nudged))
+    again = _contour_moments(f, [r for _, r in retry], cache)
+    for (i, nudged), got in zip(retry, again):
+        out[i] = got if isinstance(got, SpecbarError) else (*got, nudged)
+    return out
 
 
 def winding_number(f: AnalyticFunctionHandle, rect: Rectangle) -> int:
@@ -490,8 +561,10 @@ def winding_number(f: AnalyticFunctionHandle, rect: Rectangle) -> int:
     than 0.25 from an integer.
     """
     f.check_clearance(rect)
-    n, _, _ = _counts(f, rect, _Samples())
-    return n
+    [got] = _counts(f, [rect], _Samples())
+    if isinstance(got, SpecbarError):
+        raise got
+    return got[0]
 
 
 # ---------------------------------------------------------------------------
@@ -507,19 +580,20 @@ def _cabs(z: complex) -> float:
     return v if math.isfinite(v) else math.inf
 
 
-def _newton(f: AnalyticFunctionHandle, starts, scale: float, multiplicities,
-            region: Rectangle, max_iter: int = 60):
+def _newton(f: AnalyticFunctionHandle, starts, scales, multiplicities, regions,
+            max_iter: int = 60):
     """Damped Newton from every start at once; the multiplicity-m variant
     takes steps m*f/f'.
 
     Each start iterates past _REFINE_TOL until its residual stagnates, so
     locations are polished to the precision the arithmetic supports rather
-    than stopping at the first sub-tolerance value.  Steps leaving the
-    confinement region are treated as uphill and damped.  The starts share
-    the handle's calls, one for the derivative stencils of all iterating
-    starts and one per line-search step, and each start's arithmetic is
-    that of a lone iteration.  Returns (z, residual) per start, z None when
-    the residual never fell below _REFINE_TOL.
+    than stopping at the first sub-tolerance value.  Each start has its own
+    scale, which sets its derivative step, and its own confinement region:
+    steps leaving the region are treated as uphill and damped.  The starts
+    share the handle's calls, one for the derivative stencils of all
+    iterating starts and one per line-search step, and each start's
+    arithmetic is that of a lone iteration.  Returns (z, residual) per
+    start, z None when the residual never fell below _REFINE_TOL.
     """
     z = [complex(v) for v in starts]
     fz = [complex(v) for v in f.eval(np.array(z, dtype=complex))]
@@ -530,7 +604,9 @@ def _newton(f: AnalyticFunctionHandle, starts, scale: float, multiplicities,
         if not active:
             break
         steps = {}
-        for i, df in zip(active, f.deriv(np.array([z[i] for i in active]), scale)):
+        derivs = f.deriv(np.array([z[i] for i in active]),
+                         np.array([scales[i] for i in active]))
+        for i, df in zip(active, derivs):
             df = complex(df)
             if df != 0 and math.isfinite(_cabs(df)):
                 steps[i] = multiplicities[i] * fz[i] / df
@@ -543,7 +619,7 @@ def _newton(f: AnalyticFunctionHandle, starts, scale: float, multiplicities,
                 z_new = z[i] - t[i] * steps[i]
                 if z_new == z[i]:
                     continue  # the step is below the float spacing at z
-                if region.contains(z_new):
+                if regions[i].contains(z_new):
                     trial.append((i, z_new))
                 else:
                     t[i] *= 0.5
@@ -570,57 +646,77 @@ def _newton(f: AnalyticFunctionHandle, starts, scale: float, multiplicities,
     return [(bz, res) if res < _REFINE_TOL else (None, res) for bz, res in best]
 
 
-def _clean_split(f: AnalyticFunctionHandle, rect: Rectangle):
-    """Child rectangles split along the longer side, on the candidate line
-    whose minimum |f| (relative to the line's maximum) is largest, keeping
-    the cut as far from zeros as the candidates allow."""
-    vertical_cut = rect.width >= rect.height
-    best = None
-    for frac in (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39):
-        if vertical_cut:
-            xc = rect.x_lo + frac * rect.width
-            seg = xc + 1j * np.linspace(rect.y_lo, rect.y_hi, 129)
-        else:
-            yc = rect.y_lo + frac * rect.height
-            seg = np.linspace(rect.x_lo, rect.x_hi, 129) + 1j * yc
-        fabs = np.abs(f.eval(seg))
-        score = fabs.min() / max(fabs.max(), 1e-300)
-        if best is None or score > best[0]:
-            best = (score, frac)
-            if score > 0.05:
-                break
-    score, frac = best
-    if score <= _BOUNDARY_REL:
-        raise BoundaryZeroError(rect, f"no zero-free split line found in {rect}")
-    if vertical_cut:
+_CUTS = (0.5, 0.53, 0.47, 0.57, 0.43, 0.61, 0.39)   # candidate cuts, in fractions of a side
+
+
+def _cut(rect: Rectangle, frac: float):
+    """The child rectangles of rect cut across its longer side at frac, and
+    their shared edge as the panel (lo, hi) both children's contours key it by."""
+    if rect.width >= rect.height:
         xc = rect.x_lo + frac * rect.width
-        return (
-            Rectangle(rect.x_lo, xc, rect.y_lo, rect.y_hi),
-            Rectangle(xc, rect.x_hi, rect.y_lo, rect.y_hi),
-        )
+        return ((Rectangle(rect.x_lo, xc, rect.y_lo, rect.y_hi),
+                 Rectangle(xc, rect.x_hi, rect.y_lo, rect.y_hi)),
+                (complex(xc, rect.y_lo), complex(xc, rect.y_hi)))
     yc = rect.y_lo + frac * rect.height
-    return (
-        Rectangle(rect.x_lo, rect.x_hi, rect.y_lo, yc),
-        Rectangle(rect.x_lo, rect.x_hi, yc, rect.y_hi),
-    )
+    return ((Rectangle(rect.x_lo, rect.x_hi, rect.y_lo, yc),
+             Rectangle(rect.x_lo, rect.x_hi, yc, rect.y_hi)),
+            (complex(rect.x_lo, yc), complex(rect.x_hi, yc)))
 
 
-def _multiple_zero_confirmed(f: AnalyticFunctionHandle, z: complex,
-                             multiplicity: int, cache: _Samples) -> bool:
-    """Winding check on a small box about z: it must count the multiplicity.
-    A box whose contour fails confirms nothing, so the leaf is bisected."""
-    side = 1e-5 * max(1.0, abs(z))
-    box = Rectangle(z.real - side, z.real + side, z.imag - side, z.imag + side)
-    try:
-        n_box, _, _ = _counts(f, box, cache)
-    except (BoundaryZeroError, QuadratureError):
-        return False
-    return n_box == multiplicity
+def _clean_split(f: AnalyticFunctionHandle, rects: list, cache: _Samples) -> list:
+    """Child rectangles of each rect, split along its longer side on the
+    candidate line whose minimum |f| (relative to the line's maximum) is
+    largest, keeping the cut as far from zeros as the candidates allow.
+
+    Every candidate is sampled at the 33 Clenshaw-Curtis nodes of the panel
+    it becomes, its ends read from cache where they are there.  A line
+    scoring above 0.05 ends the search for its rectangle; the rectangles
+    still searching try their next candidate together, one call of f per
+    round.  The chosen line is filed in cache as the children's shared
+    panel, so their contours do not sample it again.  Returns, per rect,
+    its two children, or a BoundaryZeroError when no candidate keeps |f|
+    above _BOUNDARY_REL of its maximum; a line where f is not finite
+    scores worst.
+    """
+    nodes = _panel_nodes(_PANEL_NODES)
+    best = [None] * len(rects)
+    searching = list(range(len(rects)))
+    for frac in _CUTS:
+        if not searching:
+            break
+        asked = _Asked()
+        lines = []
+        for i in searching:
+            children, (lo, hi) = _cut(rects[i], frac)
+            inner = asked.ask((lo, hi), (lo + nodes * (hi - lo))[1:-1])
+            ends = [None if e in cache.points else asked.ask(e, (e,)) for e in (lo, hi)]
+            lines.append((i, children, lo, hi, inner, ends))
+        values = asked.call(f)
+        for i, children, lo, hi, inner, ends in lines:
+            fa, fb = (cache.points[e] if at is None else values[at.start]
+                      for e, at in zip((lo, hi), ends))
+            row = np.concatenate([[fa], values[inner], [fb]])
+            fabs = np.abs(row)
+            score = (fabs.min() / max(fabs.max(), 1e-300)
+                     if np.all(np.isfinite(fabs)) else -math.inf)
+            if best[i] is None or score > best[i][0]:
+                best[i] = (score, children, lo, hi, row)
+        searching = [i for i in searching if not best[i][0] > 0.05]
+    out = []
+    for rect, (score, children, lo, hi, row) in zip(rects, best):
+        if not score > _BOUNDARY_REL:
+            out.append(BoundaryZeroError(rect, f"no zero-free split line found in {rect}"))
+            continue
+        cache.points[lo], cache.points[hi] = row[0], row[-1]
+        cache.points[_mid(lo, hi)] = row[_PANEL_NODES // 2]
+        cache.panels[lo, hi] = row
+        out.append(children)
+    return out
 
 
-def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int, s: np.ndarray,
-                  cache: _Samples):
-    """The zeros of a counted rectangle from its moment pencil, or None.
+def _pencil(count: int, s: np.ndarray):
+    """Distinct zeros, in scaled coordinates, and their multiplicities from
+    the moments of a rectangle counting count zeros, or None.
 
     The Hankel matrix [s_(i+j)] of size min(count, 4) has the number of
     distinct zeros as its numerical rank; the eigenvalues of the pencil
@@ -628,11 +724,6 @@ def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int, s: np.
     zeros, and a Vandermonde solve gives their multiplicities, which must
     be positive integers summing to count (Kravanja, Sakurai & Van Barel,
     BIT 39, 1999).
-    The zeros are Newton-polished together, each with its multiplicity;
-    each must stay in rect, a multiple one must pass a winding check on a
-    small box, and no
-    two polished zeros may draw closer than half the distance between
-    their pencil estimates.  None means the rectangle must be bisected.
     """
     size = min(count, _MOMENTS // 2)
     hankel = np.array([[s[i + j] for j in range(size + 1)] for i in range(size)])
@@ -646,20 +737,63 @@ def _resolve_leaf(f: AnalyticFunctionHandle, rect: Rectangle, count: int, s: np.
     whole = np.round(mult.real).astype(int)
     if np.any(np.abs(mult - whole) > 0.25) or np.any(whole < 1) or whole.sum() != count:
         return None
-    scale = max(rect.width, rect.height)
-    estimates = rect.center + 0.5 * scale * w
-    whole = [int(m) for m in whole]
-    roots = []
-    for (z, res), m in zip(_newton(f, estimates, scale, whole, rect.scaled(2.0)), whole):
-        if z is None or not rect.contains(z) or (
-                m > 1 and not _multiple_zero_confirmed(f, z, m, cache)):
-            return None
-        roots.append(Root(z, m, res))
-    zs = np.array([r.location for r in roots])
-    apart = np.abs(zs[:, None] - zs) > 0.5 * np.abs(estimates[:, None] - estimates)
-    if not np.all(apart | np.eye(rank, dtype=bool)):
-        return None
-    return roots
+    return w, [int(m) for m in whole]
+
+
+def _resolve_leaves(f: AnalyticFunctionHandle, leaves: list, cache: _Samples) -> list:
+    """The zeros of each counted rectangle (rect, count, s) from its moment
+    pencil (_pencil), or None, or the DomainError of a winding check.
+
+    The zeros of all leaves are Newton-polished together, each with its
+    multiplicity, its rectangle's longer side as scale and the rectangle
+    doubled as confinement.  Each must stay in its rect, a multiple one
+    must pass a winding check on a small box, all boxes counted together,
+    and no two polished zeros of a leaf may draw closer than half the
+    distance between their pencil estimates.  A box whose contour fails
+    confirms nothing.  None means the rectangle must be bisected.
+    """
+    pencils = [_pencil(count, s) for _, count, s in leaves]
+    starts, scales, mults, regions = [], [], [], []
+    for (rect, _, _), pencil in zip(leaves, pencils):
+        if pencil is not None:
+            w, whole = pencil
+            scale = max(rect.width, rect.height)
+            starts.extend(rect.center + 0.5 * scale * w)
+            scales += [scale] * len(whole)
+            mults += whole
+            regions += [rect.scaled(2.0)] * len(whole)
+    polished = iter(_newton(f, starts, scales, mults, regions) if starts else ())
+    found, boxes = [], []
+    for (rect, _, _), pencil in zip(leaves, pencils):
+        roots = None
+        if pencil is not None:
+            ours = [next(polished) for _ in pencil[1]]
+            if all(z is not None and rect.contains(z) for z, _ in ours):
+                roots = [Root(z, m, res) for (z, res), m in zip(ours, pencil[1])]
+        for r in roots or ():
+            if r.multiplicity > 1:
+                z, side = r.location, 1e-5 * max(1.0, abs(r.location))
+                boxes.append(Rectangle(z.real - side, z.real + side,
+                                       z.imag - side, z.imag + side))
+        found.append(roots)
+    checks = iter(_counts(f, boxes, cache))
+    out = []
+    for (rect, _, _), pencil, roots in zip(leaves, pencils, found):
+        if roots is None:
+            out.append(None)
+            continue
+        boxed = [(r.multiplicity, next(checks)) for r in roots if r.multiplicity > 1]
+        error = next((got for _, got in boxed if isinstance(got, DomainError)), None)
+        if error is not None:
+            out.append(error)
+            continue
+        estimates = rect.center + 0.5 * max(rect.width, rect.height) * pencil[0]
+        zs = np.array([r.location for r in roots])
+        apart = np.abs(zs[:, None] - zs) > 0.5 * np.abs(estimates[:, None] - estimates)
+        confirmed = all(not isinstance(got, SpecbarError) and got[0] == m for m, got in boxed)
+        out.append(roots if confirmed and np.all(apart | np.eye(len(roots), dtype=bool))
+                   else None)
+    return out
 
 
 def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
@@ -675,10 +809,17 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
     bisected; at max_depth it raises ClusterUnresolvedError.  The spectral
     verbs search with the default max_depth.
 
-    Every edge is integrated by the one panel rule (_contour_moments), and
-    the panel samples of one search are kept until it returns, so a child
-    rectangle reads the panels of its parent's edges and a sibling the
-    split edge.
+    The search runs breadth first, one bisection level at a time, and each
+    step of a level serves all of its rectangles at once: their contours
+    advance in lockstep (_counts), one call of f per contour level, then
+    their failed contours' retries; the zeros of all its counted leaves are
+    polished together (_resolve_leaves), one call per Newton step; and its
+    unresolved rectangles are split together (_clean_split), one call per
+    round of candidate cuts.  The panel samples of one search are kept
+    until it returns, so a child rectangle reads the panels of its
+    parent's edges and both siblings the split edge.  When rectangles fail,
+    the error raised is the first in breadth order: that of the shallowest
+    level, and within it of the leftmost rectangle in bisection order.
     A rectangle nudged outward on a failed contour (_counts) can hold
     zeros just outside rect and overlap its sibling by 2^-20 of its longer
     side: zeros found twice are merged, and zeros farther outside rect than
@@ -687,27 +828,36 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
     f.check_clearance(rect)
     roots: list[Root] = []
     cache = _Samples()
-
-    def recurse(r: Rectangle, depth: int) -> None:
-        # a nudged rectangle can overlap its sibling slightly; the
-        # duplicate-merge pass below undoes the resulting double counts
-        count, s, r = _counts(f, r, cache)
-        if count == 0:
-            return
-        found = _resolve_leaf(f, r, count, s, cache)
-        if _log.isEnabledFor(logging.DEBUG):
-            _log.debug("count %d in %s: %s", count, r, "bisected" if found is None
-                       else f"resolved, multiplicities {[z.multiplicity for z in found]}")
-        if found is not None:
-            roots.extend(found)
-            return
-        if depth >= max_depth:
-            raise ClusterUnresolvedError(r, count)
-        child_a, child_b = _clean_split(f, r)
-        recurse(child_a, depth + 1)
-        recurse(child_b, depth + 1)
-
-    recurse(rect, 0)
+    level = [rect]
+    for depth in range(max_depth + 1):
+        if not level:
+            break
+        counted = _counts(f, level, cache)
+        # rectangles after the first failed contour cannot raise first
+        failed = next((i for i, got in enumerate(counted)
+                       if isinstance(got, SpecbarError)), len(counted))
+        leaves = [(r, count, s) for count, s, r in counted[:failed] if count > 0]
+        found = _resolve_leaves(f, leaves, cache)
+        unresolved = [r for (r, _, _), got in zip(leaves, found) if got is None]
+        splits = iter(_clean_split(f, unresolved, cache) if depth < max_depth else ())
+        level = []
+        for (r, count, _), got in zip(leaves, found):
+            if isinstance(got, SpecbarError):
+                raise got
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("count %d in %s: %s", count, r, "bisected" if got is None
+                           else f"resolved, multiplicities {[z.multiplicity for z in got]}")
+            if got is not None:
+                roots.extend(got)
+                continue
+            if depth >= max_depth:
+                raise ClusterUnresolvedError(r, count)
+            children = next(splits)
+            if isinstance(children, SpecbarError):
+                raise children
+            level.extend(children)
+        if failed < len(counted):
+            raise counted[failed]
 
     # Merge duplicates that can arise from refinement across shared edges.
     merged: list[Root] = []

@@ -9,6 +9,7 @@ from scipy.special import mathieu_a, mathieu_b
 
 from specbar import floquet
 from specbar.core import (
+    BarrierProblem,
     ConstExpr,
     DomainError,
     PeriodicTail,
@@ -29,6 +30,7 @@ from specbar.floquet import (
     monodromy,
     sp_zeros,
 )
+from specbar.sturm import CharacteristicContext, eigenvalues
 
 from conftest import STACKED_EMBEDDED_RESONANCE_RE
 
@@ -462,3 +464,40 @@ def test_exponent_continuation_toward_band(sin_model):
             assert fd.k.imag < prev
         prev = fd.k.imag
     assert prev < 1e-4
+
+
+def _gap_search(sin_model, rect, monkeypatch):
+    """eigenvalues of the sin-tail barrier of width 4 pi on rect at ode_step
+    1e-2, and how many times the search computed bands."""
+    calls = []
+
+    def counted_bands(*args, **kwargs):
+        calls.append(args[1:3])
+        return bands(*args, **kwargs)
+
+    monkeypatch.setattr(floquet, "bands", counted_bands)
+    ctx = CharacteristicContext(BarrierProblem(sin_model, 1.0, 4 * math.pi), ode_step=1e-2)
+    return eigenvalues(ctx, rect), calls
+
+
+def test_search_far_from_every_band_level_computes_no_bands(sin_model, monkeypatch):
+    # Im 0.5 .. 0.99 lies 0.01 below the level gamma = 1, farther than the
+    # standoff 1e-3 plus the retry's nudge, so no band segment of either
+    # level can touch the search: no bands are computed, and the roots are
+    # those of the same search with the band exclusions built, which a
+    # nudge wide enough to reach level 1 forces
+    rect = Rectangle(-0.37, -0.2, 0.5, 0.99)
+    out, calls = _gap_search(sin_model, rect, monkeypatch)
+    assert calls == []
+    assert out.total_count == 1
+    monkeypatch.setattr(floquet, "_NUDGE", 1.0)
+    want, calls = _gap_search(sin_model, rect, monkeypatch)
+    assert len(calls) == 1
+    assert out == want
+
+
+def test_search_within_the_standoff_of_a_band_is_refused(sin_model, monkeypatch):
+    # the band (-0.3785, -0.3477) lifted to Im = 1 lies 5e-4 above this
+    # rectangle, within the standoff 1e-3
+    with pytest.raises(DomainError):
+        _gap_search(sin_model, Rectangle(-0.37, -0.2, 0.5, 1.0 - 5e-4), monkeypatch)

@@ -21,6 +21,7 @@ from specbar.core import (
     Piece,
     PotentialModel,
     SinExpr,
+    principal_sqrt,
 )
 
 PERIOD = 2 * math.pi
@@ -182,3 +183,127 @@ def test_bands_discriminant_call_count(sin_model, monkeypatch):
     # one call per interpolant degree tried, one per Newton round on all
     # four band ends, and one for the piece middles
     assert len(calls) <= 10
+
+
+# The closed-form evaluation as it stood before its fixed cost was cut: a
+# second square root in _sinc_like, a series branch taken whatever the
+# input, a branch-flip clause np.sqrt never meets and a mask built before
+# any magnitude is known to be large.  The current functions must give the
+# same bits.
+
+def _old_principal_sqrt(z):
+    w = np.sqrt(np.asarray(z, dtype=complex))
+    flip = (w.imag < 0) | ((w.imag == 0) & (w.real < 0))
+    w = np.where(flip, -w, w)
+    if np.isscalar(z) or getattr(z, "ndim", 0) == 0:
+        return complex(w)
+    return w
+
+
+def _old_sinc_like(w2, d):
+    w = np.sqrt(w2.astype(complex))
+    t = w * d
+    small = np.abs(t) < 1e-4
+    w_safe = np.where(small, 1.0, w)
+    c = np.cos(t)
+    s = np.where(small, d * (1.0 - t * t / 6.0 * (1.0 - t * t / 20.0)),
+                 np.sin(t) / w_safe)
+    return c, s
+
+
+def _old_const_transfer(qc, lam, d):
+    w2 = lam - qc
+    w = np.sqrt(w2)
+    growth = float(np.max(np.abs(w.imag))) * abs(d) if w.size else 0.0
+    nsub = max(1, math.ceil(growth / _ode._CONST_GROWTH))
+    c, s = _old_sinc_like(w2, d / nsub)
+    return ((c, s), (-w2 * s, c)), 0.0, nsub
+
+
+def _old_rescale(u, up, logs):
+    mag = np.maximum(np.abs(u), np.abs(up))
+    big = mag > _ode._RESCALE_LIMIT
+    if np.any(big):
+        factor = np.where(big, mag, 1.0)
+        u = u / factor
+        up = up / factor
+        logs = logs + np.log(factor)
+    return u, up, logs
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+# the negative real axis with both signs of zero, the cut [0, inf) from
+# either side, signed zeros, the axes and extreme magnitudes
+_SQRT_POINTS = np.array([-4.0 + 0.0j, complex(-4.0, -0.0), -1e-300 + 0.0j,
+                         complex(-1e-300, -0.0), complex(0.0, 0.0), complex(-0.0, 0.0),
+                         complex(0.0, -0.0), complex(-0.0, -0.0), 4.0, 4.0 - 1e-15j,
+                         4.0 + 1e-15j, 2.0j, -2.0j, -3.0 + 1e-300j, 1e300 - 1e300j,
+                         -1e300 - 1.0j])
+
+
+def test_principal_sqrt_reproduces_its_old_formula():
+    assert _bits(principal_sqrt(_SQRT_POINTS)) == _bits(_old_principal_sqrt(_SQRT_POINTS))
+    grid = _SQRT_POINTS.reshape(4, 4)
+    assert _bits(principal_sqrt(grid)) == _bits(_old_principal_sqrt(grid))
+    for z in _SQRT_POINTS:
+        for form in (z, complex(z), np.asarray(z)):
+            got, want = principal_sqrt(form), _old_principal_sqrt(form)
+            assert type(got) is complex
+            assert _bits([got]) == _bits([want])
+    for z in (-4, -4.0, 0, 9, 2.25):
+        assert _bits([principal_sqrt(z)]) == _bits([_old_principal_sqrt(z)])
+
+
+@pytest.mark.parametrize("lam, d, nsub", [
+    # |w d| below 1e-4 at every point, at some, and at none
+    (np.array([1.0 + 1e-12j, 1.0 + 1e-10, 1.0 - 1e-9 + 1e-9j]), 2.0, 1),
+    (np.array([1.0 + 1e-12j, 0.5 + 0.5j, 1.0 + 1e-9, 3.0 - 0.2j, -2.0]), 2.0, 1),
+    (np.array([0.5 + 0.5j, 3.0 - 0.2j, -2.0, 7.0 + 0.0j]), 2.0, 1),
+    # growth |Im w| d far above _CONST_GROWTH: several substeps
+    (np.array([1.0 + 1e-12j, -1e4 + 3.0j, 2.0 - 50.0j]), 4.0, 5),
+    (np.array(-400.0 + 1.0j), 40.0, 9),
+])
+def test_const_transfer_reproduces_its_old_formula(lam, d, nsub):
+    got, _, got_n = _ode._const_transfer(1.0 + 0.0j, lam, d)
+    want, _, want_n = _old_const_transfer(1.0 + 0.0j, lam, d)
+    assert got_n == want_n == nsub
+    for row, want_row in zip(got, want):
+        for entry, want_entry in zip(row, want_row):
+            assert _bits(entry) == _bits(want_entry)
+
+
+def test_rescale_reproduces_its_old_formula():
+    logs = np.array([0.0, 1.0, 2.0, 3.0])
+    for u, up in (
+        (np.array([1.0, 2e250, 3.0, 1e-300]), np.array([5e250, 1.0, 2.0, 0.0])),
+        (np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 1e249, 1e250, 0.0])),
+        (np.array([np.nan, 2e251, 1.0, 1e300]), np.array([1.0, 0.0, np.nan, 1.0])),
+        (np.array([np.nan, 1.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0, 1.0])),
+    ):
+        u, up = u.astype(complex), up * (1.0 - 1.0j)
+        got, want = _ode._rescale(u, up, logs), _old_rescale(u, up, logs)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+    empty = np.empty(0, dtype=complex)
+    assert all(a.size == 0 for a in _ode._rescale(empty, empty, np.empty(0)))
+
+
+def test_propagate_seeds_are_read_not_copied():
+    # the seeds broadcast against lam give the bits that full copies of
+    # them give, and every output is a new writable array, the early
+    # return's included
+    model = PotentialModel(pieces=(Piece(0.0, 4.7, ConstExpr(1j)),
+                                   Piece(4.7, 6.0, ConstExpr(-300.0))))
+    lam = _lams(seed=3).reshape(5, 10)
+    shape = lam.shape
+    for x_from, x_to in ((0.0, 40.0), (12.0, 0.5), (3.0, 3.0)):
+        u0, up0 = np.array(1.0 + 0.0j), np.array(0.0j)
+        got = _ode.propagate(model, lam, x_from, x_to, u0, up0)
+        want = _ode.propagate(model, lam, x_from, x_to, np.full(shape, u0),
+                              np.full(shape, up0))
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+        for a in got:
+            assert a.shape == shape and a.flags.writeable
+            assert not np.shares_memory(a, u0) and not np.shares_memory(a, up0)

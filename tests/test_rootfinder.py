@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from specbar import floquet, rootfinder
 from specbar.core import (
     BarrierProblem,
+    ConstExpr,
     DomainError,
     PeriodicTail,
+    Piece,
     PotentialModel,
     Rectangle,
     SinExpr,
@@ -424,7 +426,7 @@ def test_lockstep_moments_equal_the_sequential_global_rule(fn, rect):
     # edge at a time; the middle node differs by 6e-17 and the sums run in
     # another order, so they agree to rounding
     f = AnalyticFunctionHandle(eval=fn)
-    _, s = rootfinder._contour_moments(f, rect, rootfinder._Samples())
+    [(_, s)] = rootfinder._contour_moments(f, [rect], rootfinder._Samples())
     want = _sequential_moments(f, rect)
     assert np.max(np.abs(s - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -467,8 +469,8 @@ def test_contour_moments_equal_the_power_sums_of_the_zeros(zeros, rect):
     centre, half = rect.center, 0.5 * max(rect.width, rect.height)
     w = (np.array(zeros) - centre) / half
     want = (w[:, None] ** np.arange(8)).sum(axis=0)
-    count, s = rootfinder._contour_moments(AnalyticFunctionHandle(eval=fn), rect,
-                                           rootfinder._Samples())
+    [(count, s)] = rootfinder._contour_moments(AnalyticFunctionHandle(eval=fn), [rect],
+                                               rootfinder._Samples())
     assert count == len(zeros)
     assert np.max(np.abs(s - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
     # the left edge, short enough for 33 nodes to resolve, gives the same
@@ -482,12 +484,12 @@ def test_contour_moments_equal_the_power_sums_of_the_zeros(zeros, rect):
 
 
 def test_smooth_rectangle_takes_one_call_per_contour_level():
-    # one call samples the 33 nodes of all four edges, each corner asked
-    # for by both edges through it; the two edges whose 17- and 33-node
+    # one call samples the 33 nodes of all four edges, each corner once
+    # though two edges need it; the two edges whose 17- and 33-node
     # integrals disagree then take their 32 new nodes in a second call
     f, sizes = _counted(lambda z: z**2 - 0.25)
     assert winding_number(f, UNIT) == 2
-    assert sizes == [4 * 33, 2 * 32]
+    assert sizes == [4 * 32, 2 * 32]
 
 
 def test_free_search_repeats_few_points(monkeypatch):
@@ -646,3 +648,155 @@ def test_deterministic_inflation():
     a = find_zeros(f, rect)
     b = find_zeros(f, rect)
     assert a == b
+
+
+# six zeros: more than the pencil of one rectangle shows, so the search
+# bisects, twice
+SIX_ZEROS = np.poly([0.3, -0.2 + 0.4j, 0.5 - 0.6j, 0.1, -0.7j, 0.6 + 0.6j])
+
+
+def _depth_first(f, rect, max_depth=40):
+    """The zeros of f in rect, searched depth first: the per-level steps of
+    find_zeros, _counts, _resolve_leaves and _clean_split, called on one
+    rectangle at a time, each rectangle's subtree searched before its
+    sibling's.  Returns the sorted (Re z, Im z, multiplicity) of its roots."""
+    cache = rootfinder._Samples()
+    roots = []
+
+    def one(step, *args):
+        [got] = step(f, [args[0] if len(args) == 1 else args], cache)
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    def recurse(r, depth):
+        count, s, r = one(rootfinder._counts, r)
+        if count == 0:
+            return
+        found = one(rootfinder._resolve_leaves, r, count, s)
+        if found is not None:
+            roots.extend(found)
+            return
+        if depth >= max_depth:
+            raise ClusterUnresolvedError(r, count)
+        for child in one(rootfinder._clean_split, r):
+            recurse(child, depth + 1)
+
+    recurse(rect, 0)
+    return sorted((z.location.real, z.location.imag, z.multiplicity) for z in roots)
+
+
+def _verb_handle(monkeypatch, verb, *args):
+    """The handle and rectangle of the one search the spectral verb makes."""
+    searches = []
+
+    def captured(f, rect, *a, **k):
+        searches.append((f, rect))
+        return find_zeros(f, rect, *a, **k)
+
+    monkeypatch.setattr(floquet, "find_zeros", captured)
+    verb(*args)
+    [search] = searches
+    return search
+
+
+def _stacked_sweep_width(monkeypatch):
+    model = PotentialModel(pieces=(Piece(0.0, 4.7, ConstExpr(1j)),))
+    ctx = CharacteristicContext(BarrierProblem(model, 1.0, 25.0))
+    return _verb_handle(monkeypatch, eigenvalues, ctx, Rectangle(0.8, 1.9, 1.2, 1.9))
+
+
+def _free_r40(monkeypatch):
+    ctx = CharacteristicContext(BarrierProblem(PotentialModel(), 1.0, 40.0))
+    return _verb_handle(monkeypatch, eigenvalues, ctx, Rectangle(0.1, 6.0, 0.05, 0.95))
+
+
+@pytest.mark.parametrize("search", [
+    _free_r40,
+    _stacked_sweep_width,
+    lambda mp: (AnalyticFunctionHandle(eval=lambda z: (z - 0.3) * (z + 0.4j)), UNIT),
+    lambda mp: (AnalyticFunctionHandle(eval=lambda z: (z - 0.3) ** 2), UNIT),
+    lambda mp: (AnalyticFunctionHandle(eval=lambda z: (z - 0.3) ** 5), UNIT),
+    lambda mp: (AnalyticFunctionHandle(eval=lambda z: (z - 0.3) ** 3 * (z + 0.5 + 0.2j)),
+                UNIT),
+    lambda mp: (_poly_handle(SIX_ZEROS), UNIT),
+], ids=["free-R40", "stacked-R25", "pair", "double", "fivefold", "triple-simple",
+        "six-bisected"])
+def test_breadth_first_search_equals_the_depth_first_one(search, monkeypatch):
+    # each rectangle's contour, pencil, polish and split read the same
+    # samples whichever order the rectangles come in, so the search by
+    # levels finds the roots of the search one rectangle at a time, bit
+    # for bit
+    f, rect = search(monkeypatch)
+    out = find_zeros(f, rect)
+    got = sorted((z.location.real, z.location.imag, z.multiplicity) for z in out.roots)
+    assert got
+    assert got == _depth_first(f, rect)
+
+
+def test_free_search_shares_each_call_among_its_rectangles(monkeypatch):
+    # the free R = 40 search visits 11 rectangles, 3 levels deep; every
+    # contour level of a bisection level, every Newton step and every round
+    # of candidate cuts is one call for all of its rectangles (77 calls
+    # when each rectangle took its own)
+    f, rect = _free_r40(monkeypatch)
+    counted, sizes = _counted(f.eval)
+    assert find_zeros(counted, rect).total_count == 17
+    assert len(sizes) <= 40
+
+
+def test_siblings_share_their_edge_and_corners_within_a_level():
+    # two rectangles that share an edge take their first contour level in
+    # one call of 7 distinct edges' 31 inner nodes and 6 distinct corners
+    f, sizes = _counted(lambda z: z**2 - 0.25)
+    halves = _split(UNIT, 0.5, "x")
+    counted = rootfinder._counts(f, list(halves), rootfinder._Samples())
+    assert [n for n, _, _ in counted] == [1, 1]
+    assert sizes[0] == 7 * 31 + 6
+    # a split files the cut it chose, which both children then read: their
+    # first level samples only their 6 other edges and 4 other corners
+    f, sizes = _counted(lambda z: np.polyval(SIX_ZEROS, z))
+    cache = rootfinder._Samples()
+    [children] = rootfinder._clean_split(f, [UNIT], cache)
+    rounds = len(sizes)
+    assert rounds > 1 and children[0].x_hi != 0.0  # the cut x = 0 was refused
+    counted = rootfinder._counts(f, list(children), cache)
+    assert sum(n for n, _, _ in counted) == 6
+    assert sizes[rounds] == 6 * 31 + 4
+
+
+def test_a_failed_edge_leaves_the_samples_later_edges_share():
+    # the left half's bottom edge, asked for first, holds a zero and fails;
+    # the right half's bottom and left edges share its corner -1i, sampled
+    # once for all of them, and still file and read it: the right half
+    # gets the moments it gets alone, and the left half its retry's count
+    f = AnalyticFunctionHandle(eval=lambda z: (z + 0.5 + 1j) * (z - 0.5 - 0.3j))
+    left, right = _split(UNIT, 0.5, "x")
+    got = rootfinder._contour_moments(f, [left, right], rootfinder._Samples())
+    assert isinstance(got[0], rootfinder.BoundaryZeroError)
+    [alone] = rootfinder._contour_moments(f, [right], rootfinder._Samples())
+    assert got[1][0] == alone[0] == 1
+    assert np.array_equal(got[1][1], alone[1])
+    counted = rootfinder._counts(f, [left, right], rootfinder._Samples())
+    assert [(n, r) for n, _, r in counted][1] == (1, right)
+    assert counted[0][0] == 1 and counted[0][2] != left
+
+
+def test_the_first_error_in_breadth_order_is_raised():
+    # five zeros 2e-4 apart at -0.5, which no level up to max_depth
+    # separates, and a slit on Re z = 0.5, |Im z| <= 0.3, across which f
+    # jumps: the right child, holding the slit, is cut across it, and at
+    # the second level both its children's contours fail, on the rectangle
+    # and on the retry; the search one rectangle at a time reaches the
+    # cluster's error at max_depth first
+    cluster = np.poly([-0.5 + 2e-4 * k for k in range(5)])
+
+    def fn(z):
+        w = -1j * (z - 0.5)
+        return np.polyval(cluster, z) * np.sqrt(w - 0.3) * np.sqrt(w + 0.3)
+
+    f = AnalyticFunctionHandle(eval=fn)
+    with pytest.raises(QuadratureError, match="did not stabilize"):
+        find_zeros(f, UNIT, max_depth=4)
+    with pytest.raises(ClusterUnresolvedError):
+        _depth_first(f, UNIT, max_depth=4)
