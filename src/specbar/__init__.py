@@ -38,7 +38,6 @@ from .sturm import (
     exterior_solution,
     interior_solution,
     limit_eigenvalues,
-    pollution_factor,
     reference_characteristic,
     resonances,
 )
@@ -55,7 +54,6 @@ from .floquet import (
     sp_zeros,
 )
 from .enclosures import (
-    StripParams,
     gamma_a_contains,
     gamma_b_contains,
     l1_lambda_limit,

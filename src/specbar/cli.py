@@ -297,12 +297,11 @@ def _cmd_enclose(args) -> int:
     # the verdicts need the bands to Re lambda + gamma, past the lens's
     # reach gamma/2
     sigma = _bands_up_to(model, lam.real, gamma, args.ode_step)
-    strip = enclosures.StripParams(gamma, args.s_minus, args.s_plus)
     verdict = {
         "lambda": [lam.real, lam.imag],
         "gamma_a": enclosures.gamma_a_contains(lam, sigma, gamma),
-        "gamma_b": enclosures.gamma_b_contains(lam, sigma, strip),
-        "we_strip": enclosures.we_strip_contains(lam, sigma, strip),
+        "gamma_b": enclosures.gamma_b_contains(lam, sigma, gamma),
+        "we_strip": enclosures.we_strip_contains(lam, sigma, gamma),
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(verdict, fh, indent=2, sort_keys=True)
@@ -498,8 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enclose", parents=[shared, barrier],
                        help="enclosure membership of a point")
     p.add_argument("--lambda", type=_parse_complex, required=True, dest="lam")
-    p.add_argument("--s-minus", type=float, default=0.0, dest="s_minus")
-    p.add_argument("--s-plus", type=float, default=1.0, dest="s_plus")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_enclose)
 

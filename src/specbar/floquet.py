@@ -5,7 +5,8 @@ band structure, quasi-periodic solutions, the persistent-pollution zero set
 of either tail, and embedded resonances on the bands.  Every spectral verb,
 whatever the tail, is built from the tail solution here (a plane wave on a
 zero tail, the quasi-periodic solution on a periodic one) and searched by
-the one search here, which excludes the essential spectrum and its shifts.
+the one search here, which alone keeps every search rectangle a standoff
+away from the essential spectrum and its shift.
 
 Real points on an interval are found by one root step: a Chebyshev
 interpolant whose degree doubles from 32 up to 4096 (past which
@@ -37,14 +38,7 @@ from .core import (
     principal_sqrt,
     sheeted_sqrt,
 )
-from .rootfinder import (
-    _NUDGE,
-    AnalyticFunctionHandle,
-    HorizontalSegment,
-    RootSet,
-    _interval_dist,
-    find_zeros,
-)
+from .rootfinder import AnalyticFunctionHandle, RootSet, _nudged, find_zeros
 
 __all__ = [
     "Monodromy",
@@ -456,33 +450,43 @@ def _check_standoff(standoff: float) -> None:
         raise ValueError(f"standoff must be positive and finite, got {standoff}")
 
 
+def _apart(lo: float, hi: float, a: float, b: float) -> float:
+    """Distance between the intervals [lo, hi] and [a, b]; b may be inf."""
+    return max(a - hi, lo - b, 0.0)
+
+
 def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, levels,
                    solutions, pad: float, ode_step: float) -> RootSet:
     """Zeros in rect of f, a function built from tail solutions of the background.
 
-    This is the one search of every spectral verb.  It excludes every band
-    segment of the essential spectrum lifted to each imaginary level (0 or
-    gamma), padded by pad; a periodic tail's bands are found over the
-    real range of rect widened by 1, and only when some level lies within
-    pad plus the nudge of a failed contour's retry (_NUDGE times the longer
-    side) of rect's imaginary range, since no band segment can touch the
-    search otherwise.  It finds the zeros with the defaults
-    of find_zeros.  solutions lists (level, sign, sheet), one for each tail
-    solution f is built from, taken at lam - i level.  On a periodic tail
-    that solution is its cell-start eigenvector propagated, so where the
-    vector vanishes f vanishes whatever the spectrum: such zeros are no
-    spectral points and are dropped.  A zero tail keeps every root.  A pad
-    that is not positive and finite raises ValueError.
+    This is the one search of every spectral verb, and the one place that
+    keeps a search away from the essential spectrum.  Every contour of the
+    search lies in rect nudged outward as a failed contour's retry is
+    (rootfinder._nudged), so the search is refused with DomainError, before
+    f is evaluated, when that nudged rectangle comes within pad of a band
+    segment of the essential spectrum lifted to any imaginary level (0 or
+    gamma).  A periodic tail's bands are found over the real range of rect
+    widened by 1, and only when some level lies within pad of the nudged
+    rectangle's imaginary range, since no band segment can touch the search
+    otherwise.  It finds the zeros with the defaults of find_zeros.
+    solutions lists (level, sign, sheet), one for each tail solution f is
+    built from, taken at lam - i level.  On a periodic tail that solution
+    is its cell-start eigenvector propagated, so where the vector vanishes
+    f vanishes whatever the spectrum: such zeros are no spectral points and
+    are dropped.  A zero tail keeps every root.  A pad that is not positive
+    and finite raises ValueError.
     """
     _check_standoff(pad)
-    reach = pad + _NUDGE * max(rect.width, rect.height)
-    exclusions = ()
-    if any(_interval_dist(rect.y_lo, rect.y_hi, y) <= reach for y in levels):
+    box = _nudged(rect)
+    dys = {y: _apart(box.y_lo, box.y_hi, y, y) for y in levels}
+    if min(dys.values()) <= pad:
         es = essential_spectrum(model, rect.x_lo - 1.0, rect.x_hi + 1.0, ode_step)
-        exclusions = tuple(HorizontalSegment(lo, hi, y, pad)
-                           for y in levels for lo, hi in es.bands)
-    roots = find_zeros(AnalyticFunctionHandle(eval=f, exclusions=exclusions),
-                       rect)
+        for y, dy in dys.items():
+            if any(math.hypot(_apart(box.x_lo, box.x_hi, lo, hi), dy) <= pad
+                   for lo, hi in es.bands):
+                raise DomainError(f"search rectangle {rect} comes within the standoff "
+                                  f"{pad} of the essential spectrum at Im {y}")
+    roots = find_zeros(AnalyticFunctionHandle(eval=f), rect)
     if not isinstance(model.tail, PeriodicTail) or not roots.roots:
         return roots
     lam = np.array(roots.locations)

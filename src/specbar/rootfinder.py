@@ -48,18 +48,16 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DomainError, Rectangle, SpecbarError, _is_scalar
+from .core import Rectangle, SpecbarError, _is_scalar
 
 __all__ = [
     "AnalyticFunctionHandle",
     "Root",
     "RootSet",
-    "ExclusionRegion",
-    "HorizontalSegment",
     "BoundaryZeroError",
     "QuadratureError",
     "ClusterUnresolvedError",
@@ -104,45 +102,9 @@ class ClusterUnresolvedError(SpecbarError):
         self.count = count
 
 
-class ExclusionRegion(Protocol):
-    """A closed region the search must keep away from."""
-
-    def clearance(self, rect: Rectangle) -> float:
-        """Distance from the rectangle to the region (<= 0 means contact)."""
-        ...
-
-
-def _interval_dist(lo: float, hi: float, x: float) -> float:
-    if x < lo:
-        return lo - x
-    if x > hi:
-        return x - hi
-    return 0.0
-
-
-@dataclass(frozen=True)
-class HorizontalSegment:
-    """The segment {x + i*y : x0 <= x <= x1} inflated by pad; x1 may be inf."""
-
-    x0: float
-    x1: float
-    y: float
-    pad: float = 0.0
-
-    def clearance(self, rect: Rectangle) -> float:
-        dy = _interval_dist(rect.y_lo, rect.y_hi, self.y)
-        if rect.x_hi < self.x0:
-            dx = self.x0 - rect.x_hi
-        elif rect.x_lo > self.x1:
-            dx = rect.x_lo - self.x1
-        else:
-            dx = 0.0
-        return math.hypot(dx, dy) - self.pad
-
-
 @dataclass(frozen=True)
 class AnalyticFunctionHandle:
-    """Evaluatable analytic function with optional exclusions.
+    """Evaluatable analytic function.
 
     ``eval`` must accept an ndarray of complex points and return an ndarray
     of values; the contour quadrature reads nothing else.  Newton takes the
@@ -151,7 +113,6 @@ class AnalyticFunctionHandle:
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    exclusions: tuple[ExclusionRegion, ...] = ()
 
     def __call__(self, z):
         scalar = _is_scalar(z)
@@ -165,13 +126,6 @@ class AnalyticFunctionHandle:
         both = self.eval(np.concatenate([arr + h, arr - h]))
         out = (both[:arr.size] - both[arr.size:]) / (2.0 * h)
         return complex(out[0]) if scalar else out
-
-    def check_clearance(self, rect: Rectangle) -> None:
-        for region in self.exclusions:
-            if region.clearance(rect) <= 0.0:
-                raise DomainError(
-                    f"search rectangle {rect} intersects an excluded region of the handle"
-                )
 
 
 @dataclass(frozen=True)
@@ -514,6 +468,14 @@ def _contour_moments(f: AnalyticFunctionHandle, rects: list, cache: _Samples) ->
     return out
 
 
+def _nudged(rect: Rectangle) -> Rectangle:
+    """rect with every side moved outward by _NUDGE of its longer side: the
+    rectangle a failed contour of rect is retried on, and so the largest any
+    contour of a search of rect uses."""
+    d = _NUDGE * max(rect.width, rect.height)
+    return Rectangle(rect.x_lo - d, rect.x_hi + d, rect.y_lo - d, rect.y_hi + d)
+
+
 def _counts(f: AnalyticFunctionHandle, rects: list, cache: _Samples) -> list:
     """Contour count and moments of each rect, retried once on rect nudged outward.
 
@@ -524,7 +486,7 @@ def _counts(f: AnalyticFunctionHandle, rects: list, cache: _Samples) -> list:
     about 2^-20 from the moved one.  The contours of all rects run in
     lockstep, and so do all the retries, in a second pass.  Returns, per
     rect, (count, moments, the rectangle counted), or the error of its
-    retry, or the DomainError of a retry that meets an exclusion.
+    retry.
     """
     out = _contour_moments(f, rects, cache)
     retry = []
@@ -534,14 +496,7 @@ def _counts(f: AnalyticFunctionHandle, rects: list, cache: _Samples) -> list:
             continue
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("nudging %s outward: %s: %s", rect, type(got).__name__, got)
-        d = _NUDGE * max(rect.width, rect.height)
-        nudged = Rectangle(rect.x_lo - d, rect.x_hi + d, rect.y_lo - d, rect.y_hi + d)
-        try:
-            f.check_clearance(nudged)
-        except DomainError as exc:
-            out[i] = exc
-            continue
-        retry.append((i, nudged))
+        retry.append((i, _nudged(rect)))
     again = _contour_moments(f, [r for _, r in retry], cache)
     for (i, nudged), got in zip(retry, again):
         out[i] = got if isinstance(got, SpecbarError) else (*got, nudged)
@@ -560,7 +515,6 @@ def winding_number(f: AnalyticFunctionHandle, rect: Rectangle) -> int:
     levels on each of the two attempts, as does a contour value further
     than 0.25 from an integer.
     """
-    f.check_clearance(rect)
     [got] = _counts(f, [rect], _Samples())
     if isinstance(got, SpecbarError):
         raise got
@@ -742,7 +696,7 @@ def _pencil(count: int, s: np.ndarray):
 
 def _resolve_leaves(f: AnalyticFunctionHandle, leaves: list, cache: _Samples) -> list:
     """The zeros of each counted rectangle (rect, count, s) from its moment
-    pencil (_pencil), or None, or the DomainError of a winding check.
+    pencil (_pencil), or None.
 
     The zeros of all leaves are Newton-polished together, each with its
     multiplicity, its rectangle's longer side as scale and the rectangle
@@ -783,10 +737,6 @@ def _resolve_leaves(f: AnalyticFunctionHandle, leaves: list, cache: _Samples) ->
             out.append(None)
             continue
         boxed = [(r.multiplicity, next(checks)) for r in roots if r.multiplicity > 1]
-        error = next((got for _, got in boxed if isinstance(got, DomainError)), None)
-        if error is not None:
-            out.append(error)
-            continue
         estimates = rect.center + 0.5 * max(rect.width, rect.height) * pencil[0]
         zs = np.array([r.location for r in roots])
         apart = np.abs(zs[:, None] - zs) > 0.5 * np.abs(estimates[:, None] - estimates)
@@ -825,7 +775,6 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
     side: zeros found twice are merged, and zeros farther outside rect than
     1e-12 of its longer side are dropped.
     """
-    f.check_clearance(rect)
     roots: list[Root] = []
     cache = _Samples()
     level = [rect]
@@ -842,8 +791,6 @@ def find_zeros(f: AnalyticFunctionHandle, rect: Rectangle,
         splits = iter(_clean_split(f, unresolved, cache) if depth < max_depth else ())
         level = []
         for (r, count, _), got in zip(leaves, found):
-            if isinstance(got, SpecbarError):
-                raise got
             if _log.isEnabledFor(logging.DEBUG):
                 _log.debug("count %d in %s: %s", count, r, "bisected" if got is None
                            else f"resolved, multiplicities {[z.multiplicity for z in got]}")

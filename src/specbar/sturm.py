@@ -40,7 +40,6 @@ __all__ = [
     "resonances",
     "limit_eigenvalues",
     "reference_characteristic",
-    "pollution_factor",
 ]
 
 
@@ -155,7 +154,8 @@ def _characteristic_zeros(ctx: CharacteristicContext, rect: Rectangle) -> RootSe
     of the interior solution and the exterior normalization, keeping |f|
     of moderate size uniformly over large rectangles without moving any
     zeros; it is analytic wherever the characteristic itself is.  The
-    search excludes the essential spectrum and its shift by i gamma.
+    search (floquet._spectral_zeros) keeps the standoff from the essential
+    spectrum and its shift by i gamma.
     """
     model = ctx.problem.model
     R = ctx.problem.R
@@ -209,7 +209,7 @@ def resonances(ctx: CharacteristicContext, rect: Rectangle) -> RootSet:
 # ---------------------------------------------------------------------------
 
 def _limit_function_arrays(model: PotentialModel, gamma: float, lam,
-                           ode_step: float, standoff: float):
+                           ode_step: float):
     """Boundary form of the decaying solution at the shifted parameter.
 
     Zeros are the eigenvalues of the limit operator (background plus the
@@ -218,8 +218,6 @@ def _limit_function_arrays(model: PotentialModel, gamma: float, lam,
     lam = np.asarray(lam, dtype=complex)
     z = lam - 1j * gamma
     eta = complex(model.eta)
-    if not model.is_periodic:
-        _check_zero_tail_clearance(z, standoff, "shifted spectral parameter")
     val, der, logs = floquet._solution_arrays(model, 0.0, z, "plus",
                                               Sheet.PRINCIPAL, ode_step)
     return (np.cos(eta) * val - np.sin(eta) * der) * np.exp(logs)
@@ -236,7 +234,7 @@ def limit_eigenvalues(model: PotentialModel, gamma: float, rect: Rectangle,
     Dirichlet solution grows, so they are no eigenvalues.
     """
     def f(lam):
-        return _limit_function_arrays(model, gamma, lam, ode_step, standoff)
+        return _limit_function_arrays(model, gamma, lam, ode_step)
 
     return floquet._spectral_zeros(model, f, rect, (gamma,),
                                    ((gamma, "plus", Sheet.PRINCIPAL),),
@@ -275,23 +273,3 @@ def reference_characteristic(example: str, lam, R: float,
         raise ValueError(f"unknown example {example!r}")
     return complex(out) if scalar else out
 
-
-# ---------------------------------------------------------------------------
-# Pollution diagnostics for integrable-tail backgrounds
-# ---------------------------------------------------------------------------
-
-def pollution_factor(model: PotentialModel, gamma: float, R: float, lam):
-    """Cross-Wronskian of the normalized tail solutions at the barrier edge.
-
-    For an integrable (zero-tail) background this converges, as R grows, to
-    -i (sqrt(lam - i gamma) + sqrt(lam)), which never vanishes; its zeros
-    locate persistent pollution (floquet.sp_zeros searches them), so the
-    limit being bounded away from zero certifies an empty pollution set
-    away from the essential spectrum.  Sinusoidal pieces beyond R are
-    integrated at the default step 1e-3.
-    """
-    if isinstance(model.tail, PeriodicTail):
-        raise DomainError("pollution_factor applies to zero-tail models")
-    scalar = _is_scalar(lam)
-    out = floquet._cross_wronskian(model, gamma, R, lam, 1e-3)
-    return complex(out) if scalar else out

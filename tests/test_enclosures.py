@@ -5,7 +5,6 @@ import pytest
 
 from specbar.core import principal_sqrt
 from specbar.enclosures import (
-    StripParams,
     gamma_a_contains,
     gamma_b_contains,
     l1_lambda_limit,
@@ -14,7 +13,7 @@ from specbar.enclosures import (
 from specbar.floquet import BandStructure
 
 HALF_LINE = BandStructure(((0.0, math.inf),))
-STRIP = StripParams(gamma=1.0)
+STRIP = 1.0
 
 
 def test_gamma_a_examples():
@@ -73,12 +72,11 @@ def test_band_gap_membership():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        StripParams(gamma=-1.0)
-    with pytest.raises(ValueError):
-        StripParams(gamma=1.0, s_minus=2.0, s_plus=1.0)
-    with pytest.raises(ValueError):
-        gamma_a_contains(0.5j, HALF_LINE, 0.0)
+    # every barrier is gamma times a projection, gamma > 0
+    for contains in (gamma_a_contains, gamma_b_contains, we_strip_contains):
+        for gamma in (0.0, -1.0):
+            with pytest.raises(ValueError, match="gamma must be positive"):
+                contains(0.5j, HALF_LINE, gamma)
 
 
 def test_l1_limit_value():

@@ -7,7 +7,7 @@ import pytest
 from scipy import linalg
 from scipy.optimize import linear_sum_assignment
 
-from specbar.core import BarrierProblem, PotentialModel, SinExpr, PeriodicTail
+from specbar.core import BarrierProblem, PotentialModel, Rectangle, SinExpr, PeriodicTail
 from specbar import fdtrunc
 from specbar.fdtrunc import (
     SolverError,
@@ -17,6 +17,7 @@ from specbar.fdtrunc import (
     eigenvalues_dense,
 )
 from specbar.floquet import BandStructure
+from specbar.sturm import CharacteristicContext, eigenvalues
 
 
 def _free_operator(n: int, h: float) -> TridiagonalOperator:
@@ -379,3 +380,21 @@ def test_classify_validation():
     for tol_band in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             classify_spectrum([], BandStructure(((0.0, 1.0),)), 0.5, tol_band=tol_band)
+
+
+def test_truncation_gap_eigenvalue_converges_to_the_contour_one_at_second_order():
+    # -sin tail, barrier width 8 pi, truncated at X = R + 100: the one
+    # truncation eigenvalue in the window over the gap of the shifted
+    # essential spectrum approaches the contour eigenvalue like h^2
+    model = PotentialModel(tail=PeriodicTail(period=2 * math.pi, start=0.0,
+                                             expr=SinExpr(1.0, 1.0, math.pi)))
+    p = BarrierProblem(model, 1.0, 8 * math.pi)
+    [want] = eigenvalues(CharacteristicContext(p, ode_step=1e-2),
+                         Rectangle(-0.3, -0.05, 0.7, 1.3)).locations
+    dist = []
+    for h in (0.05, 0.025):
+        eigs = eigenvalues_dense(build_matrix(p, p.R + 100.0, h))
+        [got] = [z for z in eigs if -0.3 < z.real < -0.05 and 0.7 < z.imag < 1.3]
+        dist.append(abs(got - want))
+    assert dist[0] < 1e-4 and dist[1] < 2.5e-5
+    assert abs(dist[0] / dist[1] - 4.0) < 0.1

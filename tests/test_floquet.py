@@ -7,7 +7,7 @@ from numpy.polynomial import Chebyshev
 from scipy.optimize import brentq
 from scipy.special import mathieu_a, mathieu_b
 
-from specbar import floquet
+from specbar import floquet, rootfinder
 from specbar.core import (
     BarrierProblem,
     ConstExpr,
@@ -483,17 +483,37 @@ def _gap_search(sin_model, rect, monkeypatch):
 def test_search_far_from_every_band_level_computes_no_bands(sin_model, monkeypatch):
     # Im 0.5 .. 0.99 lies 0.01 below the level gamma = 1, farther than the
     # standoff 1e-3 plus the retry's nudge, so no band segment of either
-    # level can touch the search: no bands are computed, and the roots are
-    # those of the same search with the band exclusions built, which a
-    # nudge wide enough to reach level 1 forces
+    # level can touch the search: no bands are computed.  A nudge wide
+    # enough to reach level 1 brings the band (-0.3785, -0.3477) lifted
+    # there inside the largest rectangle a contour could use, and the
+    # search is refused once its bands are computed
     rect = Rectangle(-0.37, -0.2, 0.5, 0.99)
     out, calls = _gap_search(sin_model, rect, monkeypatch)
     assert calls == []
     assert out.total_count == 1
-    monkeypatch.setattr(floquet, "_NUDGE", 1.0)
-    want, calls = _gap_search(sin_model, rect, monkeypatch)
-    assert len(calls) == 1
-    assert out == want
+    monkeypatch.setattr(rootfinder, "_NUDGE", 1.0)
+    with pytest.raises(DomainError, match="within the standoff"):
+        _gap_search(sin_model, rect, monkeypatch)
+
+
+@pytest.mark.parametrize("model_name, R, ode_step, rect", [
+    # the ray [0, inf) lies 1e-3 + 1e-7 below this rectangle
+    ("free_model", 10.0, 1e-3, Rectangle(0.1, 1.1, 1e-3 + 1e-7, 0.5)),
+    # the band (-0.3785, -0.3477) lifted to Im = 1 lies 1e-3 + 2e-7 above it
+    ("sin_model", 4 * math.pi, 1e-2, Rectangle(-0.37, -0.2, 0.5, 1.0 - 1e-3 - 2e-7)),
+], ids=["zero", "periodic"])
+def test_search_whose_retry_would_meet_the_standoff_is_refused(
+        request, monkeypatch, model_name, R, ode_step, rect):
+    # the rectangle clears the standoff 1e-3, but its copy nudged outward
+    # by 2^-20 of its longer side, where a failed contour would be retried,
+    # does not: the search is refused before the function is evaluated
+    searched = []
+    monkeypatch.setattr(floquet, "find_zeros", lambda f, r: searched.append(r))
+    ctx = CharacteristicContext(BarrierProblem(request.getfixturevalue(model_name), 1.0, R),
+                                ode_step=ode_step)
+    with pytest.raises(DomainError, match="within the standoff"):
+        eigenvalues(ctx, rect)
+    assert searched == []
 
 
 def test_search_within_the_standoff_of_a_band_is_refused(sin_model, monkeypatch):

@@ -171,8 +171,7 @@ def test_characteristic_propagation_count(sin_model, monkeypatch):
 
 def test_limit_function_propagation_count(sin_model, monkeypatch):
     calls = _count_calls(monkeypatch, _ode, "propagate")
-    sturm._limit_function_arrays(sin_model, 1.0, np.array([0.1 + 1.1j]),
-                                 1e-2, 1e-3)
+    sturm._limit_function_arrays(sin_model, 1.0, np.array([0.1 + 1.1j]), 1e-2)
     # the tail starts at 0: one monodromy and nothing to propagate
     assert len(calls) == 1
 

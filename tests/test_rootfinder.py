@@ -10,7 +10,6 @@ from specbar import floquet, rootfinder
 from specbar.core import (
     BarrierProblem,
     ConstExpr,
-    DomainError,
     PeriodicTail,
     Piece,
     PotentialModel,
@@ -20,7 +19,6 @@ from specbar.core import (
 from specbar.rootfinder import (
     AnalyticFunctionHandle,
     ClusterUnresolvedError,
-    HorizontalSegment,
     QuadratureError,
     find_zeros,
     winding_number,
@@ -503,7 +501,7 @@ def test_free_search_repeats_few_points(monkeypatch):
         def g(z):
             points.extend(z.tolist())
             return f.eval(z)
-        return find_zeros(AnalyticFunctionHandle(eval=g, exclusions=f.exclusions),
+        return find_zeros(AnalyticFunctionHandle(eval=g),
                           rect, *args, **kwargs)
 
     monkeypatch.setattr(floquet, "find_zeros", counted_find_zeros)
@@ -574,7 +572,7 @@ def test_periodic_gap_jump_raises_within_the_point_bound(monkeypatch):
         def g(z):
             sizes.append(z.size)
             return f.eval(z)
-        return find_zeros(AnalyticFunctionHandle(eval=g, exclusions=f.exclusions),
+        return find_zeros(AnalyticFunctionHandle(eval=g),
                           rect, *args, **kwargs)
 
     monkeypatch.setattr(floquet, "find_zeros", counted_find_zeros)
@@ -606,17 +604,6 @@ def test_cluster_unresolved_at_max_depth():
         find_zeros(f, UNIT, max_depth=3)
     assert exc.value.count == 5
     assert isinstance(exc.value.rect, Rectangle)
-
-
-def test_exclusion_regions_block_search():
-    f = AnalyticFunctionHandle(
-        eval=lambda z: z - 0.5,
-        exclusions=(HorizontalSegment(0.0, math.inf, 0.0, 1e-3),),
-    )
-    with pytest.raises(DomainError):
-        winding_number(f, Rectangle(-1.0, 1.0, -0.5, 0.5))
-    # a rectangle clear of the excluded ray works
-    assert winding_number(f, Rectangle(-1.0, 1.0, 0.1, 0.5)) == 0
 
 
 @pytest.mark.parametrize("on, outward", [

@@ -26,7 +26,6 @@ from specbar.sturm import (
     exterior_solution,
     interior_solution,
     limit_eigenvalues,
-    pollution_factor,
     reference_characteristic,
     resonances,
 )
@@ -333,6 +332,46 @@ def test_limit_eigenvalues_sin_gap(phase):
         assert abs(out.locations[0] - (-0.18339005 + 1j)) < 1e-7
 
 
+MINUS_SIN = PotentialModel(tail=PeriodicTail(period=2 * math.pi, start=0.0,
+                                             expr=SinExpr(1.0, 1.0, math.pi)))
+
+
+def test_gap_eigenvalues_converge_at_the_inclusion_rate():
+    # On the -sin tail the barrier eigenvalue near the limit eigenvalue
+    # -0.18339 + i, in the gap of the shifted essential spectrum, converges
+    # at R = 2 pi n by the factor 1/|rho_plus(lam* - i gamma)|^2 per period
+    [lim] = limit_eigenvalues(MINUS_SIN, 1.0, Rectangle(-0.3, 0.55, 0.8, 1.2),
+                              ode_step=1e-2).locations
+    rate = 1.0 / abs(floquet.floquet_data(MINUS_SIN, lim - 1j, ode_step=1e-2).rho_plus) ** 2
+    errs = []
+    for n in (2, 3, 4, 5):
+        out = eigenvalues(_ctx(MINUS_SIN, 1.0, 2 * math.pi * n, ode_step=1e-2),
+                          Rectangle(-0.3, -0.05, 0.7, 1.3))
+        assert out.total_count == 1
+        errs.append(abs(out.locations[0] - lim))
+    assert abs(rate - 198.568) < 1e-3
+    for a, b in zip(errs, errs[1:]):
+        assert abs(a / b / rate - 1.0) < 0.01
+
+
+def test_gap_eigenvalues_converge_to_the_pollution_points_at_their_rate():
+    # At R = 1 + 2 pi n the barrier eigenvalue converges to the zero of the
+    # cross-Wronskian at x0 = 1 (sp_zeros), a spectral pollution point, by
+    # the factor 1/|rho_plus(lam_sp - i gamma)|^2 per period
+    rect = Rectangle(-0.33, 0.57, 0.05, 0.6)
+    [sp] = floquet.sp_zeros(MINUS_SIN, 1.0, 1.0, rect, ode_step=1e-2).locations
+    rate = 1.0 / abs(floquet.floquet_data(MINUS_SIN, sp - 1j, ode_step=1e-2).rho_plus) ** 2
+    errs = []
+    for n in (1, 2, 3):
+        out = eigenvalues(_ctx(MINUS_SIN, 1.0, 1.0 + 2 * math.pi * n, ode_step=1e-2), rect)
+        assert out.total_count == 1
+        errs.append(abs(out.locations[0] - sp))
+    assert abs(sp - (-0.25437061 + 0.22997411j)) < 1e-8
+    assert abs(rate - 11714.0) < 1.0
+    for a, b in zip(errs, errs[1:]):
+        assert abs(a / b / rate - 1.0) < 0.01
+
+
 def test_eigenvalues_drop_null_cell_vector_zero(sin_model):
     # Dirichlet point -0.18339 of the +sin cell, where the Dirichlet
     # solution grows: the cell-start eigenvector of the exterior solution
@@ -471,10 +510,12 @@ def test_reference_argument_validation():
 # ---------------------------------------------------------------------------
 
 def test_pollution_factor_matches_limit(stacked_model):
+    # the cross-Wronskian sp_zeros searches, its carriers divided out,
+    # tends on a zero tail to -i (sqrt(lam - i gamma) + sqrt(lam))
     from specbar.enclosures import l1_lambda_limit
     for R in (50.0, 1500.0):
         for lam in (-1.0 + 0.0j, -2.5 + 1.3j, 3.0 - 2.0j):
-            v = pollution_factor(stacked_model, 1.0, R, lam)
+            v = floquet._cross_wronskian(stacked_model, 1.0, R, lam, 1e-3)
             assert abs(v - l1_lambda_limit(lam, 1.0)) < 1e-3
 
 
