@@ -39,12 +39,10 @@ __all__ = ["run", "main"]
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected re or re,im, got {text!r}")
+    parts = [float(p) for p in text.split(",")]
+    if len(parts) > 2 or not all(map(math.isfinite, parts)):
+        raise argparse.ArgumentTypeError(f"expected finite re or re,im, got {text!r}")
+    return complex(*parts)
 
 
 def _parse_gamma(text: str) -> float:
@@ -52,9 +50,9 @@ def _parse_gamma(text: str) -> float:
         gamma = float(text)
     except ValueError:
         gamma = math.nan
-    if not gamma > 0:
+    if not 0 < gamma < math.inf:
         raise argparse.ArgumentTypeError(
-            f"expected a real barrier strength gamma > 0, got {text!r}"
+            f"expected a real finite barrier strength gamma > 0, got {text!r}"
         )
     return gamma
 
@@ -212,6 +210,11 @@ def _auto_eigen_target(model, gamma, rect, ode_step, standoff):
 
 
 def _cmd_converge(args) -> int:
+    # usage errors, refused before any search
+    if args.mode == "essential" and args.mu is None:
+        args.parser.error("--mode essential requires --mu")
+    if args.skip_initial < 0:
+        args.parser.error(f"--skip-initial {args.skip_initial} must be >= 0")
     model = load_model(args.model)
     gamma = args.gamma
     grid = args.R
@@ -227,8 +230,6 @@ def _cmd_converge(args) -> int:
                              y_lo, target.imag + 1.0)
         kind = "exponential"
     else:
-        if args.mu is None:
-            raise SpecbarError("--mode essential requires --mu")
         target = complex(args.mu, gamma)
         rect = args.rect
         if rect is None:
@@ -253,10 +254,10 @@ def _cmd_converge(args) -> int:
 
 
 def _bands_up_to(model, x, reach, ode_step):
-    """The essential spectrum from the tail potential's minimum q_min, below
-    which no band lies, to max(x, q_min) + reach (q_min = 0 on a zero tail)."""
-    lo = floquet._tail_minimum(model) if model.is_periodic else 0.0
-    return floquet.essential_spectrum(model, lo, max(x, lo) + reach, ode_step)
+    """The essential spectrum up to x + reach: only the upper end is chosen,
+    since floquet.bands answers a range from -inf and none lies below the
+    tail potential's minimum."""
+    return floquet.essential_spectrum(model, -math.inf, x + reach, ode_step)
 
 
 def _write_fd(model, gamma, widths, x_offset, h, tol_band, ode_step, out):
@@ -482,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standoff", type=float, default=1e-3)
     p.add_argument("--out", required=True, help="JSON summary path")
     p.add_argument("--csv", default=None, help="per-width record CSV path")
-    p.set_defaults(fn=_cmd_converge)
+    p.set_defaults(fn=_cmd_converge, parser=p)
 
     p = sub.add_parser("fd", parents=[shared, barrier],
                        help="finite-difference truncation spectra")
@@ -516,10 +517,10 @@ def run(argv: list[str]) -> int:
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
+        # a verb may refuse a combination of its options by args.parser.error
+        return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
     except (SpecbarError, ValueError, OSError) as exc:
         print(f"specbar: error: {exc}", file=sys.stderr)
         return 1

@@ -294,7 +294,10 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class BarrierProblem:
-    """A potential model with dissipative barrier i*gamma, gamma > 0, on [0, R]."""
+    """A potential model with dissipative barrier i*gamma on [0, R].
+
+    gamma and R must be positive and finite, or ValueError is raised.
+    """
 
     model: PotentialModel
     gamma: float
@@ -302,10 +305,11 @@ class BarrierProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", float(self.gamma))
-        if not self.gamma > 0:
-            raise ValueError("barrier strength gamma must be positive")
-        if self.R <= 0:
-            raise ValueError("barrier width R must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"barrier strength gamma must be positive and finite, "
+                             f"got {self.gamma}")
+        if not 0 < self.R < math.inf:
+            raise ValueError(f"barrier width R must be positive and finite, got {self.R}")
 
 
 # ---------------------------------------------------------------------------

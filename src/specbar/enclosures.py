@@ -6,7 +6,9 @@ sqrt(Im(lam) (gamma - Im(lam))), the essential spectrum times [0, gamma],
 and the convex-hull strip.  Every barrier here is gamma times a projection,
 whose numerical range is [0, 1].  The essential spectrum is a BandStructure
 (floquet.essential_spectrum); its convex hull is [start of the first band,
-inf), since every background is unbounded above.  A closed-form limit certifies the absence of persistent
+inf), since every background is unbounded above.  Each predicate reads the
+distance to it from BandStructure.distance, so a point with a NaN part lies
+in none.  A closed-form limit certifies the absence of persistent
 pollution for integrable-tail backgrounds.
 """
 
@@ -26,8 +28,9 @@ __all__ = [
 
 
 def _check_gamma(gamma: float) -> None:
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    # NaN fails the comparison too, where gamma <= 0 would let it pass
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
 
 
 def gamma_a_contains(lam: complex, sigma_e: BandStructure,

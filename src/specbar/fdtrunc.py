@@ -402,19 +402,14 @@ def classify_spectrum(eigs, bands: BandStructure, gamma: float,
     Near-real values over a band are truncation artifacts; values near the
     barrier-shifted bands approximate the essential spectrum of the
     perturbed operator; everything else is a discrete-eigenvalue candidate.
+    Near is closer than tol_band: Re lambda to the bands (one array call of
+    BandStructure.distance), Im lambda to 0 or gamma.
     """
     if not 0 < tol_band < math.inf:
         raise ValueError(f"tol_band = {tol_band} must be positive and finite")
-    pollution: list[complex] = []
-    essential: list[complex] = []
-    rest: list[complex] = []
-    for lam in eigs:
-        lam = complex(lam)
-        near_band = bands.distance(lam.real) < tol_band
-        if near_band and abs(lam.imag) < tol_band:
-            pollution.append(lam)
-        elif near_band and abs(lam.imag - gamma) < tol_band:
-            essential.append(lam)
-        else:
-            rest.append(lam)
-    return ClassifiedSpectrum(pollution, essential, rest)
+    lam = np.asarray(eigs, dtype=complex)
+    near_band = bands.distance(lam.real) < tol_band
+    pollution = near_band & (np.abs(lam.imag) < tol_band)
+    essential = near_band & ~pollution & (np.abs(lam.imag - gamma) < tol_band)
+    return ClassifiedSpectrum(lam[pollution].tolist(), lam[essential].tolist(),
+                              lam[~(pollution | essential)].tolist())

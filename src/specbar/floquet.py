@@ -119,7 +119,8 @@ class BandStructure:
     """Sorted disjoint real intervals: the bands where |D| <= 2, or [0, inf).
 
     It is the essential spectrum of a background (essential_spectrum); the
-    last interval may be unbounded.
+    last interval may be unbounded.  distance is the one measure of how far
+    a point or an interval lies from it.
     """
 
     bands: tuple[tuple[float, float], ...]
@@ -128,19 +129,17 @@ class BandStructure:
     def band_ends(self) -> tuple[float, ...]:
         return tuple(e for band in self.bands for e in band)
 
-    def distance(self, x: float) -> float:
-        best = math.inf
-        for lo, hi in self.bands:
-            if x < lo:
-                best = min(best, lo - x)
-            elif x > hi:
-                best = min(best, x - hi)
-            else:
-                return 0.0
-        return best
+    def distance(self, a, b=None):
+        """Distance of the interval [a, b] ([a, a] if b is None) to the bands.
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.distance(x) <= tol
+        It is the minimum over the bands [lo, hi] of max(lo - b, a - hi, 0),
+        elementwise over arrays a and b: 0 on a band, NaN where a or b is
+        NaN, and inf when there are no bands.
+        """
+        a = np.asarray(a, dtype=float)[..., None]
+        b = a if b is None else np.asarray(b, dtype=float)[..., None]
+        lo, hi = np.reshape(self.bands, (-1, 2)).T
+        return np.maximum(np.maximum(lo - b, a - hi), 0.0).min(axis=-1, initial=math.inf)
 
 
 def _require_periodic(model: PotentialModel) -> PeriodicTail:
@@ -303,9 +302,12 @@ def bands(model: PotentialModel, z_min: float, z_max: float,
           ode_step: float = 1e-3) -> BandStructure:
     """Real intervals of [z_min, z_max] where |D| <= 2, ends polished to rounding.
 
-    D is interpolated from max(z_min, q_min) up: no band lies below the tail
-    potential's minimum q_min, and there D grows like exp(T sqrt(q_min - z)),
-    which would swamp the interpolant's accuracy near the bands.  D is
+    Any range with a finite z_max is answered, z_min = -inf included; any
+    other raises ValueError.  No band lies below the
+    tail potential's minimum q_min, so a range wholly below it holds none
+    and D is not sampled; otherwise D is interpolated from max(z_min, q_min)
+    up, since below q_min D grows like exp(T sqrt(q_min - z)), which would
+    swamp the interpolant's accuracy near the bands.  D is
     entire, so its Chebyshev interpolant p converges geometrically.  A range
     whose interpolant is unresolved at degree 4096 is halved, down to pieces
     1/16 as wide; an unresolved piece of that width raises
@@ -318,11 +320,13 @@ def bands(model: PotentialModel, z_min: float, z_max: float,
     reaching the range boundary are clipped there.
     """
     _require_periodic(model)
-    if not z_min < z_max:
-        raise ValueError("need z_min < z_max")
+    # D cannot be interpolated on an unbounded range: z_max must be finite
+    if not z_min < z_max < math.inf:
+        raise ValueError(f"need z_min < z_max < inf, got [{z_min}, {z_max}]")
     q_min = _tail_minimum(model)
-    # a range wholly below q_min holds no band and is searched as given
-    lo = max(z_min, q_min) if q_min < z_max else z_min
+    if not q_min < z_max:
+        return BandStructure(())
+    lo = max(z_min, q_min)
 
     def D(z):
         return _discriminant_real(model, z, ode_step)
@@ -351,7 +355,7 @@ def essential_spectrum(model: PotentialModel, lo: float, hi: float,
     """Essential spectrum of the background: [0, inf) or the bands in [lo, hi].
 
     A zero tail gives [0, inf) whatever the range; a periodic tail gives
-    its bands in [lo, hi], clipped there.
+    its bands in [lo, hi], clipped there; lo may be -inf, as in bands.
     """
     if not isinstance(model.tail, PeriodicTail):
         return BandStructure(((0.0, math.inf),))
@@ -450,11 +454,6 @@ def _check_standoff(standoff: float) -> None:
         raise ValueError(f"standoff must be positive and finite, got {standoff}")
 
 
-def _apart(lo: float, hi: float, a: float, b: float) -> float:
-    """Distance between the intervals [lo, hi] and [a, b]; b may be inf."""
-    return max(a - hi, lo - b, 0.0)
-
-
 def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, levels,
                    solutions, pad: float, ode_step: float) -> RootSet:
     """Zeros in rect of f, a function built from tail solutions of the background.
@@ -478,12 +477,12 @@ def _spectral_zeros(model: PotentialModel, f, rect: Rectangle, levels,
     """
     _check_standoff(pad)
     box = _nudged(rect)
-    dys = {y: _apart(box.y_lo, box.y_hi, y, y) for y in levels}
+    dys = {y: max(y - box.y_hi, box.y_lo - y, 0.0) for y in levels}
     if min(dys.values()) <= pad:
         es = essential_spectrum(model, rect.x_lo - 1.0, rect.x_hi + 1.0, ode_step)
+        dx = es.distance(box.x_lo, box.x_hi)
         for y, dy in dys.items():
-            if any(math.hypot(_apart(box.x_lo, box.x_hi, lo, hi), dy) <= pad
-                   for lo, hi in es.bands):
+            if math.hypot(dx, dy) <= pad:
                 raise DomainError(f"search rectangle {rect} comes within the standoff "
                                   f"{pad} of the essential spectrum at Im {y}")
     roots = find_zeros(AnalyticFunctionHandle(eval=f), rect)

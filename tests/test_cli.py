@@ -179,10 +179,11 @@ def test_enclose_verb(model_paths, tmp_path):
 
 
 def test_enclose_rejects_a_non_dissipative_coupling(model_paths, tmp_path, capsys):
-    # --gamma is the real barrier strength gamma > 0: the old complex
-    # coupling form 0,1 and a gamma <= 0 are usage errors
+    # --gamma is the real barrier strength 0 < gamma < inf: the old complex
+    # coupling form 0,1, a gamma <= 0 and a gamma that is not finite are
+    # usage errors
     out = tmp_path / "enc.json"
-    for gamma in ("0,1", "0", "-1"):
+    for gamma in ("0,1", "0", "-1", "inf", "nan"):
         code = run([
             "enclose", "--model", str(model_paths / "free.json"),
             "--gamma", gamma, "--lambda", "0.5,0.5", "--out", str(out),
@@ -213,6 +214,16 @@ def test_exit_code_on_usage_error(model_paths):
     # band ends are polished to rounding: bands has no --tol
     assert run(["bands", "--model", str(model_paths / "sin.json"),
                 "--range", "-1,0", "--tol", "1e-10", "--out", "x.csv"]) == 2
+    # a complex number with a part that is not finite: enclose wrote a bare
+    # NaN and called a NaN point inside two enclosures
+    free = str(model_paths / "free.json")
+    for lam in ("nan,0.5", "0.5,inf", "inf"):
+        assert run(["enclose", "--model", free, "--lambda", lam, "--out", "x.json"]) == 2
+    # converge refuses a missing --mu and a negative --skip-initial before
+    # any search: a negative count failed only after the whole sweep
+    conv = ["converge", "--model", free, "--R", "20:10:60", "--out", "x.json"]
+    assert run([*conv, "--mode", "essential"]) == 2
+    assert run([*conv, "--mode", "eigenvalue", "--skip-initial", "-1"]) == 2
 
 
 def test_exit_code_on_computation_error(model_paths, tmp_path):
@@ -228,6 +239,8 @@ def test_exit_code_on_computation_error(model_paths, tmp_path):
     for argv in (
         ["bands", "--model", sin, "--range", "-1,3", "--ode-step", "0"],
         ["bands", "--model", sin, "--range", "-1,3", "--ode-step", "nan"],
+        # bands answers a range from -inf, but its upper end must be finite
+        ["bands", "--model", sin, "--range", "-1,inf"],
         ["limit", "--model", sin, "--gamma", "1", "--rect", "0.05,0.55,0.3,1.2",
          "--ode-step", "0"],
         ["enclose", "--model", sin, "--gamma", "1", "--lambda", "0.1,0.5",
@@ -251,6 +264,12 @@ def test_exit_code_on_computation_error(model_paths, tmp_path):
           for s in ("-1", "nan", "inf")),
         *(["limit", "--model", stacked, "--rect", "0.05,6,-0.5,1.95", "--standoff", s]
           for s in ("-1", "nan")),
+        # a barrier width that is not finite overflowed the propagator, or on
+        # a periodic tail walked cells without end; NaN passed R <= 0
+        *(["spectrum", "--model", m, "--R", R, "--rect", rect, "--ode-step", "1e-2"]
+          for m, rect in ((free, "0.1,6,0.05,0.95"), (str(model_paths / "sin.json"),
+                                                      "-0.37,-0.2,0.5,0.99"))
+          for R in ("inf", "nan")),
     ):
         assert run([*argv, "--out", str(tmp_path / "x.out")]) == 1, argv
     # so is a malformed model file

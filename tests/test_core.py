@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specbar.core import (
+    BarrierProblem,
     ConstExpr,
     DomainError,
     PeriodicTail,
@@ -115,6 +116,18 @@ def test_model_validation():
             pieces=(Piece(0.0, 2.0, ConstExpr(0.0)),),
             tail=PeriodicTail(period=1.0, start=1.0, expr=ConstExpr(0.0)),
         )  # tail starts inside the pieces
+
+
+def test_barrier_problem_validation():
+    # an infinite gamma or R overflowed the propagator, and an infinite R on
+    # a periodic tail walked cells without end; NaN passed checks of <= 0
+    model = PotentialModel()
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            BarrierProblem(model, bad, 10.0)
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            BarrierProblem(model, 1.0, bad)
+    assert BarrierProblem(model, 2, 10.0).gamma == 2.0
 
 
 def test_rectangle_helpers():

@@ -20,6 +20,9 @@ def test_gamma_a_examples():
     assert gamma_a_contains(0.5 + 0.5j, HALF_LINE, 1.0)
     assert not gamma_a_contains(-0.1 + 0.0j, HALF_LINE, 1.0)
     assert not gamma_a_contains(0.5 + 2.0j, HALF_LINE, 1.0)
+    # a NaN real part is at no distance from the spectrum: in no enclosure
+    for contains in (gamma_a_contains, gamma_b_contains, we_strip_contains):
+        assert not contains(complex(math.nan, 0.5), HALF_LINE, 1.0)
 
 
 def test_gamma_a_boundary_exactness():
@@ -72,9 +75,10 @@ def test_band_gap_membership():
 
 
 def test_validation():
-    # every barrier is gamma times a projection, gamma > 0
+    # every barrier is gamma times a projection, 0 < gamma < inf; NaN
+    # passed a check of gamma <= 0
     for contains in (gamma_a_contains, gamma_b_contains, we_strip_contains):
-        for gamma in (0.0, -1.0):
+        for gamma in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="gamma must be positive"):
                 contains(0.5j, HALF_LINE, gamma)
 

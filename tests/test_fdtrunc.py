@@ -375,6 +375,53 @@ def test_classify_partition_property():
         sorted(eigs, key=lambda z: (z.real, z.imag))
 
 
+def _classify_one_at_a_time(eigs, bands, gamma, tol_band):
+    """The per-eigenvalue rule classify_spectrum used to loop over."""
+    def distance(x):
+        best = math.inf
+        for lo, hi in bands.bands:
+            if x < lo:
+                best = min(best, lo - x)
+            elif x > hi:
+                best = min(best, x - hi)
+            else:
+                return 0.0
+        return best
+
+    out = ([], [], [])
+    for lam in map(complex, eigs):
+        near_band = distance(lam.real) < tol_band
+        if near_band and abs(lam.imag) < tol_band:
+            out[0].append(lam)
+        elif near_band and abs(lam.imag - gamma) < tol_band:
+            out[1].append(lam)
+        else:
+            out[2].append(lam)
+    return out
+
+
+def test_classify_spectrum_is_the_per_eigenvalue_rule():
+    # points on the tol_band edges: Re exactly tol_band from a band end, Im
+    # exactly tol_band from 0 or gamma, on both sides, plus random points
+    bands = BandStructure(((0.0, 1.0), (2.0, 3.5)))
+    gamma, tol = 0.5, 0.125
+    edges_re = [-0.125, -0.0625, 0.0, 1.0, 1.125, 1.0625, 1.875, 1.9375, 3.625, 3.5]
+    edges_im = [-0.125, -0.0625, 0.0, 0.125, 0.0625, 0.375, 0.4375, 0.5, 0.625, 0.5625]
+    rng = np.random.default_rng(8)
+    eigs = ([complex(x, y) for x in edges_re for y in edges_im]
+            + list(rng.uniform(-1, 4, 300) + 1j * rng.uniform(-0.2, 0.7, 300)))
+    out = classify_spectrum(eigs, bands, gamma, tol_band=tol)
+    want = _classify_one_at_a_time(eigs, bands, gamma, tol)
+    assert (out.pollution_real, out.essential_approx, out.discrete_candidates) == want
+    assert all(type(z) is complex for z in out.discrete_candidates)
+    # the edges themselves fall outside: the rule is a strict < tol_band
+    assert complex(-0.125, 0.0) in out.discrete_candidates
+    assert complex(0.0, 0.125) in out.discrete_candidates
+    assert complex(-0.0625, -0.0625) in out.pollution_real
+    assert complex(1.0625, 0.4375) in out.essential_approx
+    assert classify_spectrum([], bands, gamma).total == 0
+
+
 def test_classify_validation():
     # NaN passed a check of tol_band <= 0, and inf made every eigenvalue pollution
     for tol_band in (0.0, -1.0, math.nan, math.inf):

@@ -156,12 +156,23 @@ def test_bands_find_the_narrow_gaps(sin_model):
     assert np.max(np.abs(np.subtract(bs.band_ends, want))) < 1e-6
 
 
-def test_bands_ignore_the_range_below_the_tail_minimum(sin_model):
+def test_bands_ignore_the_range_below_the_tail_minimum(sin_model, monkeypatch):
     # no band lies below min q = -1, where D grows like exp(2 pi sqrt(-z));
     # interpolating D down to -20 would bury the ~1e-12 high 9.0143 gap
     bs = bands(sin_model, -20.0, 10.0)
     assert len(bs.bands) == 7
-    assert bs == bands(sin_model, -1.0, 10.0)
+    assert bs == bands(sin_model, -1.0, 10.0) == bands(sin_model, -math.inf, 10.0)
+    # a range wholly below -1 holds no band, and D is never sampled there
+    sampled = []
+    monkeypatch.setattr(floquet, "_discriminant_real",
+                        lambda *args: sampled.append(args))
+    assert bands(sin_model, -5.0, -1.5) == BandStructure(())
+    assert bands(sin_model, -math.inf, -1.0) == BandStructure(())
+    assert sampled == []
+    # the upper end must be finite: an infinite one ran every degree on NaN
+    for z_min, z_max in ((-1.0, math.inf), (-1.0, math.nan), (math.nan, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="need z_min < z_max < inf"):
+            bands(sin_model, z_min, z_max)
 
 
 def test_bands_find_ends_the_interpolant_pushes_off_the_axis(sin_model, monkeypatch):
@@ -192,7 +203,28 @@ def test_band_structure_distance():
     assert bs.distance(0.5) == 0.0
     assert bs.distance(1.5) == 0.5
     assert bs.distance(-1.0) == 1.0
-    assert bs.contains(2.9)
+    assert bs.distance(2.9) == 0.0
+    # an array gives the scalar rule elementwise
+    x = np.array([[-1.0, 0.5, 1.25], [1.5, 2.9, 7.0]])
+    assert np.array_equal(bs.distance(x), np.vectorize(bs.distance)(x))
+    assert np.array_equal(bs.distance(x), [[1.0, 0.0, 0.25], [0.5, 0.0, 4.0]])
+    # an interval [a, b] gives the minimum over bands of max(lo - b, a - hi, 0)
+    assert bs.distance(1.5, 1.875) == 0.125
+    assert bs.distance(-3.0, -0.5) == 0.5
+    assert bs.distance(0.5, 2.5) == 0.0
+    assert bs.distance(3.5, math.inf) == 0.5
+    assert np.array_equal(bs.distance([1.5, -3.0, 3.5], [1.875, -0.5, math.inf]),
+                          [0.125, 0.5, 0.5])
+    # an unbounded band: the half-line of a zero tail
+    half = BandStructure(((0.0, math.inf),))
+    assert half.distance(-2.0) == 2.0 and half.distance(1e300) == 0.0
+    # NaN gives NaN, no bands give inf
+    assert math.isnan(bs.distance(math.nan))
+    assert math.isnan(bs.distance(0.0, math.nan))
+    assert np.array_equal(np.isnan(bs.distance([0.5, math.nan])), [False, True])
+    none = BandStructure(())
+    assert none.distance(0.5) == math.inf
+    assert np.array_equal(none.distance([0.5, -1.0]), [math.inf, math.inf])
 
 
 def test_quasi_periodicity(sin_model):
