@@ -98,7 +98,10 @@ def _parse_grid(text: str) -> list[float]:
                     f"step {step!r} does not advance past {v!r} in {text!r}")
             v += step
         return out
-    return [float(p) for p in text.split(",")]
+    widths = [float(p) for p in text.split(",")]
+    if not all(map(math.isfinite, widths)):
+        raise argparse.ArgumentTypeError(f"expected finite widths, got {text!r}")
+    return widths
 
 
 def _cell(v) -> str:

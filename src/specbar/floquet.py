@@ -8,8 +8,9 @@ zero tail, the quasi-periodic solution on a periodic one) and searched by
 the one search here, which alone keeps every search rectangle a standoff
 away from the essential spectrum and its shift.
 
-Real points on an interval are found by one root step: a Chebyshev
-interpolant whose degree doubles from 32 up to 4096 (past which
+Real points on an interval are found by one root step: one Chebyshev
+interpolant on the whole interval, whose degree doubles from 32 until its
+tail chops or stops falling on a noise plateau (past 4096
 BandResolutionError is raised), its roots near the real axis, and Newton on
 the function itself.  The bands are where the discriminant D meets +-2; the
 embedded resonances are where the real part of the boundary form of the
@@ -59,7 +60,8 @@ __all__ = [
 _DET_TOL = 1e-8
 _BRANCH_TOL = 1e-12
 _NULL_VECTOR_TOL = 1e-8
-_CHOP = 1e-12            # trailing share of the largest Chebyshev coefficient
+_CHOP = 1e-12            # trailing share of the largest Chebyshev coefficient;
+                         # its 2/3 power bounds a noise plateau (_crossings)
 _DEGREES = (32, 64, 128, 256, 512, 1024, 2048, 4096)   # tried by _crossings in turn
 _NEAR_AXIS = 1e-3        # largest |Im| of a root of p - level, as a share of the range
 _NEWTON_ROUNDS = 12      # at most, polishing the crossings on the function itself
@@ -74,7 +76,8 @@ class BranchPointError(SpecbarError):
 
 
 class BandResolutionError(SpecbarError):
-    """A Chebyshev interpolant (of D, or of a boundary form) passed degree 4096."""
+    """A Chebyshev interpolant (of D, or of a boundary form) neither chopped
+    nor reached a noise plateau below 1e-8 by degree 4096."""
 
 
 @dataclass(frozen=True)
@@ -253,22 +256,33 @@ def _crossings(f, lo: float, hi: float, levels):
     """Newton-polished points of (lo, hi) where the real function f meets a level.
 
     f maps a real array to real values.  Its Chebyshev interpolant p on
-    [lo, hi] doubles its degree from 32 until the last eight coefficients
-    fall below 1e-12 of the largest (Chebfun's chop); past degree 4096 it
-    raises BandResolutionError.  Each root of p - v, for v in levels, within
-    1e-3 of the range from the real axis gives the starts Re z +- |Im z|
-    inside (lo, hi).  Newton then runs on f itself, with p' as the slope and
-    the level nearest p(z) as the target, so f, not the interpolant's
-    rounding, decides.  Returns the polished points, clipped to [lo, hi], and
-    the crossings among them: the sorted points strictly inside (lo, hi)
-    whose last step fell below 1e-12 of the range, one for each run of such
-    points that coincide to that resolution.
+    [lo, hi] doubles its degree from 32 through 4096, and at each degree the
+    tail is the largest of the last eight coefficients as a share of the
+    largest.  A tail at most 1e-12 is accepted (Chebfun's chop).  A tail
+    that doubling did not lower, at most 1e-12 ** (2/3) (about 1e-8), is a
+    plateau: the noise of f, where Aurentz & Trefethen ("Chopping a
+    Chebyshev series", ACM TOMS 43, 2017) chop too; the previous, lower
+    degree is kept.  Past degree 4096 it raises BandResolutionError.  Each
+    root of p - v, for v in levels, within 1e-3 of the range from the real
+    axis gives the starts Re z +- |Im z| inside (lo, hi).  Newton then runs
+    on f itself, with p' as the slope and the level nearest p(z) as the
+    target, so f, not the interpolant's rounding, decides.  Returns the
+    polished points, clipped to [lo, hi], and the crossings among them: the
+    sorted points strictly inside (lo, hi) whose last step fell below 1e-12
+    of the range, one for each run of such points that coincide to that
+    resolution.
     """
+    p, last = None, math.inf
     for degree in _DEGREES:
-        p = Chebyshev.interpolate(f, degree, domain=(lo, hi))
-        c = np.abs(p.coef)
+        q = Chebyshev.interpolate(f, degree, domain=(lo, hi))
+        c = np.abs(q.coef)
         if np.max(c[-8:]) <= _CHOP * np.max(c):
+            p = q
             break
+        tail = np.max(c[-8:]) / np.max(c)
+        if last <= tail <= _CHOP ** (2 / 3):     # a plateau: doubling gained nothing
+            break
+        p, last = q, tail
     else:
         raise BandResolutionError(f"interpolant not resolved at degree {degree} "
                                   f"on [{lo}, {hi}]")
@@ -303,21 +317,21 @@ def bands(model: PotentialModel, z_min: float, z_max: float,
     """Real intervals of [z_min, z_max] where |D| <= 2, ends polished to rounding.
 
     Any range with a finite z_max is answered, z_min = -inf included; any
-    other raises ValueError.  No band lies below the
-    tail potential's minimum q_min, so a range wholly below it holds none
-    and D is not sampled; otherwise D is interpolated from max(z_min, q_min)
-    up, since below q_min D grows like exp(T sqrt(q_min - z)), which would
-    swamp the interpolant's accuracy near the bands.  D is
-    entire, so its Chebyshev interpolant p converges geometrically.  A range
-    whose interpolant is unresolved at degree 4096 is halved, down to pieces
-    1/16 as wide; an unresolved piece of that width raises
-    BandResolutionError.  Each root of p - 2 and
-    p + 2 within 1e-3 of the range from the real axis starts Newton on D
-    itself, so D, not the interpolant's rounding, decides a gap lower than
-    that rounding (_crossings).  A piece between consecutive ends is a band
-    when |D| <= 2 at its middle, by the exact sign, so a closed gap (a double
-    root) and a start that found no end join their neighbours.  Intervals
-    reaching the range boundary are clipped there.
+    other raises ValueError.  No band lies below the tail potential's
+    minimum q_min, so a range wholly below it holds none and D is not
+    sampled; otherwise D is interpolated from max(z_min, q_min) up, since
+    below q_min D grows like exp(T sqrt(q_min - z)), which would swamp the
+    interpolant's accuracy near the bands.  D is entire, so its one
+    Chebyshev interpolant p on that range converges geometrically, down to
+    the noise of the sampled D, where _crossings stops; one that reaches
+    neither a chop nor a plateau by degree 4096 raises BandResolutionError.
+    Each root of p - 2 and p + 2 within 1e-3 of the range from the real
+    axis starts Newton on D itself, so D, not the interpolant's rounding,
+    decides a gap lower than that rounding (_crossings).  A piece between
+    consecutive ends is a band when |D| <= 2 at its middle, by the exact
+    sign, so a closed gap (a double root) and a start that found no end join
+    their neighbours.  Intervals reaching the range boundary are clipped
+    there.
     """
     _require_periodic(model)
     # D cannot be interpolated on an unbounded range: z_max must be finite
@@ -331,19 +345,11 @@ def bands(model: PotentialModel, z_min: float, z_max: float,
     def D(z):
         return _discriminant_real(model, z, ode_step)
 
-    # on a wide range from q_min (the sin tail's to 2500, say) the noise of
-    # the sampled D exceeds 1e-12 of its largest coefficient at every
-    # degree; narrower pieces chop, so such a range is halved until they do
-    pieces, z = [(lo, z_max)], [np.array([lo, z_max])]
-    while pieces:
-        a, b = pieces.pop()
-        try:
-            z.append(_crossings(D, a, b, (2.0, -2.0))[0])
-        except BandResolutionError:
-            if b - a <= (z_max - lo) / 16:
-                raise
-            pieces += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
-    cuts = np.unique(np.concatenate(z))
+    # one interpolant on the whole range: on a wide one (the sin tail's to
+    # 2500, say) the noise of the sampled D stays above the 1e-12 chop at
+    # every degree, and _crossings stops at the plateau it makes instead
+    z = _crossings(D, lo, z_max, (2.0, -2.0))[0]
+    cuts = np.unique(np.concatenate([[lo, z_max], z]))
     inside = np.abs(D(0.5 * (cuts[:-1] + cuts[1:]))) <= 2.0
     # a cut is a band end where the pieces on its two sides differ
     ends = cuts[np.diff(np.concatenate([[False], inside, [False]]))].tolist()
@@ -545,17 +551,17 @@ def sp_zeros(model: PotentialModel, gamma: float, x0: float, rect: Rectangle,
     - psi_plus'(x0, lam) psi_minus(x0, lam - i gamma); its zeros are the
     possible pollution points for barrier widths x0 + n*period on a
     periodic tail, where x0 must lie in the fundamental cell.  On a zero
-    tail x0 must be nonnegative; an integrable background provably has no
-    zeros away from the essential spectrum, so an empty result is the
-    expected outcome.  Zeros at which the cell-start eigenvector of either
-    solution vanishes are dropped.
+    tail x0 must be nonnegative and finite; an integrable background
+    provably has no zeros away from the essential spectrum, so an empty
+    result is the expected outcome.  Zeros at which the cell-start
+    eigenvector of either solution vanishes are dropped.
     """
     tail = model.tail
     if isinstance(tail, PeriodicTail):
         if not tail.start <= x0 < tail.start + tail.period:
             raise DomainError("x0 must lie in the fundamental cell of the tail")
-    elif x0 < 0:
-        raise DomainError("x0 must be nonnegative")
+    elif not 0.0 <= x0 < math.inf:      # NaN fails the comparison too
+        raise DomainError(f"x0 must be nonnegative and finite, got {x0}")
 
     def f(lam):
         return _cross_wronskian(model, gamma, x0, lam, ode_step)
@@ -612,10 +618,12 @@ def embedded_resonances(model: PotentialModel, band: tuple[float, float],
     sampled in z: Re BC is entire for a real background, and a complex one
     has its branch points at the band ends, outside the interval.  On a
     zero tail it is sampled in k = sqrt(z) on [sqrt(lo), sqrt(hi)], where
-    the form is entire: in z, sqrt(z) puts a branch point at 0.  Past degree
-    4096 the interpolant raises BandResolutionError.  The crossings that
-    converged strictly inside the interval, those that coincide merged, are
-    kept where the full residual |BC[phi_u]| is below tol.  The interval
+    the form is entire: in z, sqrt(z) puts a branch point at 0.  The
+    interpolant stops at a chop or a noise plateau as in bands, and one
+    that reaches neither by degree 4096 raises BandResolutionError.  The
+    crossings that converged strictly inside the interval, those that
+    coincide merged, are kept where the full residual |BC[phi_u]| is below
+    tol.  The interval
     must stay inside a band (periodic tail) or inside (0, inf) (zero tail),
     away from the ends by the standoff, which must be positive and finite.
     """

@@ -224,6 +224,12 @@ def test_exit_code_on_usage_error(model_paths):
     conv = ["converge", "--model", free, "--R", "20:10:60", "--out", "x.json"]
     assert run([*conv, "--mode", "essential"]) == 2
     assert run([*conv, "--mode", "eigenvalue", "--skip-initial", "-1"]) == 2
+    # a comma list with a width that is not finite: fd solved R = 20 and
+    # converge searched R = 10 and 15 before the last width failed, exit 1
+    assert run(["fd", "--model", str(model_paths / "sin.json"), "--gamma", "0.25",
+                "--R", "20,nan", "--x-offset", "100", "--out", "x.csv"]) == 2
+    assert run(["converge", "--model", free, "--mode", "eigenvalue",
+                "--R", "10,15,inf", "--out", "x.json"]) == 2
 
 
 def test_exit_code_on_computation_error(model_paths, tmp_path):

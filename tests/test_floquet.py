@@ -332,11 +332,22 @@ def test_sp_zeros_zero_just_outside_an_edge():
     assert time.perf_counter() - start < 10.0
 
 
-def test_sp_zeros_validates_cell_offset(sin_model, stacked_model):
+def test_sp_zeros_validates_cell_offset(sin_model, stacked_model, free_model,
+                                       monkeypatch):
     with pytest.raises(DomainError):
         sp_zeros(sin_model, 0.25, 10.0, Rectangle(-0.3, 0.5, 0.02, 0.23))
     with pytest.raises(DomainError):
         sp_zeros(stacked_model, 1.0, -1.0, Rectangle(-4.0, 4.0, 0.05, 0.95))
+    # on a zero tail an infinite offset overflowed the carrier and NaN passed
+    # x0 < 0: both were reported as a function not finite on a contour edge.
+    # They are refused before the cross-Wronskian is evaluated
+    def evaluated(*_):
+        raise AssertionError("the cross-Wronskian was evaluated")
+
+    monkeypatch.setattr(floquet, "_cross_wronskian", evaluated)
+    for x0 in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="x0 must be nonnegative and finite"):
+            sp_zeros(free_model, 1.0, x0, Rectangle(0.1, 6.0, 0.05, 0.95))
 
 
 def test_embedded_resonances_free_zero_tail(free_model):
@@ -363,14 +374,36 @@ def test_embedded_resonances_band_validation(sin_model):
     ) == []
 
 
-def test_bands_halve_a_range_one_interpolant_cannot_resolve(sin_model):
-    # to 2501 (fd's range at h = 0.04) the noise of D stops the chop at every
-    # degree; the halves chop, and give the band ends of a short range below
-    # 10 (the 9.0143 gap, 2e-6 wide, is set by D near its noise)
-    got = bands(sin_model, -1.0, 2501.0).bands
+@pytest.mark.parametrize("z_max", [2501.0, 6401.0])
+def test_bands_of_a_wide_range_match_a_short_range_below_10(sin_model, z_max):
+    # to 2501 (fd's range at h = 0.04) and beyond, the noise of the sampled D
+    # stops the 1e-12 chop at every degree; the one interpolant stops at the
+    # noise plateau instead and keeps every band end of [-1, 10] to about
+    # RK4's error in D, the 9.0143 gap (2e-6 wide) included
+    got = bands(sin_model, -1.0, z_max).bands
     want = bands(sin_model, -1.0, 10.0).bands
-    assert len(got) == len(want) and got[-1][1] == 2501.0
+    assert len(got) == len(want) == 7 and got[-1][1] == z_max
     assert np.max(np.abs(np.ravel(got)[:-1] - np.ravel(want)[:-1])) < 1e-8
+
+
+def _cos_with_noise(size):
+    """cos(40 x) plus a term of the given size that no degree to 4096 resolves."""
+    return lambda x: np.cos(40 * x) + size * np.cos(3e4 * x)
+
+
+def test_crossings_stop_at_a_noise_plateau_below_1e_8():
+    # the 1e-10 term sits on the coefficients as a plateau above the chop at
+    # every degree: the interpolant below it still finds cos(40 x)'s zeros,
+    # which the term moves by about 2.5e-12
+    _, got = floquet._crossings(_cos_with_noise(1e-10), -1.0, 1.0, (0.0,))
+    want = (np.pi / 2 + np.pi * np.arange(-13, 13)) / 40
+    assert len(got) == len(want)
+    assert np.max(np.abs(got - want)) < 1e-11
+
+
+def test_crossings_refuse_a_plateau_above_1e_8():
+    with pytest.raises(floquet.BandResolutionError, match="degree 4096"):
+        floquet._crossings(_cos_with_noise(1e-6), -1.0, 1.0, (0.0,))
 
 
 @pytest.fixture(scope="module")
