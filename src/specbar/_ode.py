@@ -1,22 +1,25 @@
 """Vectorized propagation of second-order spectral problems.
 
 Propagates (u, u') for -u'' + (q(x) + c) u = lam * u across intervals on
-which q is a single expression.  Every stretch becomes a transfer matrix
-applied a repeat count of times.  A constant stretch is the exact matrix
-of one substep h, in the entire functions cos(w h) and sin(w h)/w,
-repeated over as many substeps as keep its entries bounded.  A
-sinusoidal stretch is fixed-step RK4 in closed form: one RK4 step of
+which q is a single expression.  Every stretch is one power T^n of a
+one-step transfer T.  A constant stretch is n equal substeps, T the exact
+matrix of one substep h in the entire functions cos(w h) and sin(w h)/w,
+with n the fewest substeps that keep T's entries bounded.  A sinusoidal
+stretch is fixed-step RK4 in closed form: one RK4 step of
 y' = [[0, 1], [q + c - lam, 0]] y is a 2x2 matrix whose entries are
 polynomials of degree <= 2 in lam, with coefficients from one vectorized
 evaluation of q at all nodes of the stretch.  The step matrices are built
-and multiplied pairwise in blocks of whole-array operations into one
-transfer per stretch, inside work arrays allocated once per transfer and
-reused by every block.  Every transfer has entries below _TRANSFER_LIMIT
-and is applied to a solution rescaled below _RESCALE_LIMIT, so no
-magnitude overflows; consecutive full periods of a periodic tail share
-one transfer, whichever kind.  All routines are vectorized over an ndarray
-of spectral parameters; the seeds may add a leading axis of columns, such
-as the two canonical solutions of a monodromy.
+and multiplied pairwise in blocks of whole-array operations into T,
+inside work arrays allocated once per transfer and reused by every block.
+The whole cells of a periodic tail are one stretch, T the transfer of one
+cell, whichever kind, and n their count.  For n > 1, T^n comes from
+binary powering, every product normalised per point by a power of two, so
+n repeats cost at most 2 log2(n) products and one application to the
+solution.  Every transfer has entries below _TRANSFER_LIMIT and is applied
+to a solution rescaled below _RESCALE_LIMIT, so no magnitude overflows.
+All routines are vectorized over an ndarray of spectral parameters; the
+seeds may add a leading axis of columns, such as the two canonical
+solutions of a monodromy.
 """
 
 from __future__ import annotations
@@ -47,13 +50,17 @@ class Segment(NamedTuple):
     a: float
     b: float
     expr: object      # ConstExpr | SinExpr
-    xoff: float       # q(x) = expr(x - xoff) on [a, b]
+    xoff: float       # q(x) = expr(x - xoff) on the first of count cells
+    count: int = 1    # equal cells of length (b - a) / count cover [a, b]
 
 
 def segments(model: PotentialModel, x_lo: float, x_hi: float) -> list[Segment]:
     """Expression-homogeneous subintervals covering [x_lo, x_hi] in order.
 
-    Gaps not covered by pieces or a periodic tail count as q = 0.
+    Gaps not covered by pieces or a periodic tail count as q = 0.  The whole
+    cells of a periodic tail are one segment with their count, between the
+    partial cells at either end; an end within rounding (about 1e-12) of a
+    cell boundary counts as on it.
     """
     if not (0.0 <= x_lo < x_hi):
         raise ValueError(f"need 0 <= x_lo < x_hi, got [{x_lo}, {x_hi}]")
@@ -79,12 +86,18 @@ def segments(model: PotentialModel, x_lo: float, x_hi: float) -> list[Segment]:
         a = min(tail.start, x_hi)
         out.append(Segment(x, a, zero, 0.0))
         x = a
-    while x < x_hi - 1e-15:
-        n = math.floor((x - tail.start) / tail.period + 1e-12)
-        cell_end = tail.start + (n + 1) * tail.period
-        b = min(cell_end, x_hi)
-        out.append(Segment(x, b, tail.expr, n * tail.period))
-        x = b
+    start, period = tail.start, tail.period
+    n = math.floor((x - start) / period + 1e-12)     # the cell holding x
+    k = math.floor((x_hi - start) / period + 1e-12)  # cell ends up to x_hi
+    if x < x_hi - 1e-15 and x - (start + n * period) > 1e-12 * (1.0 + abs(x)):
+        n += 1
+        out.append(Segment(x, min(start + n * period, x_hi), tail.expr, (n - 1) * period))
+        x = out[-1].b
+    if k > n:
+        out.append(Segment(x, start + k * period, tail.expr, n * period, k - n))
+        x, n = out[-1].b, k
+    if x < x_hi - 1e-15:
+        out.append(Segment(x, x_hi, tail.expr, n * period))
     return out
 
 
@@ -103,10 +116,9 @@ def _sinc_like(w: np.ndarray, d: float):
 def _const_transfer(qc: complex, lam, d: float):
     """Exact transfer across a constant stretch of length d.
 
-    Returns (T, 0.0, n): the substep matrix T = ((c, s), (-w^2 s, c)) of
-    length d/n, as nested tuples of arrays shaped like lam, is applied n
-    times, with n the fewest substeps whose growth stays below
-    _CONST_GROWTH.
+    Returns (T, 0.0, n): the transfer is T^n, with T = ((c, s), (-w^2 s, c))
+    the substep matrix of length d/n, as nested tuples of arrays shaped like
+    lam, and n the fewest substeps whose growth stays below _CONST_GROWTH.
     """
     w2 = lam - qc
     w = np.sqrt(w2)
@@ -235,6 +247,30 @@ def _matmul_into(a, b, out, tmp):
     return out
 
 
+def _normalised(T, logs):
+    """T divided per point by the power of two that brings its largest
+    entry into [1/2, 1), with the exact log of that power added to logs."""
+    _, e = np.frexp(np.max(np.abs(T), axis=(0, 1)))
+    return T * np.ldexp(1.0, -e), logs + e * math.log(2.0)
+
+
+def _power(T, logs, n: int):
+    """The transfer T * exp(logs) applied n times, as (P, plogs).
+
+    By binary powering from the leading bit of n: one squaring per further
+    bit and one product with T per set bit, each product normalised per
+    point by a power of two, so the whole power is formed before any
+    solution is touched and its entries lie below 2.
+    """
+    T, logs = _normalised(T, logs)
+    P, plogs = T, logs
+    for bit in bin(n)[3:]:
+        P, plogs = _normalised(np.einsum("ij...,jk...->ik...", P, P), 2.0 * plogs)
+        if bit == "1":
+            P, plogs = _normalised(np.einsum("ij...,jk...->ik...", P, T), plogs + logs)
+    return P, plogs
+
+
 def _rescale(u, up, logs):
     mag = np.maximum(np.abs(u), np.abs(up))
     # fmax skips NaN, as the mask does
@@ -253,8 +289,13 @@ def propagate(model: PotentialModel, lam, x_from: float, x_to: float,
 
     Works in either direction.  u and up broadcast against lam; a leading
     axis beyond lam's shape holds independent columns, which share every
-    transfer.  Returns (u, up, logs) where exp(logs) is a magnitude factor
-    split off to avoid overflow; the true solution is (u, up) * exp(logs).
+    transfer.  Each segment's one-step transfer is built once and, when
+    it repeats (the substeps of a constant stretch, the whole cells of a
+    periodic tail), raised to its count by binary powering before it
+    touches the solution, so a segment costs one application and one
+    rescale however wide it is.  Returns (u, up, logs) where exp(logs) is a
+    magnitude factor split off to avoid overflow; the true solution is
+    (u, up) * exp(logs).
     The RK4 step must be positive and finite; otherwise ValueError.
     """
     if not 0.0 < step < math.inf:
@@ -273,27 +314,19 @@ def propagate(model: PotentialModel, lam, x_from: float, x_to: float,
     segs = segments(model, *(sorted((x_from, x_to))))
     if not forward:
         segs = segs[::-1]
-    # the last stretch as (expr, local start, length) and its transfer;
-    # full periods of a tail repeat it, up to rounding in the local start
-    last, transfer = None, None
     for seg in segs:
-        x0, x1 = (seg.a, seg.b) if forward else (seg.b, seg.a)
-        d = x1 - x0
-        local = x0 - seg.xoff
-        stretch = (seg.expr, local, d)
-        tol = 1e-12 * (1.0 + abs(x0))
-        if not (last is not None and last[0] == stretch[0]
-                and abs(last[1] - stretch[1]) <= tol
-                and abs(last[2] - d) <= tol):
-            last = stretch
-            if isinstance(seg.expr, ConstExpr):
-                transfer = _const_transfer(complex(seg.expr.value) + q_add,
-                                           lam, d)
-            else:
-                transfer = _rk4_transfer(seg.expr, local, lam, d, step, q_add)
-        T, dlogs, repeats = transfer
-        for _ in range(repeats):
-            u, up = T[0][0] * u + T[0][1] * up, T[1][0] * u + T[1][1] * up
-            logs = logs + dlogs
-            u, up, logs = _rescale(u, up, logs)
+        # one cell, from its start x0 in the direction of travel
+        d = (seg.b - seg.a) / seg.count
+        x0, d = (seg.a, d) if forward else (seg.b - (seg.count - 1) * d, -d)
+        if isinstance(seg.expr, ConstExpr):
+            T, dlogs, nsub = _const_transfer(complex(seg.expr.value) + q_add,
+                                             lam, d)
+        else:
+            T, dlogs, nsub = _rk4_transfer(seg.expr, x0 - seg.xoff, lam, d,
+                                           step, q_add)
+        if nsub * seg.count > 1:
+            T, dlogs = _power(np.array(T), dlogs, nsub * seg.count)
+        u, up = T[0][0] * u + T[0][1] * up, T[1][0] * u + T[1][1] * up
+        logs = logs + dlogs
+        u, up, logs = _rescale(u, up, logs)
     return u, up, logs

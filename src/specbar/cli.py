@@ -256,13 +256,6 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _bands_up_to(model, x, reach, ode_step):
-    """The essential spectrum up to x + reach: only the upper end is chosen,
-    since floquet.bands answers a range from -inf and none lies below the
-    tail potential's minimum."""
-    return floquet.essential_spectrum(model, -math.inf, x + reach, ode_step)
-
-
 def _write_fd(model, gamma, widths, x_offset, h, tol_band, ode_step, out):
     """Write the classified truncation spectrum of every width to the CSV out.
 
@@ -274,8 +267,10 @@ def _write_fd(model, gamma, widths, x_offset, h, tol_band, ode_step, out):
         raise ValueError(f"--tol-band {tol_band} must be positive and finite")
     spectra = [(R, fdtrunc.eigenvalues_dense(fdtrunc.build_matrix(
         BarrierProblem(model, gamma, R), R + x_offset, h))) for R in widths]
-    bs = _bands_up_to(model, max(z.real for _, eigs in spectra for z in eigs),
-                      tol_band, ode_step)
+    # only the upper end is chosen: floquet.bands answers a range from -inf,
+    # and no band lies below the tail potential's minimum
+    top = max(z.real for _, eigs in spectra for z in eigs)
+    bs = floquet.essential_spectrum(model, -math.inf, top + tol_band, ode_step)
     rows = []
     for R, eigs in spectra:
         # the barrier i*gamma shifts spectra upward by gamma
@@ -299,8 +294,8 @@ def _cmd_enclose(args) -> int:
     model = load_model(args.model)
     gamma, lam = args.gamma, args.lam
     # the verdicts need the bands to Re lambda + gamma, past the lens's
-    # reach gamma/2
-    sigma = _bands_up_to(model, lam.real, gamma, args.ode_step)
+    # reach gamma/2; from -inf, as in _write_fd
+    sigma = floquet.essential_spectrum(model, -math.inf, lam.real + gamma, args.ode_step)
     verdict = {
         "lambda": [lam.real, lam.imag],
         "gamma_a": enclosures.gamma_a_contains(lam, sigma, gamma),

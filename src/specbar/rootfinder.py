@@ -52,7 +52,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Rectangle, SpecbarError, _is_scalar
+from .core import Rectangle, SpecbarError
 
 __all__ = [
     "AnalyticFunctionHandle",
@@ -107,25 +107,10 @@ class AnalyticFunctionHandle:
     """Evaluatable analytic function.
 
     ``eval`` must accept an ndarray of complex points and return an ndarray
-    of values; the contour quadrature reads nothing else.  Newton takes the
-    derivative as a central difference with a step adapted to the local
-    scale, one or one per point, both sides of the stencil in one call.
+    of values; the contour quadrature and Newton read nothing else.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, z):
-        scalar = _is_scalar(z)
-        out = self.eval(np.atleast_1d(np.asarray(z, dtype=complex)))
-        return complex(out[0]) if scalar else out
-
-    def deriv(self, z, scale: float = 1.0):
-        scalar = _is_scalar(z)
-        arr = np.atleast_1d(np.asarray(z, dtype=complex))
-        h = np.maximum(1e-9, 1e-6 * np.asarray(scale, dtype=float))
-        both = self.eval(np.concatenate([arr + h, arr - h]))
-        out = (both[:arr.size] - both[arr.size:]) / (2.0 * h)
-        return complex(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -558,8 +543,12 @@ def _newton(f: AnalyticFunctionHandle, starts, scales, multiplicities, regions,
         if not active:
             break
         steps = {}
-        derivs = f.deriv(np.array([z[i] for i in active]),
-                         np.array([scales[i] for i in active]))
+        # central differences with a step set by each start's scale, both
+        # sides of every stencil in one call
+        at = np.array(z)[active]
+        h = np.maximum(1e-9, 1e-6 * np.asarray(scales, dtype=float)[active])
+        both = f.eval(np.concatenate([at + h, at - h]))
+        derivs = (both[:at.size] - both[at.size:]) / (2.0 * h)
         for i, df in zip(active, derivs):
             df = complex(df)
             if df != 0 and math.isfinite(_cabs(df)):

@@ -9,6 +9,7 @@ the eigenvalues (principal sheet) or resonances (second sheet).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,34 +82,33 @@ def interior_solution(ctx: CharacteristicContext, lam) -> SolutionSample:
     """Shoot -u'' + (q + i gamma) u = lam u from 0 to the barrier edge R.
 
     The seed (u, u')(0) = (sin eta, cos eta) satisfies the mixed boundary
-    condition identically.  Every stretch of the potential is one transfer
-    matrix with bounded entries, applied a repeat count of times: the exact
-    substep matrix of a constant stretch, or the product of closed-form
-    RK4 step matrices at ctx.ode_step of a sinusoidal one.  The solution is
-    rescaled after each application, so no width overflows; the split-off
-    magnitude is the sample's log_scale.  Whole periods of a periodic tail
-    share the first period's transfer, so each further period costs one
-    2x2 product.
+    condition identically.  Every stretch of the potential is one power of
+    a transfer matrix with bounded entries: of the exact substep matrix of
+    a constant stretch, or of the product of closed-form RK4 step matrices
+    at ctx.ode_step across a sinusoidal one.  The whole periods of a
+    periodic tail are one stretch, the power of one period's transfer, so
+    they cost about log2 of their count in 2x2 products, not one product
+    each.  The solution is rescaled after each stretch, so no width
+    overflows; the split-off magnitude is the sample's log_scale.
     """
     u, up, logs = _interior_arrays(ctx, lam)
     return _sample(u, up, ctx.problem.R, logs, _is_scalar(lam))
 
 
-def _check_zero_tail_clearance(lam, standoff: float, what: str):
-    lam = np.asarray(lam, dtype=complex)
-    dist = np.where(lam.real >= 0.0, np.abs(lam.imag), np.abs(lam))
-    if np.min(dist) < standoff:
-        raise DomainError(
-            f"{what} within standoff {standoff} of the essential spectrum ray"
-        )
+def _check_zero_tail_clearance(ctx: CharacteristicContext, lam):
+    """DomainError where lam comes within the standoff of the essential
+    spectrum [0, inf) of a zero tail; a periodic tail is not checked."""
+    if ctx.problem.model.is_periodic:
+        return
+    ray = floquet.BandStructure(((0.0, math.inf),))
+    if np.min(np.hypot(ray.distance(np.real(lam)), np.imag(lam))) < ctx.standoff:
+        raise DomainError(f"spectral parameter within standoff {ctx.standoff}"
+                          " of the essential spectrum ray")
 
 
-def _exterior_arrays(ctx: CharacteristicContext, lam, check: bool = True):
-    model = ctx.problem.model
-    if check and not model.is_periodic:
-        _check_zero_tail_clearance(lam, ctx.standoff, "spectral parameter")
-    return floquet._solution_arrays(model, ctx.problem.R, lam, "plus",
-                                    ctx.sheet, ctx.ode_step)
+def _exterior_arrays(ctx: CharacteristicContext, lam):
+    return floquet._solution_arrays(ctx.problem.model, ctx.problem.R, lam,
+                                    "plus", ctx.sheet, ctx.ode_step)
 
 
 def exterior_solution(ctx: CharacteristicContext, lam) -> SolutionSample:
@@ -120,6 +120,7 @@ def exterior_solution(ctx: CharacteristicContext, lam) -> SolutionSample:
     periodic tail the quasi-periodic solution with the (possibly continued)
     decaying multiplier.  Its magnitude is carried in log_scale.
     """
+    _check_zero_tail_clearance(ctx, lam)
     val, der, logs = _exterior_arrays(ctx, lam)
     return _sample(val, der, ctx.problem.R, logs, _is_scalar(lam))
 
@@ -128,10 +129,10 @@ def exterior_solution(ctx: CharacteristicContext, lam) -> SolutionSample:
 # Characteristic function
 # ---------------------------------------------------------------------------
 
-def _characteristic_parts(ctx: CharacteristicContext, lam, check: bool = True):
+def _characteristic_parts(ctx: CharacteristicContext, lam):
     """Normalized Wronskian and the log factor it was scaled by."""
     u, up, li = _interior_arrays(ctx, lam)
-    v, vp, le = _exterior_arrays(ctx, lam, check=check)
+    v, vp, le = _exterior_arrays(ctx, lam)
     return u * vp - up * v, li + le
 
 
@@ -142,6 +143,7 @@ def characteristic(ctx: CharacteristicContext, lam):
     sheet) or resonances (second sheet) of the barrier problem.
     """
     scalar = _is_scalar(lam)
+    _check_zero_tail_clearance(ctx, lam)
     w, logs = _characteristic_parts(ctx, lam)
     out = w * np.exp(logs)
     return complex(out) if scalar else out
@@ -165,7 +167,7 @@ def _characteristic_zeros(ctx: CharacteristicContext, rect: Rectangle) -> RootSe
 
     def f(lam):
         lam = np.asarray(lam, dtype=complex)
-        w, logs = _characteristic_parts(ctx, lam, check=False)
+        w, logs = _characteristic_parts(ctx, lam)
         expo = logs + 1j * principal_sqrt(lam - 1j * gamma) * R
         if not periodic:
             expo = expo - 1j * sheeted_sqrt(lam, ctx.sheet) * xt

@@ -49,6 +49,19 @@ def test_spectrum_verb(model_paths, tmp_path):
     assert len(lines) - 1 >= 5
 
 
+def test_spectrum_of_a_wide_barrier(model_paths, tmp_path):
+    # at R = 1e6 the rectangle holds no eigenvalue: the transfer across the
+    # barrier is one power, so the contour resolves an empty set
+    out = tmp_path / "eigs.csv"
+    code = run([
+        "spectrum", "--model", str(model_paths / "free.json"),
+        "--R", "1e6", "--rect", "0.1,6,0.05,0.95", "--out", str(out),
+    ])
+    assert code == 0
+    assert out.read_text().splitlines() == [
+        "re_lambda,im_lambda,multiplicity,residual,R,sheet"]
+
+
 def test_csv_determinism(model_paths, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["spectrum", "--model", str(model_paths / "free.json"),
