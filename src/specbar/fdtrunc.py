@@ -13,7 +13,9 @@ diagonal block it belongs to.  Its Newton correction p/p' comes from the
 three-term recurrences of the leading and the trailing principal minors,
 run from both ends at once and joined in the middle, rescaled by powers of
 two, never from a dense matrix; its repulsion sum computes each pair of
-unsettled points once.
+unsettled points once.  A point settles once its step is within
+32·eps·‖T‖∞, or once its steps contract and the contraction's error bound
+θ/(1 − θ)·|step|, θ the ratio of its last two steps, is within that stop.
 Each returned spectrum is certified: its first two power sums must match
 tr T and tr T², and sampled eigenvalues must pass an inverse-iteration
 residual check.
@@ -310,25 +312,38 @@ def _repulsion(z: np.ndarray, active: np.ndarray, scratch: np.ndarray) -> np.nda
         b = min(_ROW_BLOCK, m - lo)
         diff = scratch[:b * (n - lo)].reshape(b, n - lo)
         np.subtract(w[lo:lo + b, None], w[lo:], out=diff)
-        diff[np.arange(b), np.arange(b)] = np.inf          # 1/inf = 0 drops j = k
-        np.divide(1.0, diff, out=diff)
+        np.fill_diagonal(diff, np.inf)          # 1/inf = 0 drops j = k
+        np.reciprocal(diff, out=diff)
         out[lo:lo + b] += diff.sum(axis=1)
         out[lo + b:] -= diff[:, b:m - lo].sum(axis=0)
     return out
 
 
 def _aberth(t: TridiagonalOperator) -> np.ndarray:
-    """All eigenvalues of t by the Ehrlich–Aberth iteration on det(T - z)."""
+    """All eigenvalues of t by the Ehrlich–Aberth iteration on det(T - z).
+
+    A point settles once its step |Δₖ| is within stop, or once its steps
+    contract, θ = |Δₖ|/|Δₖ₋₁| < 1, with θ/(1 − θ)·|Δₖ| within stop: the
+    a-posteriori error bound of a contraction (Deuflhard, Newton Methods for
+    Nonlinear Problems, 2004), which spares the sweep that would only
+    confirm it.  The first sweep has no previous step (NaN) and only the
+    first test.
+    """
     stop = _STOP * _EPS * t.norm_inf()
     z = _start_points(t)
     active = np.arange(t.n)
+    last = np.full(t.n, np.nan)         # |Δₖ₋₁| of each active point
     scratch = np.empty(min(_ROW_BLOCK, t.n) * t.n, dtype=complex)
     for _ in range(_MAX_ITER):
         za = z[active]
         newton = _newton(t, za)
         step = newton / (1.0 - newton * _repulsion(z, active, scratch))
         z[active] = za - step
-        active = active[~(np.abs(step) <= stop)]
+        size = np.abs(step)
+        theta = size / last
+        # θ·|Δ| <= (1 - θ)·stop holds for no θ >= 1 once |Δ| > 0
+        settled = (size <= stop) | (theta * size <= (1.0 - theta) * stop)
+        active, last = active[~settled], size[~settled]
         if not len(active):
             return z
     raise SolverError(f"{len(active)} of {t.n} eigenvalues did not converge in "
@@ -349,7 +364,8 @@ def eigenvalues_dense(t: TridiagonalOperator) -> list[complex]:
     the real parts nearest the spectra of the other blocks take those
     blocks' levels.  The repulsion sum computes each pair of unsettled
     points once.  Each point stops once its step is within 32·eps·‖T‖∞,
-    after at most 100 iterations.  The result is certified
+    or once θ = |Δₖ|/|Δₖ₋₁| < 1 and θ/(1 − θ)·|Δₖ| is within it, after at
+    most 100 iterations.  The result is certified
     before it is returned: every value converged and is finite, the power
     sums match the traces, taken of T/‖T‖∞ so that no square overflows,
 

@@ -171,7 +171,10 @@ def _characteristic_zeros(ctx: CharacteristicContext, rect: Rectangle) -> RootSe
         expo = logs + 1j * principal_sqrt(lam - 1j * gamma) * R
         if not periodic:
             expo = expo - 1j * sheeted_sqrt(lam, ctx.sheet) * xt
-        return w * np.exp(expo)
+        # a width beyond double precision overflows here; the contour
+        # refuses the value that is not finite, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            return w * np.exp(expo)
 
     return floquet._spectral_zeros(model, f, rect, (0.0, gamma),
                                    ((0.0, "plus", ctx.sheet),), ctx.standoff,
